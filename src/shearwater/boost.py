@@ -3,15 +3,20 @@ extra trees, and the linear SVM wrapper, all sharing the Newton tree
 backends from :mod:`shearwater.trees`.
 
 Brand differences reduce to (loss, split-candidate generation, tree shape,
-bagging): the xgb variants and sk_gbt use exact splits, the lgb variants
-histogram splits, cat oblivious trees, and the forests average class-mean
-leaves instead of boosting.
+bagging). ``LearnerKind.backend`` names each learner's split search: the
+xgb variants and sk_gbt use exact splits, the lgb variants histogram
+splits, cat oblivious trees and sk_et uniform random thresholds.
+``_backend_fitter`` is the one place that maps a backend to a tree fitter.
+Both boosting learners run one loop, ``_boost``, over a loss's
+(gradient/hessian, loss) pair; the forests average class-mean leaves
+instead of boosting.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +52,8 @@ class LearnerKind(str, Enum):
             return "hist"
         if self is LearnerKind.CAT:
             return "oblivious"
+        if self is LearnerKind.SK_ET:
+            return "uniform"
         return "exact"
 
     @property
@@ -161,66 +168,87 @@ def pairwise_loss(scores, y) -> float:
     return float(np.logaddexp(0.0, -diff).sum())
 
 
-def pairwise_grad_hess(scores, y) -> tuple[np.ndarray, np.ndarray]:
-    """Per-instance gradient and hessian of the all-pairs rank loss."""
+def pairwise_grad_hess(scores, y, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instance gradient and hessian of the rank loss summed over pairs.
+
+    ``pairs`` is a (positive rows, negative rows) pair of aligned index
+    arrays; None means every positive/negative pair, positive-major.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y)
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y == 0)
-    diff = scores[pos][:, None] - scores[neg][None, :]
-    s = sigmoid(-diff)  # d loss / d (s_j - s_i) direction
+    if pairs is None:
+        y = np.asarray(y)
+        pos = np.flatnonzero(y == 1)
+        neg = np.flatnonzero(y == 0)
+        pairs = (np.repeat(pos, neg.size), np.tile(neg, pos.size))
+    i_idx, j_idx = pairs
+    s = sigmoid(scores[j_idx] - scores[i_idx])  # d loss / d (s_j - s_i)
     w = s * (1.0 - s)
     grad = np.zeros(scores.size)
     hess = np.zeros(scores.size)
-    np.add.at(grad, pos, -s.sum(axis=1))
-    np.add.at(grad, neg, s.sum(axis=0))
-    np.add.at(hess, pos, w.sum(axis=1))
-    np.add.at(hess, neg, w.sum(axis=0))
+    np.add.at(grad, i_idx, -s)
+    np.add.at(grad, j_idx, s)
+    np.add.at(hess, i_idx, w)
+    np.add.at(hess, j_idx, w)
     return grad, hess
 
 
-def _sample_rows(n: int, fraction: float, rng) -> np.ndarray | None:
+def _subsample(n: int, fraction: float, rng) -> np.ndarray | None:
+    """Sorted draw without replacement of round(fraction * n) indices
+    (at least one); None when the fraction keeps everything.
+    """
     if fraction >= 1.0:
         return None
     size = max(1, int(round(fraction * n)))
-    rows = rng.choice(n, size=size, replace=False)
-    rows.sort()
-    return rows
+    picked = rng.choice(n, size=size, replace=False)
+    picked.sort()
+    return picked
 
 
-def _sample_features(d: int, fraction: float, rng) -> np.ndarray | None:
-    if fraction >= 1.0:
-        return None
-    size = max(1, int(round(fraction * d)))
-    feats = rng.choice(d, size=size, replace=False)
-    feats.sort()
-    return feats
+def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int):
+    """The one map from a backend name to a tree fitter; returns
+    fit(grad, hess, rng=, rows=, candidate_features=).
 
-
-def _backend_fitter(backend: str, X, params: GbdtParams):
-    """Returns fit(rows, feats, grad, hess, rng) for the chosen backend."""
-    tree_params = params.tree_params()
-    if backend == "exact":
-        def fit(rows, feats, grad, hess, rng):
-            return fit_tree_exact(
-                X, grad, hess, tree_params, rng, rows=rows, candidate_features=feats
-            )
-    elif backend == "hist":
-        bins = build_bins(X, params.max_bin_edges)
-        Xb = bins.bin_matrix(X)
-
-        def fit(rows, feats, grad, hess, rng):
-            return fit_tree_hist(
-                Xb, grad, hess, bins, tree_params, rng, rows=rows, candidate_features=feats
-            )
-    elif backend == "oblivious":
-        def fit(rows, feats, grad, hess, rng):
-            return fit_tree_oblivious(
-                X, grad, hess, tree_params, rng, rows=rows, candidate_features=feats
-            )
-    else:
+    The fitters are read from this module's globals each time this runs,
+    so a wrapper installed on this module's attributes sees every fit.
+    """
+    if backend == "hist":
+        bins = build_bins(X, max_bin_edges)
+        return partial(fit_tree_hist, bins.bin_matrix(X), bins=bins, params=tree_params)
+    fitters = {"exact": fit_tree_exact, "oblivious": fit_tree_oblivious, "uniform": fit_tree_uniform}
+    if backend not in fitters:
         raise ValueError(f"unknown backend {backend!r}")
-    return fit
+    return partial(fitters[backend], X, params=tree_params)
+
+
+def _boost(X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss):
+    """Stagewise Newton boosting from the constant margin f0.
+
+    Each round asks ``grad_hess(margins)`` for per-instance gradients and
+    hessians, fits a tree on an optionally row/column-subsampled view, adds
+    learning_rate * tree to the margins and records ``loss(margins, y)``.
+    """
+    fitter = _backend_fitter(backend, X, params.tree_params(), params.max_bin_edges)
+    n, d = X.shape
+    margins = np.full(n, f0)
+    trees: list[DecisionTree] = []
+    history: list[float] = []
+    for _ in range(params.n_rounds):
+        grad, hess = grad_hess(margins)
+        rows = _subsample(n, params.subsample, rng)
+        feats = _subsample(d, params.colsample, rng)
+        tree = fitter(grad, hess, rng=rng, rows=rows, candidate_features=feats)
+        tree.scale_leaves(params.learning_rate)
+        margins += tree.predict(X)
+        trees.append(tree)
+        history.append(loss(margins, y))
+    return TrainedModel(
+        kind=kind,
+        params=params,
+        feature_names=feature_names or [f"f{i}" for i in range(d)],
+        f0=f0,
+        trees=trees,
+        loss_history=history,
+    )
 
 
 def fit_gbdt_logistic(
@@ -232,11 +260,10 @@ def fit_gbdt_logistic(
     feature_names: list[str] | None = None,
     kind: LearnerKind = LearnerKind.XGB_BINARY,
 ) -> TrainedModel:
-    """Stagewise logistic-loss boosting with Newton trees.
+    """Logistic-loss boosting with Newton trees.
 
     F0 is the clamped log-odds of the training prevalence; each round fits
-    a tree to (p - y, p(1 - p)) on an optionally row/column-subsampled view
-    and adds learning_rate * tree to the raw margin.
+    a tree to (p - y, p(1 - p)).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -246,29 +273,13 @@ def fit_gbdt_logistic(
         rng = np.random.default_rng(0)
     p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
     f0 = float(np.log(p_bar / (1.0 - p_bar)))
-    fitter = _backend_fitter(backend, X, params)
-    n, d = X.shape
-    margins = np.full(n, f0)
-    trees: list[DecisionTree] = []
-    history: list[float] = []
-    for _ in range(params.n_rounds):
+
+    def grad_hess(margins):
         p = sigmoid(margins)
-        grad = p - y
-        hess = p * (1.0 - p)
-        rows = _sample_rows(n, params.subsample, rng)
-        feats = _sample_features(d, params.colsample, rng)
-        tree = fitter(rows, feats, grad, hess, rng)
-        tree.scale_leaves(params.learning_rate)
-        margins += tree.predict(X)
-        trees.append(tree)
-        history.append(logistic_loss(margins, y))
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        feature_names=feature_names or [f"f{i}" for i in range(d)],
-        f0=f0,
-        trees=trees,
-        loss_history=history,
+        return p - y, p * (1.0 - p)
+
+    return _boost(
+        X, y, params, backend, rng, feature_names, kind, f0, grad_hess, logistic_loss
     )
 
 
@@ -280,7 +291,7 @@ def fit_gbdt_pairwise(
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
 ) -> TrainedModel:
-    """RankNet-style pairwise boosting; scores are raw margins.
+    """RankNet-style pairwise boosting; scores are raw margins from F0 = 0.
 
     Per-instance gradients aggregate over that instance's sampled pairs;
     pairs are drawn uniformly without replacement up to
@@ -294,39 +305,19 @@ def fit_gbdt_pairwise(
         raise SingleClass("pairwise loss needs both classes")
     if rng is None:
         rng = np.random.default_rng(0)
-    fitter = _backend_fitter(backend, X, params)
-    n, d = X.shape
-    cap = params.pair_cap_factor * n
+    cap = params.pair_cap_factor * len(y)
     total_pairs = pos.size * neg.size
-    margins = np.zeros(n)
-    trees: list[DecisionTree] = []
-    for _ in range(params.n_rounds):
-        if total_pairs <= cap:
-            pair_ids = np.arange(total_pairs)
-        else:
+
+    def grad_hess(margins):
+        pairs = None
+        if total_pairs > cap:
             pair_ids = rng.choice(total_pairs, size=cap, replace=False)
-        i_idx = pos[pair_ids // neg.size]
-        j_idx = neg[pair_ids % neg.size]
-        s = sigmoid(margins[j_idx] - margins[i_idx])
-        w = s * (1.0 - s)
-        grad = np.zeros(n)
-        hess = np.zeros(n)
-        np.add.at(grad, i_idx, -s)
-        np.add.at(grad, j_idx, s)
-        np.add.at(hess, i_idx, w)
-        np.add.at(hess, j_idx, w)
-        rows = _sample_rows(n, params.subsample, rng)
-        feats = _sample_features(d, params.colsample, rng)
-        tree = fitter(rows, feats, grad, hess, rng)
-        tree.scale_leaves(params.learning_rate)
-        margins += tree.predict(X)
-        trees.append(tree)
-    return TrainedModel(
-        kind=LearnerKind.XGB_RANK,
-        params=params,
-        feature_names=feature_names or [f"f{i}" for i in range(d)],
-        f0=0.0,
-        trees=trees,
+            pairs = (pos[pair_ids // neg.size], neg[pair_ids % neg.size])
+        return pairwise_grad_hess(margins, y, pairs)
+
+    return _boost(
+        X, y, params, backend, rng, feature_names, LearnerKind.XGB_RANK, 0.0, grad_hess,
+        pairwise_loss,
     )
 
 
@@ -362,25 +353,13 @@ def fit_forest(
         reg_lambda=0.0,
         features_per_node=per_node,
     )
-    bins = Xb = None
-    if kind is LearnerKind.LGB_RF:
-        bins = build_bins(X, params.max_bin_edges)
-        Xb = bins.bin_matrix(X)
+    fitter = _backend_fitter(kind.backend, X, tree_params, params.max_bin_edges)
+    bootstrap = kind is not LearnerKind.SK_ET
     trees: list[DecisionTree] = []
     for _ in range(params.n_trees):
-        if kind is LearnerKind.SK_ET:
-            rows = np.arange(n)
-        else:
-            rows = rng.integers(0, n, size=n)
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         p_bar = float(y[rows].mean())
-        grad = p_bar - y
-        hess = np.ones(n)
-        if kind is LearnerKind.SK_ET:
-            tree = fit_tree_uniform(X, grad, hess, tree_params, rng, rows=rows)
-        elif kind is LearnerKind.LGB_RF:
-            tree = fit_tree_hist(Xb, grad, hess, bins, tree_params, rng, rows=rows)
-        else:
-            tree = fit_tree_exact(X, grad, hess, tree_params, rng, rows=rows)
+        tree = fitter(p_bar - y, np.ones(n), rng=rng, rows=rows)
         tree.shift_leaves(p_bar)
         for leaf in tree.leaves():
             # leaves are class means; clamp away shift rounding like -1e-17
@@ -403,12 +382,9 @@ def fit_learner(
     rng: np.random.Generator,
     feature_names: list[str] | None = None,
 ) -> TrainedModel:
-    """Dispatch one of the nine learner settings."""
-    if kind is LearnerKind.XGB_RANK:
-        return fit_gbdt_pairwise(X, y, params, "exact", rng, feature_names)
-    if kind in (LearnerKind.LGB_RF, LearnerKind.SK_RF, LearnerKind.SK_ET):
-        return fit_forest(X, y, params, kind, rng, feature_names)
-    if kind is LearnerKind.SVC:
+    """Dispatch one of the nine learner settings by family and backend."""
+    family = kind.family
+    if family == "svm":
         svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)
         return TrainedModel(
             kind=kind,
@@ -416,6 +392,10 @@ def fit_learner(
             feature_names=feature_names or [f"f{i}" for i in range(np.asarray(X).shape[1])],
             svm=svm,
         )
+    if family == "forest":
+        return fit_forest(X, y, params, kind, rng, feature_names)
+    if family == "pairwise":
+        return fit_gbdt_pairwise(X, y, params, kind.backend, rng, feature_names)
     return fit_gbdt_logistic(X, y, params, kind.backend, rng, feature_names, kind=kind)
 
 

@@ -15,6 +15,7 @@ import json
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import PipelineError
+from .errors import BirdSetMismatch, PipelineError
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -184,15 +185,30 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+@contextmanager
+def _naming(path: Path):
+    """Prefix the file name to a data error raised while reading the file."""
+    try:
+        yield
+    except PipelineError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_matrix(path: Path, hint: str) -> FeatureMatrix:
-    return FeatureMatrix.from_csv(_require(path, hint).read_text())
+    with _naming(_require(path, hint)):
+        return FeatureMatrix.from_csv(path.read_text())
+
+
+def _load_predictions(path: Path) -> PredictionSet:
+    with _naming(path):
+        return PredictionSet.from_csv(path.read_text(), source=path.stem)
 
 
 # --- commands --------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, role: str, seed: int | None, out: str | None) -> None:
     params = cfg.synth_params(seed)
-    if seed is None and role == "test":
+    if role == "test":
         # a held-out corpus must not repeat the training draw
         params = replace(params, seed=params.seed + 1)
     corpus = generate_corpus(params)
@@ -284,9 +300,13 @@ def _load_cv_inputs(cfg: RunConfig):
         mode: _load_matrix(cfg.features_path("train", mode), f"{mode.value} feature matrix")
         for mode in cfg.modes
     }
-    folds = folds_from_csv(
-        _require(cfg.folds_path(), "fold assignment").read_text(), cfg.k_folds, cfg.base_seed
-    )
+    folds_path = _require(cfg.folds_path(), "fold assignment")
+    with _naming(folds_path):
+        folds = folds_from_csv(folds_path.read_text(), cfg.base_seed)
+        for matrix in matrices.values():
+            unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
+            if unshared:
+                raise BirdSetMismatch(f"birds not in both folds and features: {unshared[:5]}")
     return matrices, folds
 
 
@@ -369,7 +389,7 @@ def cmd_ensemble(cfg: RunConfig) -> None:
     pred_paths = sorted(_require(cfg.predictions_dir(), "predictions directory").glob("*.csv"))
     if not pred_paths:
         raise PipelineError(f"no prediction sets in {cfg.predictions_dir()}")
-    sets = [PredictionSet.from_csv(p.read_text(), source=p.stem) for p in pred_paths]
+    sets = [_load_predictions(p) for p in pred_paths]
     labels = parse_labels(_require(cfg.train_labels, "training labels file").read_text())
     tie = prevalent_label(np.array(list(labels.values())))
     voted = majority_vote(sets, tie)
@@ -378,7 +398,7 @@ def cmd_ensemble(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(predictions_path: str, truth_path: str) -> None:
-    pred = PredictionSet.from_csv(Path(predictions_path).read_text())
+    pred = _load_predictions(Path(predictions_path))
     truth = parse_labels(Path(truth_path).read_text())
     missing = sorted(set(pred.bird_ids) - set(truth))
     if missing:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPool, MissingLabel, SchemaMismatch
+from .errors import EmptyPool, MalformedRow, MissingLabel, SchemaMismatch
 from .featex import VelocityThresholds, bird_features, feature_names, velocity_thresholds
 from .geokin import velocities
 from .trajdata import Corpus, Trajectory, atomic_write_text
@@ -85,15 +85,22 @@ class FeatureMatrix:
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
         bird_ids, labels, rows = [], [], []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             bird_ids.append(row[0])
             body = row[1:]
             if has_label:
+                if body[0] not in ("0", "1"):
+                    raise MalformedRow(f"line {lineno}: label {body[0]!r} is not 0 or 1")
                 labels.append(int(body[0]))
                 body = body[1:]
-            rows.append([np.nan if cell == "" else float(cell) for cell in body])
+            try:
+                rows.append([np.nan if cell == "" else float(cell) for cell in body])
+            except ValueError as exc:
+                raise MalformedRow(f"line {lineno}: {exc}") from None
         values = np.array(rows, dtype=np.float64).reshape(len(bird_ids), len(columns))
         return cls(
             bird_ids=bird_ids,
@@ -227,7 +234,3 @@ def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
 def write_manifest(columns: list[str], path: str | Path) -> None:
     """Persist the ordered column schema, one name per line."""
     atomic_write_text(path, "\n".join(columns) + "\n")
-
-
-def read_manifest(path: str | Path) -> list[str]:
-    return Path(path).read_text().splitlines()

@@ -20,7 +20,9 @@ from .datasets import DatasetMode, FeatureMatrix, impute
 from .errors import (
     BirdSetMismatch,
     LengthMismatch,
+    MalformedRow,
     MissingLabel,
+    OutOfRange,
     SingleClass,
     TooFewPerClass,
 )
@@ -173,7 +175,7 @@ def cross_validate(
         raise MissingLabel("cross-validation needs a labeled matrix")
     fold_of = folds.fold_vector(matrix.bird_ids)
     y = matrix.labels
-    oof = np.empty(len(y), dtype=np.float64)
+    oof = np.full(len(y), np.nan)
     for k in range(folds.k):
         test_mask = fold_of == k
         train = matrix.subset(~test_mask)
@@ -185,6 +187,9 @@ def cross_validate(
             setting.kind, train_imp.values, train.labels, setting.params, rng, train.columns
         )
         oof[test_mask] = predict_scores(model, test_imp)
+    unscored = [b for b, score in zip(matrix.bird_ids, oof) if np.isnan(score)]
+    if unscored:
+        raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {unscored[:5]}")
     tau = tune_threshold(oof, y)
     labels = hard_labels(oof, tau)
     fold_f1 = [float(f1_score(labels[fold_of == k], y[fold_of == k])) for k in range(folds.k)]
@@ -247,16 +252,7 @@ class PredictionSet:
 
     @classmethod
     def from_csv(cls, text: str, source: str = "") -> "PredictionSet":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["bird_id", "label"]:
-            raise BirdSetMismatch(f"bad predictions header {header!r}")
-        ids, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            labels.append(int(row[1]))
+        ids, labels = _read_int_column(text, "label")
         return cls(bird_ids=ids, labels=np.array(labels, dtype=np.int64), source=source)
 
 
@@ -302,13 +298,35 @@ def folds_to_csv(folds: FoldAssignment) -> str:
     return out.getvalue()
 
 
-def folds_from_csv(text: str, k: int, seed: int) -> FoldAssignment:
+def _read_int_column(text: str, column: str) -> tuple[list[str], list[int]]:
+    """Bird ids and integer values of a ``bird_id,<column>`` CSV."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["bird_id", "fold"]:
-        raise BirdSetMismatch(f"bad folds header {header!r}")
-    assignment = {row[0]: int(row[1]) for row in reader if row}
-    return FoldAssignment(assignment=assignment, k=k, seed=seed)
+    header = next(reader, None)
+    if header != ["bird_id", column]:
+        raise BirdSetMismatch(f"bad header {header!r}, expected bird_id,{column}")
+    ids, values = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            values.append(int(row[1]))
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: {column} {row[1]!r} is not an integer") from None
+        ids.append(row[0])
+    return ids, values
+
+
+def folds_from_csv(text: str, seed: int) -> FoldAssignment:
+    """Read a ``bird_id,fold`` file; k is the fold count it holds, and its
+    fold ids must be exactly 0..k-1.
+    """
+    ids, fold_ids = _read_int_column(text, "fold")
+    k = max(fold_ids, default=-1) + 1
+    if set(fold_ids) != set(range(k)):
+        raise OutOfRange(f"fold ids {sorted(set(fold_ids))} are not 0..{k - 1}")
+    return FoldAssignment(assignment=dict(zip(ids, fold_ids)), k=k, seed=seed)
 
 
 def cv_report_csv(results: list[tuple[str, CvResult]]) -> str:

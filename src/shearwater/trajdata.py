@@ -43,20 +43,6 @@ LABELS_HEADER = ("bird_id", "label")
 SECONDS_PER_DAY = 86400
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One GPS fix with its solar and timing metadata."""
-
-    longitude: float
-    latitude: float
-    sun_azimuth: float  # degrees clockwise from North, [0, 360)
-    sun_elevation: float  # degrees above the horizon, [-90, 90]
-    daytime: int  # 1 day, 0 night
-    elapsed: float  # seconds since trip start
-    local_time: int  # seconds of day, [0, 86400)
-    days: int  # day counter starting at 1
-
-
 @dataclass
 class Trajectory:
     """Column-oriented trajectory for one bird trip.
@@ -95,22 +81,6 @@ class Trajectory:
                 "days",
             )
         )
-
-    def point(self, i: int) -> TrajectoryPoint:
-        return TrajectoryPoint(
-            longitude=float(self.longitude[i]),
-            latitude=float(self.latitude[i]),
-            sun_azimuth=float(self.sun_azimuth[i]),
-            sun_elevation=float(self.sun_elevation[i]),
-            daytime=int(self.daytime[i]),
-            elapsed=float(self.elapsed[i]),
-            local_time=int(self.local_time[i]),
-            days=int(self.days[i]),
-        )
-
-    @property
-    def points(self) -> list[TrajectoryPoint]:
-        return [self.point(i) for i in range(len(self))]
 
     def filter_daytime(self, flag: int) -> "Trajectory":
         """Subsequence of points with the given daytime flag.

@@ -62,9 +62,6 @@ class DecisionTree:
         _fill_predictions(self.root, X, np.arange(X.shape[0]), out)
         return out
 
-    def predict_row(self, row: np.ndarray) -> float:
-        return predict_tree(self, row)
-
     def leaves(self) -> list[TreeNode]:
         found: list[TreeNode] = []
         stack = [self.root]
@@ -133,20 +130,6 @@ def _fill_predictions(node: TreeNode, X, idx, out) -> None:
         go_left |= np.isnan(x)
     _fill_predictions(node.left, X, idx[go_left], out)
     _fill_predictions(node.right, X, idx[~go_left], out)
-
-
-def predict_tree(tree: DecisionTree, row: np.ndarray) -> float:
-    """Route a single row; equality with the threshold goes right."""
-    node = tree.root
-    while not node.is_leaf:
-        x = row[node.feature]
-        if np.isnan(x):
-            node = node.left if node.missing_left else node.right
-        elif x < node.threshold:
-            node = node.left
-        else:
-            node = node.right
-    return node.value
 
 
 def newton_gain(gl, hl, gr, hr, reg_lambda):

@@ -175,6 +175,45 @@ def test_pairwise_gradients_sum_to_zero(rng):
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pairwise_explicit_pairs_match_brute_force(rng):
+    scores = rng.normal(size=9)
+    y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0])
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    pairs = (np.array([pos[0], pos[2], pos[0], pos[3]]), np.array([neg[1], neg[0], neg[4], neg[1]]))
+    grad, hess = pairwise_grad_hess(scores, y, pairs)
+    want_grad, want_hess = np.zeros(9), np.zeros(9)
+    for i, j in zip(*pairs):
+        s = 1.0 / (1.0 + math.exp(scores[i] - scores[j]))
+        want_grad[i] -= s
+        want_grad[j] += s
+        want_hess[i] += s * (1.0 - s)
+        want_hess[j] += s * (1.0 - s)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(hess, want_hess, rtol=1e-12, atol=1e-15)
+
+
+def test_pairwise_all_pairs_explicit_equals_default(rng):
+    scores = rng.normal(size=10)
+    y = rng.permutation([1] * 4 + [0] * 6)
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    every = ([i for i in pos for _ in neg], [j for _ in pos for j in neg])
+    explicit = pairwise_grad_hess(scores, y, (np.array(every[0]), np.array(every[1])))
+    default = pairwise_grad_hess(scores, y)
+    np.testing.assert_array_equal(explicit[0], default[0])
+    np.testing.assert_array_equal(explicit[1], default[1])
+
+
+def test_pairwise_records_loss_history(rng):
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(int)
+    for cap in (100, 1):  # all pairs, then a sampled subset per round
+        params = small_params(n_rounds=12, pair_cap_factor=cap, subsample=0.8, colsample=0.8)
+        model = fit_gbdt_pairwise(X, y, params)
+        assert len(model.loss_history) == 12
+        assert np.all(np.isfinite(model.loss_history))
+        assert model.loss_history[-1] < pairwise_loss(np.zeros(40), y)
+
+
 def test_pairwise_single_class_raises():
     with pytest.raises(SingleClass):
         fit_gbdt_pairwise(np.zeros((3, 1)), np.ones(3), small_params())

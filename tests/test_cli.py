@@ -147,3 +147,79 @@ def test_cv_report_shape(tmp_path):
     for line in report[1:]:
         f1 = float(line.split(",")[2])
         assert 0.0 <= f1 <= 1.0
+
+
+def prepare_folds(tmp_path, **overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    assert main(["extract", "--config", str(cfg)]) == EXIT_OK
+    assert main(["folds", "--config", str(cfg)]) == EXIT_OK
+    return cfg
+
+
+def test_cv_takes_fold_count_from_folds_file(tmp_path):
+    cfg = prepare_folds(tmp_path, learners=["svc"])  # folds.csv written with k=5
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    expected = {name: (out / name).read_bytes() for name in ("cv_report.csv", "cv_summary.csv")}
+    cfg = write_config(tmp_path, learners=["svc"], k_folds=3)
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in expected} == expected
+    report = (out / "cv_report.csv").read_text().splitlines()[1:]
+    assert sorted(line.split(",")[1] for line in report) == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_folds_missing_a_bird_is_data_error(tmp_path, capsys, command):
+    cfg = prepare_folds(tmp_path, learners=["svc"])
+    folds = tmp_path / "out" / "folds.csv"
+    folds.write_text("\n".join(folds.read_text().splitlines()[:-1]) + "\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    assert "folds.csv" in capsys.readouterr().err
+
+
+def _set_field(path, line, field, value):
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    if value is None:
+        del cells[field]
+    else:
+        cells[field] = value
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command, relpath, field, value",
+    [
+        ("cv", "out/features/train_together.csv", 5, "abc"),  # non-numeric cell
+        ("cv", "out/features/train_together.csv", 1, "x"),  # bad label
+        ("cv", "out/features/train_together.csv", -1, None),  # ragged row
+        ("cv", "out/folds.csv", 1, "one"),  # non-integer fold
+        ("ensemble", "out/predictions/together_svc_s11.csv", 1, "yes"),  # non-integer label
+    ],
+)
+def test_malformed_internal_csv_is_data_error(tmp_path, capsys, command, relpath, field, value):
+    cfg = prepare_folds(tmp_path, learners=["svc"])
+    predictions = tmp_path / "out" / "predictions"
+    predictions.mkdir()
+    (predictions / "together_svc_s11.csv").write_text("bird_id,label\nb0,1\nb1,0\n")
+    path = tmp_path / relpath
+    _set_field(path, 2, field, value)
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert path.name in err
+    assert "line 3" in err
+
+
+def test_synth_seed_flag_keeps_test_role_distinct(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg), "--seed", "7"]) == EXIT_OK
+    assert main(["synth", "--config", str(cfg), "--seed", "7", "--role", "test"]) == EXIT_OK
+    assert main(["synth", "--config", str(cfg), "--seed", "8", "--out", str(tmp_path / "s8")]) == EXIT_OK
+
+    def corpus(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.glob("*.csv"))}
+
+    assert corpus(tmp_path / "test") != corpus(tmp_path / "train")
+    assert corpus(tmp_path / "test") == corpus(tmp_path / "s8")

@@ -8,6 +8,7 @@ from shearwater.datasets import DatasetMode, FeatureMatrix
 from shearwater.errors import (
     BirdSetMismatch,
     LengthMismatch,
+    OutOfRange,
     SingleClass,
     TooFewPerClass,
 )
@@ -85,8 +86,9 @@ def test_folds_stratification_bound(n_pos, n_neg, seed):
 
 def test_folds_csv_round_trip():
     folds = make_folds(paper_scale_labels(), k=5, seed=3)
-    again = folds_from_csv(folds_to_csv(folds), k=5, seed=3)
+    again = folds_from_csv(folds_to_csv(folds), seed=3)
     assert again.assignment == folds.assignment
+    assert again.k == 5
 
 
 # --- metrics -------------------------------------------------------------------
@@ -227,6 +229,20 @@ def test_cv_imputation_refit_per_fold(rng):
     result = cross_validate(setting, matrix, folds, seed=0)
     assert np.isfinite(result.oof_scores).all()
 
+
+
+def test_cv_raises_when_a_bird_is_left_unscored(rng):
+    matrix = balanced_matrix(rng, n=30)
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=5, seed=1)
+    folds.k = 4  # fold 4's birds are never held out
+    setting = ModelSetting(kind=LearnerKind.SVC, mode=DatasetMode.TOGETHER)
+    with pytest.raises(BirdSetMismatch):
+        cross_validate(setting, matrix, folds, seed=0)
+
+
+def test_folds_csv_rejects_gapped_fold_ids():
+    with pytest.raises(OutOfRange):
+        folds_from_csv("bird_id,fold\na,0\nb,2\n", seed=0)
 
 # --- voting -----------------------------------------------------------------------
 

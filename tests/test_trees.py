@@ -11,7 +11,6 @@ from shearwater.trees import (
     fit_tree_oblivious,
     fit_tree_uniform,
     newton_gain,
-    predict_tree,
 )
 
 
@@ -348,23 +347,21 @@ def test_uniform_deterministic(rng):
 
 def test_predict_single_leaf():
     tree = DecisionTree(TreeNode(value=0.42), n_features=3)
-    assert predict_tree(tree, np.array([1.0, 2.0, 3.0])) == 0.42
+    np.testing.assert_array_equal(tree.predict(np.array([[1.0, 2.0, 3.0]])), [0.42])
     np.testing.assert_array_equal(tree.predict(np.zeros((4, 3))), np.full(4, 0.42))
 
 
 def test_predict_tie_goes_right():
     root = TreeNode(feature=0, threshold=1.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
     tree = DecisionTree(root, 1)
-    assert predict_tree(tree, np.array([1.0])) == 1.0
-    assert predict_tree(tree, np.array([0.999])) == -1.0
+    np.testing.assert_array_equal(tree.predict(np.array([[1.0], [0.999]])), [1.0, -1.0])
 
 
 def test_predict_missing_follows_flag():
     root = TreeNode(feature=0, threshold=1.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
     tree = DecisionTree(root, 1)
-    assert predict_tree(tree, np.array([np.nan])) == -1.0  # default left
+    np.testing.assert_array_equal(tree.predict(np.array([[np.nan]])), [-1.0])  # default left
     root.missing_left = False
-    assert predict_tree(tree, np.array([np.nan])) == 1.0
     np.testing.assert_array_equal(tree.predict(np.array([[np.nan], [0.0]])), [1.0, -1.0])
 
 
