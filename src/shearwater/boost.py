@@ -4,9 +4,11 @@ backends from :mod:`shearwater.trees`.
 
 Brand differences reduce to (loss, split-candidate generation, tree shape,
 bagging). ``LearnerKind.backend`` names each learner's split search: the
-xgb variants and sk_gbt use exact splits, the lgb variants histogram
-splits, cat oblivious trees and sk_et uniform random thresholds.
-``_backend_fitter`` is the one place that maps a backend to a tree fitter.
+xgb variants, sk_gbt and sk_rf use exact splits, the lgb variants
+histogram splits, cat oblivious trees and sk_et uniform random thresholds.
+``_backend_fitter`` is the one place that maps a backend to a tree fitter:
+exact and hist both fit on bins built once per model (lossless for exact,
+at most ``max_bin_edges`` edges per feature for hist).
 Both boosting learners run one loop, ``_boost``, over a loss's
 (gradient/hessian, loss) pair; the forests average class-mean leaves
 instead of boosting.
@@ -26,7 +28,6 @@ from .trees import (
     DecisionTree,
     TreeParams,
     build_bins,
-    fit_tree_exact,
     fit_tree_hist,
     fit_tree_oblivious,
     fit_tree_uniform,
@@ -211,10 +212,10 @@ def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int
     The fitters are read from this module's globals each time this runs,
     so a wrapper installed on this module's attributes sees every fit.
     """
-    if backend == "hist":
-        bins = build_bins(X, max_bin_edges)
+    if backend in ("exact", "hist"):
+        bins = build_bins(X, None if backend == "exact" else max_bin_edges)
         return partial(fit_tree_hist, bins.bin_matrix(X), bins=bins, params=tree_params)
-    fitters = {"exact": fit_tree_exact, "oblivious": fit_tree_oblivious, "uniform": fit_tree_uniform}
+    fitters = {"oblivious": fit_tree_oblivious, "uniform": fit_tree_uniform}
     if backend not in fitters:
         raise ValueError(f"unknown backend {backend!r}")
     return partial(fitters[backend], X, params=tree_params)

@@ -31,7 +31,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import BirdSetMismatch, PipelineError
+from .errors import BirdSetMismatch, MalformedRow, PipelineError
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -197,6 +197,14 @@ def _naming(path: Path):
 def _load_matrix(path: Path, hint: str) -> FeatureMatrix:
     with _naming(_require(path, hint)):
         return FeatureMatrix.from_csv(path.read_text())
+
+
+def _load_model(path: Path) -> TrainedModel:
+    with _naming(path):
+        try:
+            return TrainedModel.from_dict(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise MalformedRow(f"not a model file: {exc!r}") from None
 
 
 def _load_predictions(path: Path) -> PredictionSet:
@@ -366,7 +374,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         raise PipelineError(f"no models in {cfg.models_dir()}")
     cfg.predictions_dir().mkdir(parents=True, exist_ok=True)
     for path in model_paths:
-        model = TrainedModel.from_dict(json.loads(path.read_text()))
+        model = _load_model(path)
         mode = next(
             (m for m in cfg.modes if path.stem.startswith(m.value + "_")), None
         )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPool, MalformedRow, MissingLabel, SchemaMismatch
+from .errors import EmptyPool, MalformedRow, MissingLabel, SchemaMismatch, csv_rows
 from .featex import VelocityThresholds, bird_features, feature_names, velocity_thresholds
 from .geokin import velocities
 from .trajdata import Corpus, Trajectory, atomic_write_text
@@ -48,9 +48,9 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.bird_ids), len(self.columns)):
-            raise ValueError("matrix shape does not match ids/columns")
+            raise SchemaMismatch("matrix shape does not match ids/columns")
         if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
+            raise SchemaMismatch("duplicate column names")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
 
@@ -78,14 +78,14 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        rows = csv_rows(text)
+        header = next(rows, [])
         if not header or header[0] != "bird_id":
             raise SchemaMismatch("feature CSV must start with a bird_id column")
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
-        bird_ids, labels, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        bird_ids, labels, values = [], [], []
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -98,14 +98,13 @@ class FeatureMatrix:
                 labels.append(int(body[0]))
                 body = body[1:]
             try:
-                rows.append([np.nan if cell == "" else float(cell) for cell in body])
+                values.append([np.nan if cell == "" else float(cell) for cell in body])
             except ValueError as exc:
                 raise MalformedRow(f"line {lineno}: {exc}") from None
-        values = np.array(rows, dtype=np.float64).reshape(len(bird_ids), len(columns))
         return cls(
             bird_ids=bird_ids,
             columns=columns,
-            values=values,
+            values=np.array(values, dtype=np.float64).reshape(len(bird_ids), len(columns)),
             labels=np.array(labels, dtype=np.int64) if has_label else None,
         )
 

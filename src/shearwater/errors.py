@@ -1,8 +1,12 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the one CSV row reader.
 
 Everything inherits from :class:`PipelineError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs with a single except clause.
 """
+
+import csv
+import io
+from collections.abc import Iterator
 
 
 class PipelineError(ValueError):
@@ -71,3 +75,17 @@ class LengthMismatch(PipelineError):
 
 class BirdSetMismatch(PipelineError):
     """Prediction sets being voted do not cover identical bird ids."""
+
+
+# --- reading -------------------------------------------------------------
+
+def csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of a CSV document, read lazily. A parse error of the csv
+    module (a stray quote, a bare carriage return, an overlong field)
+    becomes MalformedRow.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None

@@ -25,6 +25,7 @@ from .errors import (
     OutOfRange,
     SingleClass,
     TooFewPerClass,
+    csv_rows,
 )
 
 
@@ -300,21 +301,24 @@ def folds_to_csv(folds: FoldAssignment) -> str:
 
 def _read_int_column(text: str, column: str) -> tuple[list[str], list[int]]:
     """Bird ids and integer values of a ``bird_id,<column>`` CSV."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = csv_rows(text)
+    header = next(rows, None)
     if header != ["bird_id", column]:
         raise BirdSetMismatch(f"bad header {header!r}, expected bird_id,{column}")
     ids, values = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            values.append(int(row[1]))
+            value = int(row[1])
         except ValueError:
             raise MalformedRow(f"line {lineno}: {column} {row[1]!r} is not an integer") from None
+        if not -(2**63) <= value < 2**63:
+            raise OutOfRange(f"line {lineno}: {column} {row[1]!r} does not fit in 64 bits")
         ids.append(row[0])
+        values.append(value)
     return ids, values
 
 
@@ -323,9 +327,10 @@ def folds_from_csv(text: str, seed: int) -> FoldAssignment:
     fold ids must be exactly 0..k-1.
     """
     ids, fold_ids = _read_int_column(text, "fold")
-    k = max(fold_ids, default=-1) + 1
-    if set(fold_ids) != set(range(k)):
-        raise OutOfRange(f"fold ids {sorted(set(fold_ids))} are not 0..{k - 1}")
+    distinct = set(fold_ids)
+    k = max(distinct, default=-1) + 1
+    if min(distinct, default=0) < 0 or len(distinct) != k:
+        raise OutOfRange(f"fold ids {sorted(distinct)} are not 0..{k - 1}")
     return FoldAssignment(assignment=dict(zip(ids, fold_ids)), k=k, seed=seed)
 
 

@@ -12,8 +12,6 @@ quantity downstream is consistent with it).
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +24,7 @@ from .errors import (
     OutOfRange,
     TooShort,
     UnknownBirdInLabels,
+    csv_rows,
 )
 
 CSV_HEADER = (
@@ -162,16 +161,15 @@ def _int(text: str, column: str) -> int:
 
 def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     """Parse one trajectory CSV document and validate all invariants."""
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(f"{bird_id}: empty file") from None
+    rows = csv_rows(csv_text)
+    header = next(rows, None)
+    if header is None:
+        raise MalformedRow(f"{bird_id}: empty file")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRow(f"{bird_id}: bad header {header!r}")
 
     cols: list[list] = [[] for _ in CSV_HEADER]
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
@@ -223,15 +221,14 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def parse_labels(csv_text: str) -> dict[str, int]:
     """Parse a ``bird_id,label`` CSV (label must be 0 or 1)."""
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("labels: empty file") from None
+    rows = csv_rows(csv_text)
+    header = next(rows, None)
+    if header is None:
+        raise MalformedRow("labels: empty file")
     if tuple(h.strip() for h in header) != LABELS_HEADER:
         raise MalformedRow(f"labels: bad header {header!r}")
     labels: dict[str, int] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:

@@ -4,18 +4,26 @@ One Newton objective serves every backend: a split's quality is
 
     gain = 1/2 * [GL^2/(HL+l) + GR^2/(HR+l) - (GL+GR)^2/(HL+HR+l)]
 
-and a leaf predicts -G/(H+l). Backends differ only in where candidate
-thresholds come from:
+and a leaf predicts -G/(H+l). One kernel, ``_gain_table``, scores every
+(feature, bin edge) cut of a node from gradient and hessian histograms.
+The exact, histogram and oblivious backends all search it and differ only
+in their bins:
 
-* exact      - midpoints between consecutive distinct observed values
-* histogram  - edges of quantile bins built once per training set
-* oblivious  - one shared (feature, threshold) test per depth level
-* uniform    - K random (feature, uniform threshold) draws per node
+* exact      - lossless bins, one per distinct value, so the cuts are the
+               midpoints between consecutive distinct observed values
+* histogram  - quantile bins of at most ``max_edges`` edges per feature
+* oblivious  - lossless bins of the tree's own rows; one shared (feature,
+               threshold) test per depth level, scored by summing the
+               current leaves' gain tables
+* uniform    - K random (feature, uniform threshold) draws per node, scored
+               by mask sums (no bins)
 
 Growth is depth-wise everywhere. Ties in gain resolve to the lowest
-feature index, then the lowest threshold. Rows with value < threshold go
-left; missing values follow the node's missing-direction flag (left by
-default). Fitting assumes finite inputs; prediction tolerates NaN.
+feature index, then the lowest threshold, up to the rounding of the
+histogram sums: two cuts whose gains are equal in exact arithmetic may
+differ in the last bits. Rows with value < threshold go left; missing
+values follow the node's missing-direction flag (left by default). Fitting
+assumes finite inputs; prediction tolerates NaN.
 """
 
 from __future__ import annotations
@@ -154,28 +162,30 @@ def _node_features(candidate_features, params: TreeParams, rng) -> np.ndarray:
     return picked
 
 
-def _best_split_exact(X, grad, hess, rows, feats, reg_lambda, mcw):
-    xn = X[np.ix_(rows, feats)]
-    order = np.argsort(xn, axis=0, kind="stable")
-    xs = np.take_along_axis(xn, order, axis=0)
-    gs = grad[rows][order]
-    hs = hess[rows][order]
-    cg = np.cumsum(gs, axis=0)
-    ch = np.cumsum(hs, axis=0)
-    gl, hl = cg[:-1], ch[:-1]
-    gr, hr = cg[-1] - gl, ch[-1] - hl
+def _gain_table(sub, grad, hess, n_edges, reg_lambda, mcw) -> np.ndarray:
+    """Newton gain of every (column, bin edge) cut of one node.
+
+    ``sub`` holds the node rows' bin indices (rows x columns), ``grad`` and
+    ``hess`` their gradients and hessians, ``n_edges`` each column's edge
+    count. Entry [c, j] scores sending bins <= j left; it is -inf where j is
+    not an edge of column c or a child fails min_child_weight.
+    """
+    m = sub.shape[1]
+    width = int(n_edges.max(initial=0)) + 1
+    flat_idx = (sub + np.arange(m, dtype=np.int64)[None, :] * width).ravel()
+
+    def cumulative_hist(w):
+        weights = np.broadcast_to(w[:, None], sub.shape).ravel()
+        hist = np.bincount(flat_idx, weights=weights, minlength=m * width)
+        return np.cumsum(hist.reshape(m, width), axis=1)
+
+    cg, ch = cumulative_hist(grad), cumulative_hist(hess)
+    gl, hl = cg[:, :-1], ch[:, :-1]
+    gr, hr = cg[:, -1:] - gl, ch[:, -1:] - hl
     gains = newton_gain(gl, hl, gr, hr, reg_lambda)
-    ok = (xs[1:] > xs[:-1]) & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
-    gains = np.where(ok, gains, -np.inf)
-    flat = gains.T.ravel()  # feature-major, thresholds ascending within a feature
-    best = int(np.argmax(flat))
-    gain = flat[best]
-    if not gain > 0.0:
-        return None
-    col, pos = divmod(best, gains.shape[0])
-    threshold = 0.5 * (xs[pos, col] + xs[pos + 1, col])
-    go_left = xn[:, col] < threshold
-    return float(gain), int(feats[col]), float(threshold), rows[go_left], rows[~go_left]
+    in_range = np.arange(width - 1)[None, :] < n_edges[:, None]
+    ok = in_range & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
+    return np.where(ok, gains, -np.inf)
 
 
 def _grow(find_split, rows, depth, params: TreeParams, grad, hess) -> TreeNode:
@@ -193,8 +203,8 @@ def _grow(find_split, rows, depth, params: TreeParams, grad, hess) -> TreeNode:
     return node
 
 
-def _prep(X, grad, hess, rows, candidate_features):
-    X = np.asarray(X, dtype=np.float64)
+def _prep(X, grad, hess, rows, candidate_features, dtype=np.float64):
+    X = np.asarray(X, dtype=dtype)
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
@@ -208,19 +218,11 @@ def _prep(X, grad, hess, rows, candidate_features):
 def fit_tree_exact(
     X, grad, hess, params: TreeParams, rng=None, rows=None, candidate_features=None
 ) -> DecisionTree:
-    """Greedy depth-wise tree over midpoint thresholds of observed values."""
-    X, grad, hess, rows, feats = _prep(X, grad, hess, rows, candidate_features)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def find_split(node_rows):
-        node_feats = _node_features(feats, params, rng)
-        return _best_split_exact(
-            X, grad, hess, node_rows, node_feats, params.reg_lambda, params.min_child_weight
-        )
-
-    root = _grow(find_split, rows, 0, params, grad, hess)
-    return DecisionTree(root, X.shape[1])
+    """Greedy depth-wise tree over midpoint thresholds of observed values:
+    the histogram fitter on lossless bins.
+    """
+    bins = build_bins(X, max_edges=None)
+    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, rng, rows, candidate_features)
 
 
 @dataclass
@@ -229,17 +231,16 @@ class HistogramBins:
 
     Edges are strictly increasing; a feature with e edges has e+1 bins and
     the bin index of a value is the count of edges <= value. When every
-    distinct value has its own bin the edges are exactly the midpoints the
-    exact backend would propose.
+    distinct value has its own bin the edges are exactly the midpoints
+    between consecutive distinct values.
     """
 
     edges: list[np.ndarray]
     bin_min: list[np.ndarray]
     bin_max: list[np.ndarray]
 
-    @property
-    def n_features(self) -> int:
-        return len(self.edges)
+    def __post_init__(self) -> None:
+        self.n_edges = np.array([e.size for e in self.edges], dtype=np.int64)
 
     def bin_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -249,15 +250,20 @@ class HistogramBins:
         return out
 
 
-def build_bins(X: np.ndarray, max_edges: int = 255) -> HistogramBins:
-    """Quantile bins per feature, lossless whenever distinct values fit."""
+def build_bins(X: np.ndarray, max_edges: int | None = 255) -> HistogramBins:
+    """Quantile bins per feature, lossless whenever distinct values fit.
+
+    ``max_edges=None`` never caps: every distinct value gets its own bin,
+    which is how the exact backend bins.
+    """
     X = np.asarray(X, dtype=np.float64)
     edges_list, mins_list, maxs_list = [], [], []
-    probs = np.arange(1, max_edges + 1) / (max_edges + 1)
+    if max_edges is not None:
+        probs = np.arange(1, max_edges + 1) / (max_edges + 1)
     for f in range(X.shape[1]):
         col = X[:, f]
         distinct = np.unique(col)
-        if distinct.size - 1 <= max_edges:
+        if max_edges is None or distinct.size - 1 <= max_edges:
             edges = 0.5 * (distinct[:-1] + distinct[1:])
             mins = maxs = distinct
         else:
@@ -279,43 +285,24 @@ def build_bins(X: np.ndarray, max_edges: int = 255) -> HistogramBins:
 
 
 def _best_split_hist(Xb, grad, hess, rows, feats, bins, reg_lambda, mcw):
-    n_edges = np.array([bins.edges[f].size for f in feats])
-    if n_edges.max(initial=0) == 0:
-        return None
-    width = int(n_edges.max()) + 1
     sub = Xb[np.ix_(rows, feats)]
-    m = len(feats)
-    flat_idx = (sub + np.arange(m, dtype=np.int64)[None, :] * width).ravel()
-    gw = np.broadcast_to(grad[rows][:, None], sub.shape).ravel()
-    hw = np.broadcast_to(hess[rows][:, None], sub.shape).ravel()
-    length = m * width
-    ghist = np.bincount(flat_idx, weights=gw, minlength=length).reshape(m, width)
-    hhist = np.bincount(flat_idx, weights=hw, minlength=length).reshape(m, width)
-    counts = np.bincount(flat_idx, minlength=length).reshape(m, width)
-    cg = np.cumsum(ghist, axis=1)
-    ch = np.cumsum(hhist, axis=1)
-    gl, hl = cg[:, :-1], ch[:, :-1]
-    gr, hr = cg[:, -1:] - gl, ch[:, -1:] - hl
-    gains = newton_gain(gl, hl, gr, hr, reg_lambda)
-    in_range = np.arange(width - 1)[None, :] < n_edges[:, None]
-    ok = in_range & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
-    gains = np.where(ok, gains, -np.inf)
-    flat = gains.ravel()
-    best = int(np.argmax(flat))
-    gain = flat[best]
+    gains = _gain_table(sub, grad[rows], hess[rows], bins.n_edges[feats], reg_lambda, mcw)
+    if gains.size == 0:
+        return None
+    best = int(np.argmax(gains))  # feature-major, so ties go to the lowest feature then edge
+    gain = gains.flat[best]
     if not gain > 0.0:
         return None
-    col, j = divmod(best, width - 1)
+    col, j = divmod(best, gains.shape[1])
     feature = int(feats[col])
     # Record the cut as the midpoint between the adjacent occupied bins'
     # training value bounds; training rows route identically to the bin
-    # split, and with lossless bins this reproduces the exact backend's
-    # threshold bit for bit.
-    occupied = np.flatnonzero(counts[col] > 0)
-    ltop = occupied[occupied <= j].max()
-    rbot = occupied[occupied > j].min()
-    threshold = 0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot])
+    # split, and with lossless bins this is the midpoint between the node's
+    # neighbouring distinct values.
     go_left = sub[:, col] <= j
+    ltop = sub[go_left, col].max()
+    rbot = sub[~go_left, col].min()
+    threshold = 0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot])
     return float(gain), feature, float(threshold), rows[go_left], rows[~go_left]
 
 
@@ -330,15 +317,7 @@ def fit_tree_hist(
     candidate_features=None,
 ) -> DecisionTree:
     """Depth-wise tree with candidate thresholds restricted to bin edges."""
-    Xb = np.asarray(X_binned)
-    grad = np.asarray(grad, dtype=np.float64)
-    hess = np.asarray(hess, dtype=np.float64)
-    rows = np.arange(Xb.shape[0]) if rows is None else np.asarray(rows)
-    feats = (
-        np.arange(Xb.shape[1])
-        if candidate_features is None
-        else np.sort(np.asarray(candidate_features))
-    )
+    Xb, grad, hess, rows, feats = _prep(X_binned, grad, hess, rows, candidate_features, dtype=None)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -358,67 +337,40 @@ def fit_tree_oblivious(
     """Symmetric tree: each depth applies one (feature, threshold) test to
     every current leaf, chosen to maximize the summed Newton gain.
 
-    A leaf whose children would violate min_child_weight contributes zero
-    to a candidate's total; the level is applied only when the best total
-    is strictly positive. Candidate thresholds are the midpoints between
-    consecutive distinct values over the tree's full row set, so a depth-1
-    oblivious tree coincides with a depth-1 exact tree.
+    The tree bins its own rows losslessly, so candidate thresholds are the
+    midpoints between consecutive distinct values over the tree's full row
+    set and a depth-1 oblivious tree coincides with a depth-1 exact tree.
+    A level's score for each cut is the sum, over current leaves in leaf
+    order, of that leaf's gain table, where a leaf whose children would
+    violate min_child_weight contributes zero; the level is applied only
+    when the best total is strictly positive.
     """
     X, grad, hess, rows, feats = _prep(X, grad, hess, rows, candidate_features)
-    n = len(rows)
-    sentinel = TreeNode(value=_leaf_value(rows, grad, hess, params.reg_lambda))
-    if n < 2 or params.max_depth == 0:
-        return DecisionTree(sentinel, X.shape[1])
-
     xn = X[np.ix_(rows, feats)]
-    order = np.argsort(xn, axis=0, kind="stable")
-    xs = np.take_along_axis(xn, order, axis=0)
-    gs = grad[rows][order]
-    hs = hess[rows][order]
-    boundary = xs[1:] > xs[:-1]
-
+    bins = build_bins(xn, max_edges=None)
+    xb = bins.bin_matrix(xn)
     g_all = grad[rows]
     h_all = hess[rows]
     levels: list[tuple[int, float]] = []
-    leaf_of = np.zeros(n, dtype=np.int64)
+    leaf_of = np.zeros(len(rows), dtype=np.int64)
 
     for _ in range(params.max_depth):
-        n_leaves = 2 ** len(levels)
-        g_tot = np.bincount(leaf_of, weights=g_all, minlength=n_leaves)
-        h_tot = np.bincount(leaf_of, weights=h_all, minlength=n_leaves)
-        best_total = 0.0
-        best_col = -1
-        best_pos = -1
-        leaf_ids = np.arange(n_leaves)[:, None]
-        for col in range(len(feats)):
-            pos = np.flatnonzero(boundary[:, col])
-            if pos.size == 0:
-                continue
-            member = leaf_of[order[:, col]][None, :] == leaf_ids
-            cg = np.cumsum(np.where(member, gs[:, col][None, :], 0.0), axis=1)
-            ch = np.cumsum(np.where(member, hs[:, col][None, :], 0.0), axis=1)
-            gl, hl = cg[:, pos], ch[:, pos]
-            gr, hr = g_tot[:, None] - gl, h_tot[:, None] - hl
-            gains = newton_gain(gl, hl, gr, hr, params.reg_lambda)
-            ok = (
-                (hl >= params.min_child_weight)
-                & (hr >= params.min_child_weight)
-                & np.isfinite(gains)
+        totals = np.zeros((len(feats), int(bins.n_edges.max(initial=0))))
+        for leaf in range(2 ** len(levels)):
+            member = leaf_of == leaf
+            gains = _gain_table(
+                xb[member], g_all[member], h_all[member], bins.n_edges,
+                params.reg_lambda, params.min_child_weight,
             )
-            totals = np.where(ok, gains, 0.0).sum(axis=0)
-            k = int(np.argmax(totals))
-            if totals[k] > best_total:
-                best_total = float(totals[k])
-                best_col = col
-                best_pos = int(pos[k])
-        if best_col < 0:
+            totals += np.where(gains == -np.inf, 0.0, gains)
+        if totals.size == 0:
             break
-        threshold = 0.5 * (xs[best_pos, best_col] + xs[best_pos + 1, best_col])
-        levels.append((int(feats[best_col]), float(threshold)))
-        leaf_of = 2 * leaf_of + (xn[:, best_col] >= threshold)
-
-    if not levels:
-        return DecisionTree(sentinel, X.shape[1])
+        best = int(np.argmax(totals))
+        if not totals.flat[best] > 0.0:
+            break
+        col, j = divmod(best, totals.shape[1])
+        levels.append((int(feats[col]), float(bins.edges[col][j])))
+        leaf_of = 2 * leaf_of + (xb[:, col] > j)
 
     n_leaves = 2 ** len(levels)
     values = np.zeros(n_leaves)

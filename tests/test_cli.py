@@ -223,3 +223,42 @@ def test_synth_seed_flag_keeps_test_role_distinct(tmp_path):
 
     assert corpus(tmp_path / "test") != corpus(tmp_path / "train")
     assert corpus(tmp_path / "test") == corpus(tmp_path / "s8")
+
+
+def test_truncated_model_is_data_error(tmp_path, capsys):
+    cfg = prepare_folds(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg), "--role", "test"]) == EXIT_OK
+    assert main(["extract", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    model = tmp_path / "out" / "models" / "together_svc_s11.json"
+    model.write_text(model.read_text()[:100])
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    assert model.name in capsys.readouterr().err
+
+
+def _duplicate_first_feature(text):
+    header, rest = text.split("\n", 1)
+    cells = header.split(",")  # bird_id,label,<features>
+    cells[3] = cells[2]
+    return ",".join(cells) + "\n" + rest
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _duplicate_first_feature,
+        lambda text: "",
+        # an unterminated quote swallows the rest of the file into one field,
+        # which outgrows the csv module's field size limit
+        lambda text: text.replace("\n", '\n"', 1),
+    ],
+    ids=["duplicate-column", "empty-file", "stray-quote"],
+)
+def test_unreadable_feature_csv_is_data_error(tmp_path, capsys, edit):
+    # 40 birds, so that the matrix outgrows the csv field size limit
+    synth = {"n_birds": 40, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
+    cfg = prepare_folds(tmp_path, learners=["svc"], synth=synth)
+    path = tmp_path / "out" / "features" / "train_together.csv"
+    path.write_text(edit(path.read_text()))
+    assert main(["cv", "--config", str(cfg)]) == EXIT_DATA
+    assert path.name in capsys.readouterr().err

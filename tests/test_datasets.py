@@ -164,3 +164,13 @@ def test_matrix_csv_missing_serialized_empty(rng):
     matrix = build_dataset(corpus, DatasetMode.SPLIT)
     first_row = matrix.to_csv().splitlines()[1]
     assert ",," in first_row  # consecutive empties from the night block
+
+
+@pytest.mark.parametrize(
+    "columns, values",
+    [(["a", "b"], np.zeros((2, 3))), (["a", "a"], np.zeros((2, 2)))],
+    ids=["shape", "duplicate-column"],
+)
+def test_matrix_schema_errors_are_schema_mismatch(columns, values):
+    with pytest.raises(SchemaMismatch):
+        FeatureMatrix(bird_ids=["b0", "b1"], columns=columns, values=values)

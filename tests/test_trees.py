@@ -313,6 +313,110 @@ def test_oblivious_empty_leaves_finite(rng):
         assert np.isfinite(leaf.value)
 
 
+# --- equivalence contract at every node --------------------------------------
+#
+# Both fitters search the histogram gain table of lossless bins. The contract
+# is stated against mask sums: every cut is one the brute-force oracle
+# proposes, and its gain equals the oracle maximum up to the rounding of the
+# histogram sums.
+
+def _tie_heavy_instance(rng):
+    n = int(rng.integers(6, 30))
+    d = int(rng.integers(2, 6))
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    grad = rng.normal(size=n)
+    hess = rng.uniform(0.05, 2.0, size=n)
+    rows = rng.integers(0, n, size=n)  # bootstrap: duplicated rows
+    feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    lam = float(rng.choice([0.0, 0.5, 1.0]))
+    mcw = float(rng.choice([0.0, 0.3]))
+    return X, grad, hess, rows, feats, lam, mcw
+
+
+def test_exact_every_node_matches_bruteforce_oracle(rng):
+    tol = 1e-9
+    for _ in range(100):
+        X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
+        params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=mcw)
+        tree = fit_tree_exact(X, grad, hess, params, rows=rows, candidate_features=feats)
+
+        def check(node, node_rows, depth):
+            cands = [
+                (gain, int(feats[f]), thr)
+                for gain, f, thr in brute_force_candidates(
+                    X[np.ix_(node_rows, feats)], grad[node_rows], hess[node_rows], lam, mcw
+                )
+            ]
+            best = max((c[0] for c in cands), default=0.0)
+            scale = max(1.0, abs(best))
+            if node.is_leaf:
+                if depth < params.max_depth and len(node_rows) >= 2:
+                    assert best <= tol * scale
+                return
+            chosen = [
+                c for c in cands if c[1] == node.feature and abs(c[2] - node.threshold) < 1e-12
+            ]
+            assert chosen, "a cut the oracle never proposed"
+            assert abs(chosen[0][0] - best) <= tol * scale
+            go_left = X[node_rows, node.feature] < node.threshold
+            check(node.left, node_rows[go_left], depth + 1)
+            check(node.right, node_rows[~go_left], depth + 1)
+
+        check(tree.root, rows, 0)
+
+
+def _oblivious_level_oracle(X, grad, hess, leaf_of, feats, lam, mcw):
+    """Summed mask-sum gain of every midpoint cut over the current leaves;
+    a leaf whose children fail min_child_weight adds zero."""
+    out = {}
+    for f in feats:
+        vals = np.unique(X[:, f])
+        for a, b in zip(vals[:-1], vals[1:]):
+            thr = 0.5 * (a + b)
+            left = X[:, f] < thr
+            total = 0.0
+            for leaf in np.unique(leaf_of):
+                in_leaf = leaf_of == leaf
+                gl, hl = grad[in_leaf & left].sum(), hess[in_leaf & left].sum()
+                gr, hr = grad[in_leaf & ~left].sum(), hess[in_leaf & ~left].sum()
+                if hl < mcw or hr < mcw:
+                    continue
+                gain = newton_gain(gl, hl, gr, hr, lam)
+                if np.isfinite(gain):
+                    total += float(gain)
+            out[(int(f), thr)] = total
+    return out
+
+
+def test_oblivious_every_level_matches_bruteforce_oracle(rng):
+    tol = 1e-9
+    for _ in range(60):
+        X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
+        params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=mcw)
+        tree = fit_tree_oblivious(X, grad, hess, params, rows=rows, candidate_features=feats)
+        Xr, gr, hr = X[rows], grad[rows], hess[rows]
+
+        levels = []
+        node = tree.root
+        while not node.is_leaf:
+            levels.append((node.feature, node.threshold))
+            node = node.left
+
+        leaf_of = np.zeros(len(rows), dtype=int)
+        for depth in range(params.max_depth):
+            oracle = _oblivious_level_oracle(Xr, gr, hr, leaf_of, feats, lam, mcw)
+            best = max(oracle.values(), default=0.0)
+            scale = max(1.0, abs(best))
+            if depth == len(levels):
+                assert best <= tol * scale
+                break
+            feature, threshold = levels[depth]
+            chosen = [v for (f, t), v in oracle.items() if f == feature and abs(t - threshold) < 1e-12]
+            assert chosen, "a cut the oracle never proposed"
+            assert abs(chosen[0] - best) <= tol * scale
+            leaf_of = 2 * leaf_of + (Xr[:, feature] >= threshold)
+
+
 # --- uniform (extra-trees) fitter --------------------------------------------
 
 def test_uniform_thresholds_within_observed_range(rng):
