@@ -1,9 +1,10 @@
 """Multi-command batch interface orchestrating the full pipeline.
 
 All paths and hyperparameters live in a JSON config; flags override
-scalars. Commands are independently restartable and overwrite their
-outputs atomically, so a run is reproducible end to end: identical config
-and seed give byte-identical final predictions regardless of --jobs.
+scalars. Commands overwrite their outputs atomically and can be re-run one
+by one, except that `train` needs the thresholds of a `cv` run on the same
+inputs (`cv_thresholds.json`). A run is reproducible end to end: identical
+config and seed give byte-identical final predictions regardless of --jobs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 import traceback
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -31,7 +33,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import BirdSetMismatch, MalformedRow, PipelineError
+from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -146,6 +148,10 @@ class RunConfig:
     def seeds(self) -> list[int]:
         return [self.base_seed + r for r in range(self.n_seeds)]
 
+    def runs(self) -> list[tuple[ModelSetting, int]]:
+        """Every (setting, replicate seed) pair, in output order."""
+        return [(s, seed) for s in self.settings() for seed in self.seeds()]
+
     def synth_params(self, seed: int | None = None) -> SynthParams:
         known = {f.name for f in fields(SynthParams)}
         unknown = sorted(set(self.synth) - known)
@@ -169,11 +175,20 @@ class RunConfig:
     def folds_path(self) -> Path:
         return self.out_dir / "folds.csv"
 
+    def cv_thresholds_path(self) -> Path:
+        return self.out_dir / "cv_thresholds.json"
+
     def models_dir(self) -> Path:
         return self.out_dir / "models"
 
+    def model_path(self, setting: ModelSetting, seed: int) -> Path:
+        return self.models_dir() / f"{setting.name}_s{seed}.json"
+
     def predictions_dir(self) -> Path:
         return self.out_dir / "predictions"
+
+    def predictions_path(self, setting: ModelSetting, seed: int) -> Path:
+        return self.predictions_dir() / f"{setting.name}_s{seed}.csv"
 
     def ensemble_path(self) -> Path:
         return self.out_dir / "ensemble.csv"
@@ -210,6 +225,11 @@ def _load_model(path: Path) -> TrainedModel:
 def _load_predictions(path: Path) -> PredictionSet:
     with _naming(path):
         return PredictionSet.from_csv(path.read_text(), source=path.stem)
+
+
+def _load_labels(path: Path, hint: str) -> dict[str, int]:
+    with _naming(_require(path, hint)):
+        return parse_labels(path.read_text())
 
 
 # --- commands --------------------------------------------------------------
@@ -267,7 +287,7 @@ def cmd_extract(cfg: RunConfig) -> None:
 
 
 def cmd_folds(cfg: RunConfig) -> None:
-    labels = parse_labels(_require(cfg.train_labels, "training labels file").read_text())
+    labels = _load_labels(cfg.train_labels, "training labels file")
     folds = make_folds(labels, k=cfg.k_folds, seed=cfg.base_seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.folds_path(), folds_to_csv(folds))
@@ -288,8 +308,10 @@ def _cv_task(item):
 
 
 def _train_task(item):
-    setting, seed = item
-    model = fit_final_model(setting, _WORKER["matrices"][setting.mode], _WORKER["folds"], seed)
+    setting, seed, threshold = item
+    model = fit_final_model(
+        setting, _WORKER["matrices"][setting.mode], _WORKER["folds"], seed, threshold
+    )
     return model.to_dict()
 
 
@@ -303,27 +325,83 @@ def _parallel_map(task_fn, items, jobs, matrices, folds):
         return list(pool.map(task_fn, items))
 
 
+def _read_with_crc(path: Path, crc: int) -> tuple[str, int]:
+    """The text of a file, and ``crc`` carried on over its bytes."""
+    data = path.read_bytes()
+    return data.decode(), zlib.crc32(data, crc)
+
+
 def _load_cv_inputs(cfg: RunConfig):
-    matrices = {
-        mode: _load_matrix(cfg.features_path("train", mode), f"{mode.value} feature matrix")
-        for mode in cfg.modes
-    }
+    """The training matrices, the folds, and the crc32 of the files they
+    were read from (the inputs part of :func:`_cv_fingerprint`).
+    """
+    crc = 0
+    matrices = {}
+    for mode in cfg.modes:
+        path = _require(cfg.features_path("train", mode), f"{mode.value} feature matrix")
+        text, crc = _read_with_crc(path, crc)
+        with _naming(path):
+            matrices[mode] = FeatureMatrix.from_csv(text)
     folds_path = _require(cfg.folds_path(), "fold assignment")
+    text, crc = _read_with_crc(folds_path, crc)
     with _naming(folds_path):
-        folds = folds_from_csv(folds_path.read_text(), cfg.base_seed)
+        folds = folds_from_csv(text, cfg.base_seed)
         for matrix in matrices.values():
             unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
             if unshared:
                 raise BirdSetMismatch(f"birds not in both folds and features: {unshared[:5]}")
-    return matrices, folds
+    return matrices, folds, crc
+
+
+def _run_name(setting: ModelSetting, seed: int) -> str:
+    return f"{setting.name}#s{seed}"
+
+
+def _cv_fingerprint(inputs_crc: int, setting: ModelSetting, seed: int) -> str:
+    """What a tuned threshold depends on: the training matrices and folds
+    (``inputs_crc``), the setting with its hyperparameters, and the seed.
+    """
+    key = f"{_run_name(setting, seed)} {setting.params!r}"
+    return f"{zlib.crc32(key.encode(), inputs_crc):08x}"
+
+
+def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, int, float]]:
+    """Each of ``cfg.runs()`` with the threshold ``cv`` tuned for it on the
+    current inputs.
+    """
+    path = cfg.cv_thresholds_path()
+    if not path.exists():
+        raise PipelineError(f"{path}: not found (run cv first)")
+    items = []
+    with _naming(path):
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:  # JSONDecodeError, or undecodable text
+            raise MalformedRow(f"not a thresholds file: {exc}") from None
+        for setting, seed in cfg.runs():
+            name = _run_name(setting, seed)
+            entry = doc.get(name) if isinstance(doc, dict) else None
+            if not isinstance(entry, dict) or type(entry.get("threshold")) is not float:
+                raise MalformedRow(f"no threshold for {name} (run cv first)")
+            if entry.get("fingerprint") != _cv_fingerprint(inputs_crc, setting, seed):
+                raise StaleArtifact(f"{name} is stale: its inputs changed since cv; re-run cv")
+            items.append((setting, seed, entry["threshold"]))
+    return items
 
 
 def cmd_cv(cfg: RunConfig, jobs: int) -> None:
-    matrices, folds = _load_cv_inputs(cfg)
-    items = [(s, seed) for s in cfg.settings() for seed in cfg.seeds()]
+    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
+    items = cfg.runs()
     results: list[CvResult] = _parallel_map(_cv_task, items, jobs, matrices, folds)
+    tuned = {
+        _run_name(s, seed): {
+            "threshold": r.threshold,
+            "fingerprint": _cv_fingerprint(inputs_crc, s, seed),
+        }
+        for (s, seed), r in zip(items, results)
+    }
     keyed = sorted(
-        zip((f"{s.name}#s{seed}" for s, seed in items), results), key=lambda kv: kv[0]
+        zip((_run_name(s, seed) for s, seed in items), results), key=lambda kv: kv[0]
     )
 
     first = matrices[cfg.modes[0]]
@@ -341,19 +419,19 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     )
     atomic_write_text(cfg.out_dir / "cv_report.csv", evalcv.cv_report_csv(keyed))
     atomic_write_text(cfg.out_dir / "cv_summary.csv", evalcv.cv_summary_csv(keyed, ensemble_f1))
+    atomic_write_text(cfg.cv_thresholds_path(), json.dumps(tuned, indent=1, sort_keys=True) + "\n")
     for name, r in keyed:
         print(f"{name}: mean_f1={r.mean_f1:.6f} tau={r.threshold:.6f}")
     print(f"ensemble: mean_f1={ensemble_f1:.6f}")
 
 
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
-    matrices, folds = _load_cv_inputs(cfg)
-    items = [(s, seed) for s in cfg.settings() for seed in cfg.seeds()]
+    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
+    items = _train_items(cfg, inputs_crc)
     docs = _parallel_map(_train_task, items, jobs, matrices, folds)
     cfg.models_dir().mkdir(parents=True, exist_ok=True)
-    for (setting, seed), doc in zip(items, docs):
-        path = cfg.models_dir() / f"{setting.name}_s{seed}.json"
-        atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    for (setting, seed, _), doc in zip(items, docs):
+        atomic_write_text(cfg.model_path(setting, seed), json.dumps(doc, sort_keys=True))
     print(f"wrote {len(items)} models to {cfg.models_dir()}")
 
 
@@ -369,18 +447,12 @@ def cmd_predict(cfg: RunConfig) -> None:
     imputed = {
         mode: impute(train_matrices[mode], test_matrices[mode]) for mode in cfg.modes
     }
-    model_paths = sorted(_require(cfg.models_dir(), "models directory").glob("*.json"))
-    if not model_paths:
-        raise PipelineError(f"no models in {cfg.models_dir()}")
+    runs = cfg.runs()
+    model_paths = [_require(cfg.model_path(setting, seed), "model") for setting, seed in runs]
     cfg.predictions_dir().mkdir(parents=True, exist_ok=True)
-    for path in model_paths:
+    for (setting, seed), path in zip(runs, model_paths):
         model = _load_model(path)
-        mode = next(
-            (m for m in cfg.modes if path.stem.startswith(m.value + "_")), None
-        )
-        if mode is None:
-            raise PipelineError(f"model {path.name} matches no enabled dataset mode")
-        matrix = imputed[mode]
+        matrix = imputed[setting.mode]
         scores = predict_scores(model, matrix)
         if model.threshold is None:
             raise PipelineError(f"model {path.name} has no tuned threshold")
@@ -389,16 +461,17 @@ def cmd_predict(cfg: RunConfig) -> None:
             labels=hard_labels(scores, model.threshold),
             source=path.stem,
         )
-        atomic_write_text(cfg.predictions_dir() / f"{path.stem}.csv", pset.to_csv())
-    print(f"wrote {len(model_paths)} prediction sets to {cfg.predictions_dir()}")
+        atomic_write_text(cfg.predictions_path(setting, seed), pset.to_csv())
+    print(f"wrote {len(runs)} prediction sets to {cfg.predictions_dir()}")
 
 
 def cmd_ensemble(cfg: RunConfig) -> None:
-    pred_paths = sorted(_require(cfg.predictions_dir(), "predictions directory").glob("*.csv"))
-    if not pred_paths:
-        raise PipelineError(f"no prediction sets in {cfg.predictions_dir()}")
+    pred_paths = [
+        _require(cfg.predictions_path(setting, seed), "prediction set")
+        for setting, seed in cfg.runs()
+    ]
     sets = [_load_predictions(p) for p in pred_paths]
-    labels = parse_labels(_require(cfg.train_labels, "training labels file").read_text())
+    labels = _load_labels(cfg.train_labels, "training labels file")
     tie = prevalent_label(np.array(list(labels.values())))
     voted = majority_vote(sets, tie)
     atomic_write_text(cfg.ensemble_path(), voted.to_csv())
@@ -407,7 +480,7 @@ def cmd_ensemble(cfg: RunConfig) -> None:
 
 def cmd_evaluate(predictions_path: str, truth_path: str) -> None:
     pred = _load_predictions(Path(predictions_path))
-    truth = parse_labels(Path(truth_path).read_text())
+    truth = _load_labels(Path(truth_path), "truth file")
     missing = sorted(set(pred.bird_ids) - set(truth))
     if missing:
         raise PipelineError(f"truth file lacks birds: {missing[:5]}")

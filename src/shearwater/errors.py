@@ -1,4 +1,5 @@
-"""Exception types raised across the pipeline, and the one CSV row reader.
+"""Exception types raised across the pipeline, and the one CSV row reader
+and integer field parser that every text reader shares.
 
 Everything inherits from :class:`PipelineError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs with a single except clause.
@@ -77,6 +78,10 @@ class BirdSetMismatch(PipelineError):
     """Prediction sets being voted do not cover identical bird ids."""
 
 
+class StaleArtifact(PipelineError):
+    """An artifact was computed from inputs that have changed since."""
+
+
 # --- reading -------------------------------------------------------------
 
 def csv_rows(text: str) -> Iterator[list[str]]:
@@ -89,3 +94,14 @@ def csv_rows(text: str) -> Iterator[list[str]]:
         yield from reader
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+
+
+def parse_int64(text: str, what: str) -> int:
+    """An integer field that must fit a numpy int64 column."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise MalformedRow(f"{what} {text!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise OutOfRange(f"{what} {text!r} does not fit in 64 bits")
+    return value

@@ -23,9 +23,11 @@ from .errors import (
     MalformedRow,
     MissingLabel,
     OutOfRange,
+    PipelineError,
     SingleClass,
     TooFewPerClass,
     csv_rows,
+    parse_int64,
 )
 
 
@@ -209,16 +211,19 @@ def fit_final_model(
     setting: ModelSetting,
     matrix: FeatureMatrix,
     folds: FoldAssignment,
-    seed: int = 0,
+    seed: int,
+    threshold: float,
 ) -> TrainedModel:
-    """Fit on all rows with the threshold tuned on out-of-fold scores."""
-    cv = cross_validate(setting, matrix, folds, seed)
+    """Fit on all rows; ``threshold`` is the one :func:`cross_validate`
+    tuned on the out-of-fold scores of the same (setting, seed). The fit
+    draws from the stream after the k fold streams.
+    """
     full_imp = impute(matrix, matrix)
     rng = setting_rng(setting.name, seed, folds.k)
     model = fit_learner(
         setting.kind, full_imp.values, matrix.labels, setting.params, rng, matrix.columns
     )
-    model.threshold = cv.threshold
+    model.threshold = threshold
     return model
 
 
@@ -312,13 +317,10 @@ def _read_int_column(text: str, column: str) -> tuple[list[str], list[int]]:
         if len(row) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            value = int(row[1])
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: {column} {row[1]!r} is not an integer") from None
-        if not -(2**63) <= value < 2**63:
-            raise OutOfRange(f"line {lineno}: {column} {row[1]!r} does not fit in 64 bits")
+            values.append(parse_int64(row[1], column))
+        except PipelineError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         ids.append(row[0])
-        values.append(value)
     return ids, values
 
 

@@ -22,9 +22,11 @@ from .errors import (
     MalformedRow,
     NonMonotonicTime,
     OutOfRange,
+    PipelineError,
     TooShort,
     UnknownBirdInLabels,
     csv_rows,
+    parse_int64,
 )
 
 CSV_HEADER = (
@@ -100,7 +102,10 @@ class Trajectory:
             days=self.days[mask],
         )
 
-    def validate(self) -> None:
+    def validate(self, lines: list[int] | None = None) -> None:
+        """Check every invariant; ``lines`` holds each row's line in its file
+        so that messages name the line, else rows are counted from 0.
+        """
         if len(self) < 2:
             raise TooShort(f"{self.bird_id}: trajectory has {len(self)} rows, need >= 2")
         checks = (
@@ -117,16 +122,22 @@ class Trajectory:
             bad = ~(np.asarray(lo_ok) & np.asarray(hi_ok))
             if bad.any():
                 row = int(np.argmax(bad))
-                raise OutOfRange(f"{self.bird_id}: row {row}: {name} out of range")
+                raise OutOfRange(f"{self.bird_id}: {_where(row, lines)}: {name} out of range")
         if not (np.diff(self.elapsed) > 0).all():
             row = int(np.argmax(~(np.diff(self.elapsed) > 0))) + 1
             raise NonMonotonicTime(
-                f"{self.bird_id}: row {row}: elapsed_time not strictly increasing"
+                f"{self.bird_id}: {_where(row, lines)}: elapsed_time not strictly increasing"
             )
 
 
+def _where(row: int, lines: list[int] | None) -> str:
+    return f"row {row}" if lines is None else f"line {lines[row]}"
+
+
 def parse_local_time(text: str) -> int:
-    """``hh:mm:ss`` -> integer seconds of day."""
+    """``hh:mm:ss`` -> integer seconds of day. The hour must be 0-23, which
+    also keeps an hour wider than int64 out of the int64 column.
+    """
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise MalformedRow(f"bad local_time {text!r}")
@@ -134,7 +145,7 @@ def parse_local_time(text: str) -> int:
         h, m, s = (int(p) for p in parts)
     except ValueError:
         raise MalformedRow(f"bad local_time {text!r}") from None
-    if not (0 <= m < 60 and 0 <= s < 60):
+    if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
         raise MalformedRow(f"bad local_time {text!r}")
     return h * 3600 + m * 60 + s
 
@@ -152,13 +163,6 @@ def _float(text: str, column: str) -> float:
         raise MalformedRow(f"unparseable {column} {text!r}") from None
 
 
-def _int(text: str, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedRow(f"unparseable {column} {text!r}") from None
-
-
 def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     """Parse one trajectory CSV document and validate all invariants."""
     rows = csv_rows(csv_text)
@@ -169,19 +173,24 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
         raise MalformedRow(f"{bird_id}: bad header {header!r}")
 
     cols: list[list] = [[] for _ in CSV_HEADER]
+    lines: list[int] = []
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
             raise MalformedRow(f"{bird_id}: line {lineno}: expected 8 fields, got {len(row)}")
-        cols[0].append(_float(row[0], "longitude"))
-        cols[1].append(_float(row[1], "latitude"))
-        cols[2].append(_float(row[2], "sun_azimuth"))
-        cols[3].append(_float(row[3], "sun_elevation"))
-        cols[4].append(_int(row[4], "daytime"))
-        cols[5].append(_float(row[5], "elapsed_time"))
-        cols[6].append(parse_local_time(row[6]))
-        cols[7].append(_int(row[7], "days"))
+        try:
+            cols[0].append(_float(row[0], "longitude"))
+            cols[1].append(_float(row[1], "latitude"))
+            cols[2].append(_float(row[2], "sun_azimuth"))
+            cols[3].append(_float(row[3], "sun_elevation"))
+            cols[4].append(parse_int64(row[4], "daytime"))
+            cols[5].append(_float(row[5], "elapsed_time"))
+            cols[6].append(parse_local_time(row[6]))
+            cols[7].append(parse_int64(row[7], "days"))
+        except PipelineError as exc:
+            raise type(exc)(f"{bird_id}: line {lineno}: {exc}") from None
+        lines.append(lineno)
 
     traj = Trajectory(
         bird_id=bird_id,
@@ -194,7 +203,7 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
         local_time=np.array(cols[6], dtype=np.int64),
         days=np.array(cols[7], dtype=np.int64),
     )
-    traj.validate()
+    traj.validate(lines)
     return traj
 
 
@@ -233,7 +242,10 @@ def parse_labels(csv_text: str) -> dict[str, int]:
             continue
         if len(row) != 2:
             raise MalformedRow(f"labels: line {lineno}: expected 2 fields")
-        value = _int(row[1], "label")
+        try:
+            value = parse_int64(row[1], "label")
+        except PipelineError as exc:
+            raise type(exc)(f"labels: line {lineno}: {exc}") from None
         if value not in (0, 1):
             raise OutOfRange(f"labels: line {lineno}: label must be 0 or 1, got {value}")
         labels[row[0]] = value
@@ -298,7 +310,10 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
             raise type(exc)(f"{path.name}: {exc}") from None
     labels = None
     if labels_path is not None:
-        labels = parse_labels(Path(labels_path).read_text())
+        try:
+            labels = parse_labels(Path(labels_path).read_text())
+        except PipelineError as exc:
+            raise type(exc)(f"{labels_path}: {exc}") from None
     return Corpus(trajectories=trajectories, labels=labels)
 
 

@@ -229,6 +229,7 @@ def test_truncated_model_is_data_error(tmp_path, capsys):
     cfg = prepare_folds(tmp_path, learners=["svc"])
     assert main(["synth", "--config", str(cfg), "--role", "test"]) == EXIT_OK
     assert main(["extract", "--config", str(cfg)]) == EXIT_OK
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
     model = tmp_path / "out" / "models" / "together_svc_s11.json"
     model.write_text(model.read_text()[:100])
@@ -262,3 +263,145 @@ def test_unreadable_feature_csv_is_data_error(tmp_path, capsys, edit):
     path.write_text(edit(path.read_text()))
     assert main(["cv", "--config", str(cfg)]) == EXIT_DATA
     assert path.name in capsys.readouterr().err
+
+
+def _drop_thresholds(tmp_path, cfg):
+    (tmp_path / "out" / "cv_thresholds.json").unlink()
+
+
+def _truncate_thresholds(tmp_path, cfg):
+    path = tmp_path / "out" / "cv_thresholds.json"
+    path.write_text(path.read_text()[:60])
+
+
+def _change_hyperparameter(tmp_path, cfg):
+    params = json.loads(cfg.read_text())["params"]
+    params["default"]["svm_epochs"] += 1
+    write_config(tmp_path, learners=["svc"], n_seeds=2, params=params)
+
+
+def _refold_with_other_seed(tmp_path, cfg):
+    folds = tmp_path / "out" / "folds.csv"
+    before = folds.read_bytes()
+    assert main(["folds", "--config", str(cfg), "--seed", "12"]) == EXIT_OK
+    assert folds.read_bytes() != before
+
+
+def _delete_entry(tmp_path, cfg):
+    path = tmp_path / "out" / "cv_thresholds.json"
+    doc = json.loads(path.read_text())
+    del doc["together_svc#s12"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_drop_thresholds, "run cv first"),
+        (_truncate_thresholds, "not a thresholds file"),
+        (_change_hyperparameter, "together_svc#s11 is stale"),
+        (_refold_with_other_seed, "together_svc#s11 is stale"),
+        (_delete_entry, "together_svc#s12"),
+    ],
+    ids=["missing", "truncated", "hyperparameter", "folds-seed", "entry-deleted"],
+)
+def test_train_needs_current_cv_thresholds(tmp_path, capsys, edit, named):
+    cfg = prepare_folds(tmp_path, learners=["svc"], n_seeds=2)
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    edit(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "cv_thresholds.json" in err
+    assert named in err
+    assert not (tmp_path / "out" / "models").exists()
+
+
+def test_models_carry_the_thresholds_cv_tuned(tmp_path):
+    cfg = prepare_folds(tmp_path, n_seeds=2)
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    summary = [line.split(",") for line in (out / "cv_summary.csv").read_text().splitlines()]
+    tuned = json.loads((out / "cv_thresholds.json").read_text())
+    rows = [row for row in summary[1:] if row[0] != "ensemble"]
+    assert sorted(tuned) == [name for name, _, _ in rows]
+    for name, _, threshold in rows:
+        setting, seed = name.split("#s")
+        model = json.loads((out / "models" / f"{setting}_s{seed}.json").read_text())
+        assert repr(model["threshold"]) == threshold
+        assert repr(tuned[name]["threshold"]) == threshold
+
+
+def _run_chain(tmp_path, commands, **overrides):
+    cfg = write_config(tmp_path, **overrides)
+    for command in commands:
+        assert main(command.split() + ["--config", str(cfg)]) == EXIT_OK
+
+
+def test_predict_and_ensemble_read_only_the_configured_runs(tmp_path):
+    # On these birds svc labels some males 0 where xgb_binary labels them 1,
+    # and the training-prevalent class (the tie label) is 0, so a leftover
+    # svc model or prediction voted in changes the xgb_binary ensemble.
+    everything = ["synth", "synth --role test", "extract", "folds", "cv", "train", "predict",
+                  "ensemble"]
+    (tmp_path / "clean").mkdir()
+    _run_chain(tmp_path / "clean", everything, learners=["xgb_binary"])
+    (tmp_path / "mixed").mkdir()
+    _run_chain(tmp_path / "mixed", everything[:-1], learners=["svc", "xgb_binary"])
+    _run_chain(tmp_path / "mixed", ["predict", "ensemble"], learners=["xgb_binary"])
+    assert (tmp_path / "mixed" / "out" / "ensemble.csv").read_bytes() == (
+        tmp_path / "clean" / "out" / "ensemble.csv"
+    ).read_bytes()
+
+
+def test_predict_names_a_missing_model(tmp_path, capsys):
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["svc"])
+    cfg = write_config(tmp_path, learners=["svc"], n_seeds=2)
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    assert "together_svc_s12.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["folds", "extract", "ensemble", "evaluate"])
+def test_bad_label_names_the_file_and_line(tmp_path, capsys, command):
+    cfg = prepare_folds(tmp_path, learners=["svc"])
+    predictions = tmp_path / "out" / "predictions"
+    predictions.mkdir()
+    (predictions / "together_svc_s11.csv").write_text("bird_id,label\nb0,1\nb1,0\n")
+    labels = tmp_path / "train_labels.csv"
+    _set_field(labels, 2, 1, "x")
+    capsys.readouterr()
+    if command == "evaluate":
+        argv = ["evaluate", "--predictions", str(predictions / "together_svc_s11.csv"),
+                "--truth", str(labels)]
+    else:
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert labels.name in err
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (0, "abc"),  # non-numeric longitude
+        (6, "12:xx:00"),  # bad local_time
+        (1, "95.0"),  # latitude out of range
+        (5, "0"),  # elapsed_time not increasing
+        (7, "99999999999999999999"),  # days wider than int64
+        (6, "99999999999999999999:00:00"),  # local_time hour wider than int64
+    ],
+    ids=["longitude", "local_time", "latitude", "elapsed", "days-int64", "hour-int64"],
+)
+def test_bad_trajectory_field_names_the_file_and_line(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    path = sorted((tmp_path / "train").glob("*.csv"))[0]
+    _set_field(path, 2, field, value)
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert path.name in err
+    assert "line 3" in err
