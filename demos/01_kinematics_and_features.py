@@ -7,7 +7,7 @@ consumes.
 
 import numpy as np
 
-from shearwater.datasets import DatasetMode, global_velocity_thresholds
+from shearwater.datasets import DatasetMode, compute_thresholds
 from shearwater.featex import bird_features, feature_names
 from shearwater.geokin import feature_series
 from shearwater.synthgen import SynthParams, generate_corpus
@@ -29,7 +29,7 @@ for series in feature_series(traj):
 # Exceedance thresholds are pooled over the whole corpus, then each bird
 # reduces to 248 features: 12 series x 18 summary stats, 12 exceedance
 # counts, first-5 coordinates, and PCA of the point matrix.
-thresholds = global_velocity_thresholds(corpus, DatasetMode.TOGETHER)
+thresholds = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
 vector = bird_features(traj, thresholds)
 names = feature_names()
 print(f"\nfeature vector width: {len(vector)}")

@@ -3,8 +3,10 @@
 All paths and hyperparameters live in a JSON config; flags override
 scalars. Commands overwrite their outputs atomically and can be re-run one
 by one, except that `train` needs the thresholds of a `cv` run on the same
-inputs (`cv_thresholds.json`). A run is reproducible end to end: identical
-config and seed give byte-identical final predictions regardless of --jobs.
+inputs (`cv_thresholds.json`) and `predict` only uses models that `train`
+fitted on the current inputs and hyperparameters. A run is reproducible
+end to end: identical config and seed give byte-identical final
+predictions regardless of --jobs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -214,12 +216,17 @@ def _load_matrix(path: Path, hint: str) -> FeatureMatrix:
         return FeatureMatrix.from_csv(path.read_text())
 
 
-def _load_model(path: Path) -> TrainedModel:
+def _load_model(path: Path, fingerprint: str) -> TrainedModel:
+    """A model file, refused unless ``train`` fitted it under ``fingerprint``."""
     with _naming(path):
         try:
-            return TrainedModel.from_dict(json.loads(path.read_text()))
+            doc = json.loads(path.read_text())
+            model = TrainedModel.from_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedRow(f"not a model file: {exc!r}") from None
+        if doc.get("fingerprint") != fingerprint:
+            raise StaleArtifact("trained on other inputs or hyperparameters; re-run train")
+    return model
 
 
 def _load_predictions(path: Path) -> PredictionSet:
@@ -345,7 +352,7 @@ def _load_cv_inputs(cfg: RunConfig):
     folds_path = _require(cfg.folds_path(), "fold assignment")
     text, crc = _read_with_crc(folds_path, crc)
     with _naming(folds_path):
-        folds = folds_from_csv(text, cfg.base_seed)
+        folds = folds_from_csv(text)
         for matrix in matrices.values():
             unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
             if unshared:
@@ -358,8 +365,9 @@ def _run_name(setting: ModelSetting, seed: int) -> str:
 
 
 def _cv_fingerprint(inputs_crc: int, setting: ModelSetting, seed: int) -> str:
-    """What a tuned threshold depends on: the training matrices and folds
-    (``inputs_crc``), the setting with its hyperparameters, and the seed.
+    """What a tuned threshold and a trained model depend on: the training
+    matrices and folds (``inputs_crc``), the setting with its
+    hyperparameters, and the seed.
     """
     key = f"{_run_name(setting, seed)} {setting.params!r}"
     return f"{zlib.crc32(key.encode(), inputs_crc):08x}"
@@ -431,15 +439,13 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
     docs = _parallel_map(_train_task, items, jobs, matrices, folds)
     cfg.models_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed, _), doc in zip(items, docs):
+        doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)
         atomic_write_text(cfg.model_path(setting, seed), json.dumps(doc, sort_keys=True))
     print(f"wrote {len(items)} models to {cfg.models_dir()}")
 
 
 def cmd_predict(cfg: RunConfig) -> None:
-    train_matrices = {
-        mode: _load_matrix(cfg.features_path("train", mode), f"{mode.value} train matrix")
-        for mode in cfg.modes
-    }
+    train_matrices, _, inputs_crc = _load_cv_inputs(cfg)
     test_matrices = {
         mode: _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")
         for mode in cfg.modes
@@ -451,7 +457,7 @@ def cmd_predict(cfg: RunConfig) -> None:
     model_paths = [_require(cfg.model_path(setting, seed), "model") for setting, seed in runs]
     cfg.predictions_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed), path in zip(runs, model_paths):
-        model = _load_model(path)
+        model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
         matrix = imputed[setting.mode]
         scores = predict_scores(model, matrix)
         if model.threshold is None:

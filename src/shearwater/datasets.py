@@ -3,8 +3,10 @@
 ``together`` runs feature extraction on full trajectories (248 columns);
 ``split`` filters each trajectory to its day and night subsequences,
 extracts the full battery independently on each, and prefixes the columns
-``day_`` / ``night_`` (496 columns). Exceedance thresholds always come
-from the matching pooled subset of the *training* corpus.
+``day_`` / ``night_`` (496 columns). :attr:`DatasetMode.subsets` is the one
+place that says which subsets a mode has; the column schema, the pooled
+thresholds and the matrix build all iterate it. Exceedance thresholds
+always come from the matching pooled subset of the *training* corpus.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPool, MalformedRow, MissingLabel, SchemaMismatch, csv_rows
+from .errors import MalformedRow, MissingLabel, SchemaMismatch, csv_rows
 from .featex import VelocityThresholds, bird_features, feature_names, velocity_thresholds
 from .geokin import velocities
 from .trajdata import Corpus, Trajectory, atomic_write_text
@@ -27,13 +29,24 @@ class DatasetMode(str, Enum):
     TOGETHER = "together"
     SPLIT = "split"
 
+    @property
+    def subsets(self) -> tuple[tuple[str, int | None, str], ...]:
+        """(name, daytime flag or None for the whole track, column prefix)
+        of each feature block, in column order.
+        """
+        if self is DatasetMode.TOGETHER:
+            return (("all", None, ""),)
+        return (("day", 1, "day_"), ("night", 0, "night_"))
+
+
+def _track(traj: Trajectory, daytime: int | None) -> Trajectory:
+    return traj if daytime is None else traj.filter_daytime(daytime)
+
 
 def schema_columns(mode: DatasetMode) -> list[str]:
     """Column names of a built matrix; a pure function of the mode."""
     base = feature_names()
-    if mode == DatasetMode.TOGETHER:
-        return list(base)
-    return [f"day_{c}" for c in base] + [f"night_{c}" for c in base]
+    return [f"{prefix}{c}" for _, _, prefix in mode.subsets for c in base]
 
 
 @dataclass
@@ -109,52 +122,6 @@ class FeatureMatrix:
         )
 
 
-def pooled_velocities(corpus: Corpus, daytime: int | None = None) -> np.ndarray:
-    """All velocity samples across the corpus, in sorted bird_id order.
-
-    With a daytime flag, each trajectory is first filtered to that
-    subsequence and re-differenced within it.
-    """
-    chunks = []
-    for traj in corpus:
-        track = traj if daytime is None else traj.filter_daytime(daytime)
-        v = velocities(track).values
-        if v.size:
-            chunks.append(v)
-    if not chunks:
-        return np.empty(0)
-    return np.concatenate(chunks)
-
-
-def global_velocity_thresholds(
-    corpus: Corpus, mode: DatasetMode, subset: str = "all"
-) -> VelocityThresholds:
-    """Exceedance thresholds from the pooled corpus velocities.
-
-    ``subset`` is "all" for together mode, "day" or "night" for split mode.
-    Raises EmptyPool when the requested subset holds no velocity samples.
-    """
-    if len(corpus) == 0:
-        raise EmptyPool("corpus is empty")
-    if mode == DatasetMode.TOGETHER or subset == "all":
-        pooled = pooled_velocities(corpus, daytime=None)
-    elif subset == "day":
-        pooled = pooled_velocities(corpus, daytime=1)
-    elif subset == "night":
-        pooled = pooled_velocities(corpus, daytime=0)
-    else:
-        raise ValueError(f"unknown subset {subset!r}")
-    if pooled.size == 0:
-        raise EmptyPool(f"no velocity samples in subset {subset!r}")
-    return velocity_thresholds(pooled)
-
-
-def _subset_block(track: Trajectory, thresholds: VelocityThresholds | None, width: int) -> np.ndarray:
-    if len(track) == 0:
-        return np.full(width, np.nan)
-    return bird_features(track, thresholds)
-
-
 def build_dataset(corpus: Corpus, mode: DatasetMode) -> FeatureMatrix:
     """Assemble the feature matrix for a corpus under the given mode.
 
@@ -165,17 +132,15 @@ def build_dataset(corpus: Corpus, mode: DatasetMode) -> FeatureMatrix:
 
 
 def compute_thresholds(corpus: Corpus, mode: DatasetMode) -> dict[str, VelocityThresholds | None]:
-    """Pooled thresholds per subset; a subset with no velocities maps to None."""
-    if mode == DatasetMode.TOGETHER:
-        subsets = ("all",)
-    else:
-        subsets = ("day", "night")
+    """Thresholds from each subset's velocities pooled over the corpus in
+    bird_id order; a subset with no velocity samples maps to None.
+    """
     out: dict[str, VelocityThresholds | None] = {}
-    for subset in subsets:
-        try:
-            out[subset] = global_velocity_thresholds(corpus, mode, subset)
-        except EmptyPool:
-            out[subset] = None
+    for name, daytime, _ in mode.subsets:
+        pooled = np.concatenate(
+            [np.empty(0)] + [velocities(_track(traj, daytime)).values for traj in corpus]
+        )
+        out[name] = velocity_thresholds(pooled) if pooled.size else None
     return out
 
 
@@ -184,15 +149,13 @@ def build_dataset_with_thresholds(
     mode: DatasetMode,
     thresholds: dict[str, VelocityThresholds | None],
 ) -> FeatureMatrix:
-    base_width = len(feature_names())
-    rows = []
-    for traj in corpus:
-        if mode == DatasetMode.TOGETHER:
-            rows.append(bird_features(traj, thresholds["all"]))
-        else:
-            day = _subset_block(traj.filter_daytime(1), thresholds["day"], base_width)
-            night = _subset_block(traj.filter_daytime(0), thresholds["night"], base_width)
-            rows.append(np.concatenate([day, night]))
+    rows = [
+        np.concatenate([
+            bird_features(_track(traj, daytime), thresholds[name])
+            for name, daytime, _ in mode.subsets
+        ])
+        for traj in corpus
+    ]
     values = np.array(rows, dtype=np.float64).reshape(len(corpus), -1)
     labels = None
     if corpus.labels is not None:

@@ -46,10 +46,6 @@ class EmptySeries(PipelineError):
     """Quantile requested on an empty series."""
 
 
-class EmptyPool(PipelineError):
-    """No velocity samples available to pool thresholds from."""
-
-
 class SchemaMismatch(PipelineError):
     """Two feature matrices (or a model and a matrix) disagree on columns."""
 

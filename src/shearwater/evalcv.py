@@ -65,7 +65,6 @@ class FoldAssignment:
 
     assignment: dict[str, int]
     k: int
-    seed: int
 
     def fold_vector(self, bird_ids: list[str]) -> np.ndarray:
         return np.array([self.assignment[b] for b in bird_ids], dtype=np.int64)
@@ -87,7 +86,7 @@ def make_folds(labels: dict[str, int], k: int = 5, seed: int = 0) -> FoldAssignm
         perm = rng.permutation(len(ids))
         for pos, idx in enumerate(perm):
             assignment[ids[idx]] = pos % k
-    return FoldAssignment(assignment=assignment, k=k, seed=seed)
+    return FoldAssignment(assignment=assignment, k=k)
 
 
 def _confusion(pred, truth) -> tuple[int, int, int, int]:
@@ -324,7 +323,7 @@ def _read_int_column(text: str, column: str) -> tuple[list[str], list[int]]:
     return ids, values
 
 
-def folds_from_csv(text: str, seed: int) -> FoldAssignment:
+def folds_from_csv(text: str) -> FoldAssignment:
     """Read a ``bird_id,fold`` file; k is the fold count it holds, and its
     fold ids must be exactly 0..k-1.
     """
@@ -333,7 +332,7 @@ def folds_from_csv(text: str, seed: int) -> FoldAssignment:
     k = max(distinct, default=-1) + 1
     if min(distinct, default=0) < 0 or len(distinct) != k:
         raise OutOfRange(f"fold ids {sorted(distinct)} are not 0..{k - 1}")
-    return FoldAssignment(assignment=dict(zip(ids, fold_ids)), k=k, seed=seed)
+    return FoldAssignment(assignment=dict(zip(ids, fold_ids)), k=k)
 
 
 def cv_report_csv(results: list[tuple[str, CvResult]]) -> str:

@@ -2,7 +2,9 @@
 counts, leading coordinates, and PCA of the point-aligned kinematics.
 
 One bird reduces to a fixed-width vector of 248 named features; missing
-values are NaN and get imputed downstream.
+values are NaN and get imputed downstream. :func:`bird_features` derives
+the track's kinematic series once and hands its velocity array to the
+exceedance counts and the PCA; the summaries take plain arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries
-from .geokin import SERIES_NAMES, Series, feature_series, velocities
+from .geokin import SERIES_NAMES, feature_series
 from .trajdata import Trajectory
 
 # Quantile levels of every series summary, plus mean/min/max.
@@ -36,12 +38,11 @@ FIRST_K = 5
 MISSING = np.nan
 
 
-def quantile(series, p: float) -> float:
+def quantile(values: np.ndarray, p: float) -> float:
     """Linear-interpolation quantile at fractional rank h = (n-1)p.
 
-    Accepts a Series or a plain array; raises EmptySeries on empty input.
+    Raises EmptySeries on empty input.
     """
-    values = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if values.size == 0:
         raise EmptySeries("quantile of empty series")
     return float(_quantiles(np.sort(values), np.array([p]))[0])
@@ -57,12 +58,11 @@ def _quantiles(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return sorted_values[lo] + frac * (sorted_values[hi] - sorted_values[lo])
 
 
-def summarize(series) -> np.ndarray:
+def summarize(values: np.ndarray) -> np.ndarray:
     """18 summary statistics: the 15 SUMMARY_PROBS quantiles, mean, min, max.
 
-    An empty series yields an all-missing summary.
+    An empty array yields an all-missing summary.
     """
-    values = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if values.size == 0:
         return np.full(len(SUMMARY_SUFFIXES), MISSING)
     s = np.sort(values)
@@ -94,12 +94,11 @@ def velocity_thresholds(pooled: np.ndarray) -> VelocityThresholds:
     return VelocityThresholds(np.concatenate([[pooled.mean()], q]))
 
 
-def exceedance_counts(velocity, thresholds: VelocityThresholds) -> np.ndarray:
+def exceedance_counts(velocity: np.ndarray, thresholds: VelocityThresholds) -> np.ndarray:
     """How many velocity samples strictly exceed each threshold."""
-    values = np.asarray(getattr(velocity, "values", velocity), dtype=np.float64)
-    if values.size == 0:
+    if velocity.size == 0:
         return np.zeros(len(THRESHOLD_NAMES), dtype=np.int64)
-    return (values[:, None] > thresholds.values[None, :]).sum(axis=0)
+    return (velocity[:, None] > thresholds.values[None, :]).sum(axis=0)
 
 
 def first_k_coords(traj: Trajectory, k: int = FIRST_K) -> np.ndarray:
@@ -110,26 +109,25 @@ def first_k_coords(traj: Trajectory, k: int = FIRST_K) -> np.ndarray:
     return np.concatenate([traj.longitude[idx], traj.latitude[idx]])
 
 
-def pca_features(traj: Trajectory) -> np.ndarray:
+def pca_features(traj: Trajectory, velocity: np.ndarray) -> np.ndarray:
     """PCA of the (lon, lat, azimuth, elevation, velocity) point matrix.
 
-    Rows are points 1..n-1 (velocity has length n-1, so the positional
-    columns drop their last point). Returns the five explained-variance
-    ratios in descending order followed by the five loadings of the first
-    principal axis, sign-fixed so the largest-magnitude loading is
-    positive. Trajectories with n < 3 or zero total variance yield
-    all-missing.
+    ``velocity`` is the track's per-step speed (length n-1), so rows are
+    points 1..n-1 and the positional columns drop their last point.
+    Returns the five explained-variance ratios in descending order
+    followed by the five loadings of the first principal axis, sign-fixed
+    so the largest-magnitude loading is positive. Trajectories with n < 3
+    or zero total variance yield all-missing.
     """
     if len(traj) < 3:
         return np.full(2 * len(PCA_COLUMNS), MISSING)
-    vel = velocities(traj).values
     m = np.column_stack(
         [
             traj.longitude[:-1],
             traj.latitude[:-1],
             traj.sun_azimuth[:-1],
             traj.sun_elevation[:-1],
-            vel,
+            velocity,
         ]
     )
     centered = m - m.mean(axis=0)
@@ -165,13 +163,18 @@ def bird_features(traj: Trajectory, thresholds: VelocityThresholds | None) -> np
 
     ``thresholds`` of None (no velocity pool available) marks the
     exceedance block missing. The trajectory may be arbitrarily short;
-    statistics that cannot be computed come back as NaN.
+    statistics that cannot be computed come back as NaN, and an empty
+    trajectory (a day or night subset without points) is all NaN.
     """
-    parts = [summarize(s) for s in feature_series(traj)]
+    if len(traj) == 0:
+        return np.full(len(feature_names()), MISSING)
+    series = feature_series(traj)
+    velocity = series[0].values  # SERIES_NAMES starts with velocity
+    parts = [summarize(s.values) for s in series]
     if thresholds is None:
         parts.append(np.full(len(THRESHOLD_NAMES), MISSING))
     else:
-        parts.append(exceedance_counts(velocities(traj), thresholds).astype(np.float64))
+        parts.append(exceedance_counts(velocity, thresholds).astype(np.float64))
     parts.append(first_k_coords(traj))
-    parts.append(pca_features(traj))
+    parts.append(pca_features(traj, velocity))
     return np.concatenate(parts)

@@ -1,8 +1,11 @@
 """Geodesic distances and kinematic series derived from a trajectory.
 
-All functions are pure. Degenerate inputs (too few points for a
-difference) yield empty series rather than errors; series never contain
-NaN or infinities.
+One haversine pass per track gives its per-step distance, speed and
+acceleration series (:func:`_steps`); :func:`feature_series` returns them
+with the point-aligned series and their deltas, and :func:`velocities`
+returns the speeds alone, for threshold pooling. All functions are pure.
+Degenerate inputs (too few points for a difference) yield empty series
+rather than errors; series never contain NaN or infinities.
 """
 
 from __future__ import annotations
@@ -62,35 +65,27 @@ def haversine(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def step_distances(traj: Trajectory) -> Series:
-    """Per-step great-circle distance, length n-1 (empty when n < 2)."""
+def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step distance (n-1), speed (n-1) and acceleration (n-2), from one
+    haversine pass; all empty when n < 2.
+
+    Speed is step distance over the elapsed gap. Acceleration element t is
+    (v[t+1] - v[t]) / (elapsed[t+2] - elapsed[t+1]), the forward difference
+    of speed over the following gap.
+    """
     if len(traj) < 2:
-        return Series("distance", np.empty(0))
-    d = haversine(
+        return np.empty(0), np.empty(0), np.empty(0)
+    distance = haversine(
         traj.latitude[:-1], traj.longitude[:-1], traj.latitude[1:], traj.longitude[1:]
     )
-    return Series("distance", d)
+    dt = np.diff(traj.elapsed)
+    velocity = distance / dt
+    return distance, velocity, np.diff(velocity) / dt[1:]
 
 
 def velocities(traj: Trajectory) -> Series:
     """Per-step speed in m/s: step distance over the elapsed gap."""
-    if len(traj) < 2:
-        return Series("velocity", np.empty(0))
-    dt = np.diff(traj.elapsed)
-    return Series("velocity", step_distances(traj).values / dt)
-
-
-def accelerations(traj: Trajectory) -> Series:
-    """Forward difference of velocity over the following elapsed gap.
-
-    Element t is (v[t+1] - v[t]) / (elapsed[t+2] - elapsed[t+1]); length
-    n-2, empty when n < 3.
-    """
-    if len(traj) < 3:
-        return Series("acceleration", np.empty(0))
-    v = velocities(traj).values
-    dt = np.diff(traj.elapsed)[1:]
-    return Series("acceleration", np.diff(v) / dt)
+    return Series("velocity", _steps(traj)[1])
 
 
 def wrap_degrees(delta):
@@ -116,15 +111,16 @@ def feature_series(traj: Trajectory) -> list[Series]:
     deltas wrap; the remaining deltas are plain differences (the breeding
     range never crosses the antimeridian, so longitude is treated as linear).
     """
-    vel = velocities(traj)
+    distance, velocity, acceleration = _steps(traj)
+    vel = Series("velocity", velocity)
     lon = Series("longitude", traj.longitude)
     lat = Series("latitude", traj.latitude)
     azi = Series("azimuth", traj.sun_azimuth)
     ele = Series("elevation", traj.sun_elevation)
     return [
         vel,
-        accelerations(traj),
-        step_distances(traj),
+        Series("acceleration", acceleration),
+        Series("distance", distance),
         lon,
         lat,
         azi,

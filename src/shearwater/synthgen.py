@@ -9,7 +9,7 @@ numerically, so astronomical fidelity is irrelevant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,19 +116,8 @@ def generate_corpus(params: SynthParams) -> Corpus:
 def null_signal_params(base: SynthParams | None = None) -> SynthParams:
     """Copy of the params with both genders statistically identical."""
     base = base or SynthParams()
-    return SynthParams(
-        n_birds=base.n_birds,
-        seed=base.seed,
+    return replace(
+        base,
         male_speed=base.female_speed,
-        female_speed=base.female_speed,
-        speed_sigma=base.speed_sigma,
         male_turn_concentration=base.female_turn_concentration,
-        female_turn_concentration=base.female_turn_concentration,
-        trip_length_min=base.trip_length_min,
-        trip_length_max=base.trip_length_max,
-        cadence_s=base.cadence_s,
-        cadence_jitter_s=base.cadence_jitter_s,
-        cycle_period_s=base.cycle_period_s,
-        start_lon=base.start_lon,
-        start_lat=base.start_lat,
     )

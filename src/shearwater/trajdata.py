@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     MalformedRow,
+    MissingLabel,
     NonMonotonicTime,
     OutOfRange,
     PipelineError,
@@ -297,7 +298,8 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     """Load every ``<bird_id>.csv`` under a directory plus optional labels.
 
     Files are processed in lexicographic bird_id order so corpus iteration
-    order is a pure function of the file names.
+    order is a pure function of the file names. Labels must cover exactly
+    the birds with a trajectory; a mismatch either way names the labels file.
     """
     trajectory_dir = Path(trajectory_dir)
     if not trajectory_dir.is_dir():
@@ -308,13 +310,16 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
             trajectories[path.stem] = parse_trajectory(path.stem, path.read_text())
         except (MalformedRow, NonMonotonicTime, OutOfRange, TooShort) as exc:
             raise type(exc)(f"{path.name}: {exc}") from None
-    labels = None
-    if labels_path is not None:
-        try:
-            labels = parse_labels(Path(labels_path).read_text())
-        except PipelineError as exc:
-            raise type(exc)(f"{labels_path}: {exc}") from None
-    return Corpus(trajectories=trajectories, labels=labels)
+    if labels_path is None:
+        return Corpus(trajectories=trajectories)
+    try:
+        labels = parse_labels(Path(labels_path).read_text())
+        unlabeled = sorted(set(trajectories) - set(labels))
+        if unlabeled:
+            raise MissingLabel(f"birds without labels: {unlabeled[:5]}")
+        return Corpus(trajectories=trajectories, labels=labels)  # raises UnknownBirdInLabels
+    except PipelineError as exc:
+        raise type(exc)(f"{labels_path}: {exc}") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

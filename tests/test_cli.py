@@ -405,3 +405,52 @@ def test_bad_trajectory_field_names_the_file_and_line(tmp_path, capsys, field, v
     err = capsys.readouterr().err
     assert path.name in err
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda text: text + "ghost,1\n", "ghost"),
+        (lambda text: text.replace("bird_0023,1\n", "").replace("bird_0023,0\n", ""), "bird_0023"),
+    ],
+    ids=["label-without-trajectory", "trajectory-without-label"],
+)
+def test_labels_mismatch_names_the_labels_file(tmp_path, capsys, edit, named):
+    cfg = write_config(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    labels = tmp_path / "train_labels.csv"
+    text = labels.read_text()
+    labels.write_text(edit(text))
+    assert labels.read_text() != text
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(labels) in err
+    assert named in err
+
+
+def _retune_svm_epochs(tmp_path):
+    params = json.loads((tmp_path / "config.json").read_text())["params"]
+    params["default"]["svm_epochs"] = 9
+    write_config(tmp_path, learners=["svc"], params=params)
+
+
+def _strip_fingerprint(tmp_path):
+    model = tmp_path / "out" / "models" / "together_svc_s11.json"
+    doc = json.loads(model.read_text())
+    del doc["fingerprint"]
+    model.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [_retune_svm_epochs, _strip_fingerprint],
+                         ids=["hyperparameter", "no-fingerprint"])
+def test_predict_refuses_a_model_not_trained_on_the_current_inputs(tmp_path, capsys, edit):
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["svc"])
+    edit(tmp_path)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "together_svc_s11.json" in err
+    assert "re-run train" in err
+    assert not (tmp_path / "out" / "predictions" / "together_svc_s11.csv").exists()

@@ -5,11 +5,11 @@ from shearwater.datasets import (
     DatasetMode,
     FeatureMatrix,
     build_dataset,
-    global_velocity_thresholds,
+    compute_thresholds,
     impute,
     schema_columns,
 )
-from shearwater.errors import EmptyPool, SchemaMismatch
+from shearwater.errors import SchemaMismatch
 from shearwater.geokin import velocities
 from shearwater.trajdata import Corpus
 from tests.conftest import make_traj
@@ -33,14 +33,14 @@ def small_corpus(rng, n_birds=3, n_points=10, labeled=True, daytime=None):
 def test_thresholds_stationary_corpus():
     traj = make_traj(longitude=[5.0] * 6, latitude=[5.0] * 6)
     corpus = Corpus(trajectories={"b0": traj})
-    th = global_velocity_thresholds(corpus, DatasetMode.TOGETHER)
+    th = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
     assert th.values[0] == 0.0  # pooled mean velocity
 
 
 def test_thresholds_match_bruteforce_pool(rng):
     corpus = small_corpus(rng, n_birds=3, n_points=7)
     pooled = np.concatenate([velocities(corpus[b]).values for b in corpus.bird_ids])
-    th = global_velocity_thresholds(corpus, DatasetMode.TOGETHER)
+    th = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
     # oracle: sort and interpolate by hand
     s = np.sort(pooled)
     for k, p in zip(range(1, 12), (0.05, 0.10, 0.15, 0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)):
@@ -54,15 +54,14 @@ def test_thresholds_match_bruteforce_pool(rng):
 
 def test_day_subset_of_all_day_corpus_equals_all(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    th_all = global_velocity_thresholds(corpus, DatasetMode.TOGETHER, "all")
-    th_day = global_velocity_thresholds(corpus, DatasetMode.SPLIT, "day")
+    th_all = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
+    th_day = compute_thresholds(corpus, DatasetMode.SPLIT)["day"]
     np.testing.assert_array_equal(th_all.values, th_day.values)
 
 
 def test_empty_pool_raises(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    with pytest.raises(EmptyPool):
-        global_velocity_thresholds(corpus, DatasetMode.SPLIT, "night")
+    assert compute_thresholds(corpus, DatasetMode.SPLIT)["night"] is None
 
 
 def test_build_together_shape(rng):

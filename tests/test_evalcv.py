@@ -86,7 +86,7 @@ def test_folds_stratification_bound(n_pos, n_neg, seed):
 
 def test_folds_csv_round_trip():
     folds = make_folds(paper_scale_labels(), k=5, seed=3)
-    again = folds_from_csv(folds_to_csv(folds), seed=3)
+    again = folds_from_csv(folds_to_csv(folds))
     assert again.assignment == folds.assignment
     assert again.k == 5
 
@@ -242,7 +242,7 @@ def test_cv_raises_when_a_bird_is_left_unscored(rng):
 
 def test_folds_csv_rejects_gapped_fold_ids():
     with pytest.raises(OutOfRange):
-        folds_from_csv("bird_id,fold\na,0\nb,2\n", seed=0)
+        folds_from_csv("bird_id,fold\na,0\nb,2\n")
 
 # --- voting -----------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearwater import geokin
 from shearwater.errors import EmptySeries
 from shearwater.featex import (
     SUMMARY_PROBS,
@@ -20,6 +21,7 @@ from shearwater.featex import (
     summarize,
     velocity_thresholds,
 )
+from shearwater.geokin import velocities
 from tests.conftest import make_traj
 
 
@@ -164,7 +166,7 @@ def test_pca_rank_one_data():
     n = 10
     lat = np.linspace(0.0, 0.009, n)
     traj = make_traj(longitude=np.full(n, 5.0), latitude=lat)
-    out = pca_features(traj)
+    out = pca_features(traj, velocities(traj).values)
     ratios = out[:5]
     np.testing.assert_allclose(ratios, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-9)
 
@@ -177,7 +179,7 @@ def test_pca_ratios_sum_to_one(rng):
         sun_azimuth=rng.uniform(0, 359, n),
         sun_elevation=rng.uniform(-50, 50, n),
     )
-    out = pca_features(traj)
+    out = pca_features(traj, velocities(traj).values)
     ratios, axis = out[:5], out[5:]
     assert ratios.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.all(ratios >= 0)
@@ -188,7 +190,7 @@ def test_pca_ratios_sum_to_one(rng):
 
 def test_pca_too_short_missing():
     traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0])
-    assert np.isnan(pca_features(traj)).all()
+    assert np.isnan(pca_features(traj, velocities(traj).values)).all()
 
 
 def test_feature_names_width_and_uniqueness():
@@ -232,3 +234,19 @@ def test_bird_features_no_thresholds_marks_exceedance_missing():
     feats = dict(zip(feature_names(), bird_features(traj, None)))
     for level in THRESHOLD_NAMES:
         assert np.isnan(feats[f"exceed_gt_{level}"])
+
+
+def test_bird_features_makes_one_haversine_pass(rng, monkeypatch):
+    real, calls = geokin.haversine, []
+    monkeypatch.setattr(geokin, "haversine", lambda *args: calls.append(args) or real(*args))
+    n = 12
+    traj = make_traj(longitude=rng.uniform(0, 1, n), latitude=rng.uniform(0, 1, n))
+    bird_features(traj, VelocityThresholds(np.linspace(0, 11, 12)))
+    assert len(calls) == 1
+
+
+def test_bird_features_empty_track_all_missing():
+    traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0], daytime=[1, 1]).filter_daytime(0)
+    out = bird_features(traj, VelocityThresholds(np.linspace(0, 11, 12)))
+    assert out.shape == (248,)
+    assert np.isnan(out).all()

@@ -6,11 +6,9 @@ import pytest
 from shearwater.geokin import (
     EARTH_RADIUS_M,
     Series,
-    accelerations,
     delta_series,
     feature_series,
     haversine,
-    step_distances,
     velocities,
     wrap_degrees,
 )
@@ -26,6 +24,10 @@ def law_of_cosines(lat1, lon1, lat2, lon2):
 
 
 ONE_DEGREE_M = math.pi * EARTH_RADIUS_M / 180.0  # 111194.92664455874
+
+
+def series_named(traj, name):
+    return next(s for s in feature_series(traj) if s.name == name)
 
 
 def test_haversine_identical_points():
@@ -66,19 +68,19 @@ def test_haversine_matches_law_of_cosines_oracle(rng):
 
 def test_step_distances_two_points():
     traj = make_traj(longitude=[139.0, 139.0], latitude=[38.0, 39.0])
-    d = step_distances(traj)
+    d = series_named(traj, "distance")
     assert len(d) == 1
     assert d.values[0] == pytest.approx(ONE_DEGREE_M, abs=0.1)
 
 
 def test_step_distances_stationary():
     traj = make_traj(longitude=[139.0] * 4, latitude=[38.0] * 4)
-    assert np.all(step_distances(traj).values == 0.0)
+    assert np.all(series_named(traj, "distance").values == 0.0)
 
 
 def test_step_distances_three_points_one_degree():
     traj = make_traj(longitude=[0.0, 0.0, 0.0], latitude=[0.0, 1.0, 2.0])
-    np.testing.assert_allclose(step_distances(traj).values, [ONE_DEGREE_M] * 2, atol=0.1)
+    np.testing.assert_allclose(series_named(traj, "distance").values, [ONE_DEGREE_M] * 2, atol=0.1)
 
 
 def test_velocity_one_degree_per_hour():
@@ -111,12 +113,12 @@ def test_velocity_invariant_to_elapsed_shift(rng):
 
 def test_acceleration_constant_velocity_zero():
     traj = make_traj(longitude=[0.0] * 4, latitude=[0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_allclose(accelerations(traj).values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(series_named(traj, "acceleration").values, 0.0, atol=1e-12)
 
 
 def test_acceleration_too_short():
     traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0])
-    assert len(accelerations(traj)) == 0
+    assert len(series_named(traj, "acceleration")) == 0
 
 
 def test_acceleration_hand_computed():
@@ -127,7 +129,7 @@ def test_acceleration_hand_computed():
     traj = make_traj(
         longitude=[0.0] * 3, latitude=[lat0, lat1, lat2], elapsed=[0.0, 60.0, 120.0]
     )
-    assert accelerations(traj).values[0] == pytest.approx(0.1, rel=1e-6)
+    assert series_named(traj, "acceleration").values[0] == pytest.approx(0.1, rel=1e-6)
 
 
 def test_delta_series_linear():

@@ -35,7 +35,7 @@ def _never_crashes(reader, header, examples=()):
 
 
 test_feature_matrix_reader = _never_crashes(FeatureMatrix.from_csv, "bird_id,label,a,b\n")
-test_folds_reader = _never_crashes(lambda text: folds_from_csv(text, seed=0), "bird_id,fold\n")
+test_folds_reader = _never_crashes(lambda text: folds_from_csv(text), "bird_id,fold\n")
 test_prediction_set_reader = _never_crashes(PredictionSet.from_csv, "bird_id,label\n")
 test_labels_reader = _never_crashes(parse_labels, "bird_id,label\n")
 

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,21 @@ def test_null_signal_params_equalize_genders():
     for bird in corpus.bird_ids:
         means[corpus.labels[bird]].append(velocities(corpus[bird]).values.mean())
     assert abs(np.mean(means[1]) - np.mean(means[0])) < 1.0
+
+
+def test_null_signal_params_keep_every_other_field():
+    @dataclass
+    class WithExtraField(SynthParams):
+        extra: int = 0
+
+    base = WithExtraField(**vars(tiny_params(cadence_s=90.0, start_lat=40.25)), extra=3)
+    params = null_signal_params(base)
+    assert (params.cadence_s, params.start_lat, params.extra) == (90.0, 40.25, 3)
+    assert vars(params) == {
+        **vars(base),
+        "male_speed": base.female_speed,
+        "male_turn_concentration": base.female_turn_concentration,
+    }
 
 
 def test_day_and_night_both_present():
