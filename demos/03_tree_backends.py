@@ -31,7 +31,7 @@ exact = fit_tree_exact(X, grad, hess, params)  # bins X losslessly, then fits on
 lossless = build_bins(X, max_edges=None)
 bins = build_bins(X, max_edges=7)
 hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
-oblivious = fit_tree_oblivious(X, grad, hess, params)
+oblivious = fit_tree_oblivious(lossless.bin_matrix(X), grad, hess, lossless, params)
 
 print(f"\ncandidate cuts per column: lossless {lossless.n_edges.tolist()}, lossy {bins.n_edges.tolist()}")
 print(f"exact root: feature {exact.root.feature} @ {exact.root.threshold:.4f}")

@@ -7,8 +7,9 @@ bagging). ``LearnerKind.backend`` names each learner's split search: the
 xgb variants, sk_gbt and sk_rf use exact splits, the lgb variants
 histogram splits, cat oblivious trees and sk_et uniform random thresholds.
 ``_backend_fitter`` is the one place that maps a backend to a tree fitter:
-exact and hist both fit on bins built once per model (lossless for exact,
-at most ``max_bin_edges`` edges per feature for hist).
+exact, hist and oblivious all fit on bins built once per model (lossless
+for exact and oblivious, at most ``max_bin_edges`` edges per feature for
+hist); uniform draws its thresholds from the raw matrix.
 Both boosting learners run one loop, ``_boost``, over a loss's
 (gradient/hessian, loss) pair; the forests average class-mean leaves
 instead of boosting.
@@ -133,7 +134,11 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
-        return cls(
+        """Decode a model; ValueError unless it holds either trees or an svm,
+        as wide as the feature schema."""
+        if ("trees" in doc) == ("svm" in doc):
+            raise ValueError("a model holds either trees or an svm")
+        model = cls(
             kind=LearnerKind(doc["kind"]),
             params=GbdtParams.from_dict(doc["params"]),
             feature_names=list(doc["feature_names"]),
@@ -142,6 +147,16 @@ class TrainedModel:
             trees=[DecisionTree.from_dict(t) for t in doc["trees"]] if "trees" in doc else None,
             svm=SvmModel.from_dict(doc["svm"]) if "svm" in doc else None,
         )
+        width = len(model.feature_names)
+        for i, tree in enumerate(model.trees or ()):
+            if tree.n_features != width:
+                raise ValueError(f"tree {i} has {tree.n_features} features, schema has {width}")
+        if model.svm is not None:
+            for name in ("weights", "mean", "std"):
+                shape = getattr(model.svm, name).shape
+                if shape != (width,):
+                    raise ValueError(f"svm {name} has shape {shape}, schema has {width} features")
+        return model
 
 
 def sigmoid(x):
@@ -167,6 +182,14 @@ def pairwise_loss(scores, y) -> float:
     y = np.asarray(y)
     diff = scores[y == 1][:, None] - scores[y == 0][None, :]
     return float(np.logaddexp(0.0, -diff).sum())
+
+
+def logistic_grad_hess(margins, y) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instance gradient p - y and hessian p(1 - p) of the logistic
+    loss at raw margins F, where p = sigmoid(F).
+    """
+    p = sigmoid(margins)
+    return p - y, p * (1.0 - p)
 
 
 def pairwise_grad_hess(scores, y, pairs=None) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +235,13 @@ def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int
     The fitters are read from this module's globals each time this runs,
     so a wrapper installed on this module's attributes sees every fit.
     """
-    if backend in ("exact", "hist"):
-        bins = build_bins(X, None if backend == "exact" else max_bin_edges)
-        return partial(fit_tree_hist, bins.bin_matrix(X), bins=bins, params=tree_params)
-    fitters = {"oblivious": fit_tree_oblivious, "uniform": fit_tree_uniform}
+    if backend == "uniform":
+        return partial(fit_tree_uniform, X, params=tree_params)
+    fitters = {"exact": fit_tree_hist, "hist": fit_tree_hist, "oblivious": fit_tree_oblivious}
     if backend not in fitters:
         raise ValueError(f"unknown backend {backend!r}")
-    return partial(fitters[backend], X, params=tree_params)
+    bins = build_bins(X, max_bin_edges if backend == "hist" else None)
+    return partial(fitters[backend], bins.bin_matrix(X), bins=bins, params=tree_params)
 
 
 def _boost(X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss):
@@ -275,12 +298,9 @@ def fit_gbdt_logistic(
     p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
     f0 = float(np.log(p_bar / (1.0 - p_bar)))
 
-    def grad_hess(margins):
-        p = sigmoid(margins)
-        return p - y, p * (1.0 - p)
-
     return _boost(
-        X, y, params, backend, rng, feature_names, kind, f0, grad_hess, logistic_loss
+        X, y, params, backend, rng, feature_names, kind, f0,
+        partial(logistic_grad_hess, y=y), logistic_loss,
     )
 
 

@@ -12,9 +12,10 @@ in their bins:
 * exact      - lossless bins, one per distinct value, so the cuts are the
                midpoints between consecutive distinct observed values
 * histogram  - quantile bins of at most ``max_edges`` edges per feature
-* oblivious  - lossless bins of the tree's own rows; one shared (feature,
-               threshold) test per depth level, scored by summing the
-               current leaves' gain tables
+* oblivious  - the model's lossless bins, with thresholds at the midpoints
+               of the tree rows' neighbouring distinct values; one shared
+               (feature, threshold) test per depth level, scored by summing
+               the current leaves' gain tables
 * uniform    - K random (feature, uniform threshold) draws per node, scored
                by mask sums (no bins)
 
@@ -114,18 +115,23 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTree":
+        n_features = int(doc["n_features"])
+
         def decode(obj: dict) -> TreeNode:
             if "value" in obj:
                 return TreeNode(value=float(obj["value"]))
+            feature = int(obj["feature"])
+            if not 0 <= feature < n_features:
+                raise ValueError(f"split feature {feature} outside 0..{n_features - 1}")
             return TreeNode(
-                feature=int(obj["feature"]),
+                feature=feature,
                 threshold=float(obj["threshold"]),
                 missing_left=bool(obj["missing_left"]),
                 left=decode(obj["left"]),
                 right=decode(obj["right"]),
             )
 
-        return cls(decode(doc["root"]), int(doc["n_features"]))
+        return cls(decode(doc["root"]), n_features)
 
 
 def _fill_predictions(node: TreeNode, X, idx, out) -> None:
@@ -295,15 +301,22 @@ def _best_split_hist(Xb, grad, hess, rows, feats, bins, reg_lambda, mcw):
         return None
     col, j = divmod(best, gains.shape[1])
     feature = int(feats[col])
-    # Record the cut as the midpoint between the adjacent occupied bins'
-    # training value bounds; training rows route identically to the bin
-    # split, and with lossless bins this is the midpoint between the node's
-    # neighbouring distinct values.
-    go_left = sub[:, col] <= j
-    ltop = sub[go_left, col].max()
-    rbot = sub[~go_left, col].min()
-    threshold = 0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot])
-    return float(gain), feature, float(threshold), rows[go_left], rows[~go_left]
+    go_left, threshold = _cut(sub[:, col], j, bins, feature)
+    return float(gain), feature, threshold, rows[go_left], rows[~go_left]
+
+
+def _cut(col_bins, j, bins: HistogramBins, feature: int) -> tuple[np.ndarray, float]:
+    """The rows' routing and recorded threshold of the cut "bins <= j go left".
+
+    ``col_bins`` holds the rows' bin indices of ``feature``. The threshold is
+    the midpoint between the adjacent occupied bins' training value bounds,
+    so training rows route identically to the bin split; with lossless bins
+    it is the midpoint between the rows' neighbouring distinct values.
+    """
+    go_left = col_bins <= j
+    ltop = col_bins[go_left].max()
+    rbot = col_bins[~go_left].min()
+    return go_left, float(0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot]))
 
 
 def fit_tree_hist(
@@ -332,34 +345,40 @@ def fit_tree_hist(
 
 
 def fit_tree_oblivious(
-    X, grad, hess, params: TreeParams, rng=None, rows=None, candidate_features=None
+    X_binned,
+    grad,
+    hess,
+    bins: HistogramBins,
+    params: TreeParams,
+    rng=None,
+    rows=None,
+    candidate_features=None,
 ) -> DecisionTree:
     """Symmetric tree: each depth applies one (feature, threshold) test to
     every current leaf, chosen to maximize the summed Newton gain.
 
-    The tree bins its own rows losslessly, so candidate thresholds are the
-    midpoints between consecutive distinct values over the tree's full row
-    set and a depth-1 oblivious tree coincides with a depth-1 exact tree.
-    A level's score for each cut is the sum, over current leaves in leaf
-    order, of that leaf's gain table, where a leaf whose children would
-    violate min_child_weight contributes zero; the level is applied only
-    when the best total is strictly positive.
+    On lossless bins the candidate thresholds are the midpoints between
+    consecutive distinct values over the tree's full row set, and a depth-1
+    oblivious tree coincides with a depth-1 exact tree. A level's score for
+    each cut is the sum, over current leaves in leaf order, of that leaf's
+    gain table, where a leaf whose children would violate min_child_weight
+    contributes zero; the level is applied only when the best total is
+    strictly positive.
     """
-    X, grad, hess, rows, feats = _prep(X, grad, hess, rows, candidate_features)
-    xn = X[np.ix_(rows, feats)]
-    bins = build_bins(xn, max_edges=None)
-    xb = bins.bin_matrix(xn)
+    Xb, grad, hess, rows, feats = _prep(X_binned, grad, hess, rows, candidate_features, dtype=None)
+    xb = Xb[np.ix_(rows, feats)]
+    n_edges = bins.n_edges[feats]
     g_all = grad[rows]
     h_all = hess[rows]
     levels: list[tuple[int, float]] = []
     leaf_of = np.zeros(len(rows), dtype=np.int64)
 
     for _ in range(params.max_depth):
-        totals = np.zeros((len(feats), int(bins.n_edges.max(initial=0))))
+        totals = np.zeros((len(feats), int(n_edges.max(initial=0))))
         for leaf in range(2 ** len(levels)):
             member = leaf_of == leaf
             gains = _gain_table(
-                xb[member], g_all[member], h_all[member], bins.n_edges,
+                xb[member], g_all[member], h_all[member], n_edges,
                 params.reg_lambda, params.min_child_weight,
             )
             totals += np.where(gains == -np.inf, 0.0, gains)
@@ -369,8 +388,10 @@ def fit_tree_oblivious(
         if not totals.flat[best] > 0.0:
             break
         col, j = divmod(best, totals.shape[1])
-        levels.append((int(feats[col]), float(bins.edges[col][j])))
-        leaf_of = 2 * leaf_of + (xb[:, col] > j)
+        feature = int(feats[col])
+        go_left, threshold = _cut(xb[:, col], j, bins, feature)
+        levels.append((feature, threshold))
+        leaf_of = 2 * leaf_of + ~go_left
 
     n_leaves = 2 ** len(levels)
     values = np.zeros(n_leaves)
@@ -389,7 +410,7 @@ def fit_tree_oblivious(
             right=build(level + 1, prefix * 2 + 1),
         )
 
-    return DecisionTree(build(0, 0), X.shape[1])
+    return DecisionTree(build(0, 0), Xb.shape[1])
 
 
 def fit_tree_uniform(

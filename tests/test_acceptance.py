@@ -17,10 +17,10 @@ from shearwater.boost import (
     GbdtParams,
     LearnerKind,
     fit_gbdt_logistic,
+    logistic_grad_hess,
     pairwise_grad_hess,
     pairwise_loss,
     predict_scores,
-    sigmoid,
 )
 from shearwater.cli import EXIT_OK, main
 from shearwater.errors import EmptySeries
@@ -151,7 +151,7 @@ def test_criterion_05_gradient_checks():
             y[0] = 1.0 - y[0]
 
         # logistic: d/dF sum_i [softplus(F_i) - y_i F_i] = sigmoid(F) - y
-        grad = sigmoid(margins) - y
+        grad, _ = logistic_grad_hess(margins, y)
         for i in range(n):
             up, down = margins.copy(), margins.copy()
             up[i] += h

@@ -11,6 +11,7 @@ from shearwater.boost import (
     fit_gbdt_logistic,
     fit_gbdt_pairwise,
     fit_learner,
+    logistic_grad_hess,
     logistic_loss,
     pairwise_grad_hess,
     pairwise_loss,
@@ -74,8 +75,7 @@ def test_logistic_gradient_matches_finite_differences(rng):
         n = int(rng.integers(6, 11))
         margins = rng.normal(size=n)
         y = rng.integers(0, 2, n).astype(float)
-        p = sigmoid(margins)
-        grad = p - y  # gradient of the summed loss
+        grad, _ = logistic_grad_hess(margins, y)  # gradient of the summed loss
         h = 1e-5
         for i in range(n):
             up, down = margins.copy(), margins.copy()
@@ -317,3 +317,24 @@ def test_model_json_round_trip(rng):
         )
         assert again.threshold == 0.41
         assert again.kind == kind
+
+
+def test_cat_bins_each_model_once(rng, monkeypatch):
+    import shearwater.boost
+    import shearwater.trees
+
+    calls = []
+    build_bins = shearwater.trees.build_bins
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_bins(*args, **kwargs)
+
+    monkeypatch.setattr(shearwater.boost, "build_bins", counted)
+    monkeypatch.setattr(shearwater.trees, "build_bins", counted)
+    X = rng.normal(size=(40, 5))
+    y = (X[:, 0] > 0).astype(int)
+    params = small_params(n_rounds=5, subsample=0.8, colsample=0.8)
+    model = fit_learner(LearnerKind.CAT, X, y, params, np.random.default_rng(3))
+    assert len(model.trees) == 5
+    assert len(calls) == 1

@@ -454,3 +454,43 @@ def test_predict_refuses_a_model_not_trained_on_the_current_inputs(tmp_path, cap
     assert "together_svc_s11.json" in err
     assert "re-run train" in err
     assert not (tmp_path / "out" / "predictions" / "together_svc_s11.csv").exists()
+
+
+def _set_tree_feature(feature):
+    def edit(doc):
+        root = doc["trees"][0]["root"]
+        assert "feature" in root, "the first tree is a single leaf"
+        root["feature"] = feature
+    return edit
+
+
+def _cut_svm_weights(doc):
+    doc["svm"]["weights"] = doc["svm"]["weights"][:5]
+
+
+def _drop_trees(doc):
+    del doc["trees"]
+
+
+@pytest.mark.parametrize(
+    "model_name, edit",
+    [
+        ("together_sk_rf_s11.json", _set_tree_feature(100000)),
+        ("together_sk_rf_s11.json", _set_tree_feature(-1)),
+        ("together_svc_s11.json", _cut_svm_weights),
+        ("together_sk_rf_s11.json", _drop_trees),
+    ],
+    ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees"],
+)
+def test_predict_refuses_a_model_that_does_not_fit_its_schema(
+    tmp_path, capsys, model_name, edit
+):
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["sk_rf", "svc"])
+    model = tmp_path / "out" / "models" / model_name
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    assert model_name in capsys.readouterr().err

@@ -200,6 +200,13 @@ def test_bins_quantile_construction(rng):
 
 # --- oblivious fitter -------------------------------------------------------
 
+def fit_oblivious_lossless(X, grad, hess, params, **kwargs):
+    """An oblivious tree on lossless bins of all of X, as the cat learner
+    bins each model once."""
+    bins = build_bins(X, max_edges=None)
+    return fit_tree_oblivious(bins.bin_matrix(X), grad, hess, bins, params, **kwargs)
+
+
 def test_oblivious_depth1_equals_exact(rng):
     for _ in range(30):
         n = int(rng.integers(2, 15))
@@ -209,7 +216,7 @@ def test_oblivious_depth1_equals_exact(rng):
         hess = rng.uniform(0.1, 2.0, size=n)
         params = TreeParams(max_depth=1, reg_lambda=0.5, min_child_weight=0.0)
         a = fit_tree_exact(X, grad, hess, params)
-        b = fit_tree_oblivious(X, grad, hess, params)
+        b = fit_oblivious_lossless(X, grad, hess, params)
         assert a.to_dict() == b.to_dict()
 
 
@@ -238,7 +245,7 @@ def _oblivious_objective(X, grad, hess, levels, lam):
 def test_oblivious_xor_uses_both_features():
     X, y, grad, hess = _xor_corner_data()
     params = TreeParams(max_depth=2, reg_lambda=0.0, min_child_weight=0.0)
-    tree = fit_tree_oblivious(X, grad, hess, params)
+    tree = fit_oblivious_lossless(X, grad, hess, params)
 
     level_tests = []
     node = tree.root
@@ -273,7 +280,7 @@ def test_oblivious_is_lookup_table(rng):
     grad = rng.normal(size=60)
     hess = rng.uniform(0.2, 1.0, 60)
     params = TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=0.0)
-    tree = fit_tree_oblivious(X, grad, hess, params)
+    tree = fit_oblivious_lossless(X, grad, hess, params)
 
     # collect the per-level shared tests
     levels = []
@@ -306,7 +313,7 @@ def test_oblivious_empty_leaves_finite(rng):
     X = rng.normal(size=(12, 2))
     grad = rng.normal(size=12)
     hess = np.full(12, 0.25)
-    tree = fit_tree_oblivious(
+    tree = fit_oblivious_lossless(
         X, grad, hess, TreeParams(max_depth=4, reg_lambda=1.0, min_child_weight=0.0)
     )
     for leaf in tree.leaves():
@@ -393,7 +400,7 @@ def test_oblivious_every_level_matches_bruteforce_oracle(rng):
     for _ in range(60):
         X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
         params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=mcw)
-        tree = fit_tree_oblivious(X, grad, hess, params, rows=rows, candidate_features=feats)
+        tree = fit_oblivious_lossless(X, grad, hess, params, rows=rows, candidate_features=feats)
         Xr, gr, hr = X[rows], grad[rows], hess[rows]
 
         levels = []
@@ -415,6 +422,19 @@ def test_oblivious_every_level_matches_bruteforce_oracle(rng):
             assert chosen, "a cut the oracle never proposed"
             assert abs(chosen[0] - best) <= tol * scale
             leaf_of = 2 * leaf_of + (Xr[:, feature] >= threshold)
+
+
+def test_oblivious_on_model_bins_equals_bins_of_tree_rows(rng):
+    # the model's bins add empty bins and duplicate cuts of one partition;
+    # neither may change the tree
+    for _ in range(100):
+        X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
+        params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=mcw)
+        model_bins = fit_oblivious_lossless(
+            X, grad, hess, params, rows=rows, candidate_features=feats
+        )
+        own = fit_oblivious_lossless(X[rows], grad[rows], hess[rows], params, candidate_features=feats)
+        assert model_bins.to_dict() == own.to_dict()
 
 
 # --- uniform (extra-trees) fitter --------------------------------------------
