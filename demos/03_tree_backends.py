@@ -1,9 +1,12 @@
-"""One Newton objective, one histogram split kernel, three tree shapes.
+"""One Newton objective, one histogram split kernel, four tree backends.
 
 Fits the same gradient/hessian problem with exact splits (lossless bins:
-every distinct value has its own bin), lossy 8-bin histogram splits, and an
-oblivious (shared test per level) tree, then shows what the coarse bins
-give up and how the tree shapes differ.
+every distinct value has its own bin), lossy 8-bin histogram splits, an
+oblivious (shared test per level) tree, and an extra-trees tree (one random
+uniform threshold per feature and node, scored as two bins). All four score
+their cuts with the same gain table and accept them by the same rule. The
+demo shows what the coarse bins and the random cuts give up and how the
+tree shapes differ.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from shearwater.trees import (
     fit_tree_exact,
     fit_tree_hist,
     fit_tree_oblivious,
+    fit_tree_uniform,
     newton_gain,
 )
 
@@ -32,10 +36,12 @@ lossless = build_bins(X, max_edges=None)
 bins = build_bins(X, max_edges=7)
 hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
 oblivious = fit_tree_oblivious(lossless.bin_matrix(X), grad, hess, lossless, params)
+uniform = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(7))
 
 print(f"\ncandidate cuts per column: lossless {lossless.n_edges.tolist()}, lossy {bins.n_edges.tolist()}")
 print(f"exact root: feature {exact.root.feature} @ {exact.root.threshold:.4f}")
 print(f"hist  root: feature {hist.root.feature} @ {hist.root.threshold:.4f}")
+print(f"uniform root: feature {uniform.root.feature} @ {uniform.root.threshold:.4f} (a drawn value)")
 
 print("\noblivious levels (one shared test per depth):")
 node = oblivious.root
@@ -45,7 +51,8 @@ while not node.is_leaf:
 print(f"oblivious leaves: {len(oblivious.leaves())} (a lookup table of 2^depth cells)")
 
 print("\nsecond-order loss change sum(g*f + h*f^2/2) of each tree's output f (lower is better):")
-for name, tree in (("exact", exact), ("hist (8 bins)", hist), ("oblivious", oblivious)):
+trees = (("exact", exact), ("hist (8 bins)", hist), ("oblivious", oblivious), ("uniform", uniform))
+for name, tree in trees:
     f = tree.predict(X)
     change = np.sum(grad * f + 0.5 * hess * f**2)
     print(f"  {name:13s} depth={tree.depth()} leaves={len(tree.leaves())} change={change:.4f}")
@@ -53,3 +60,6 @@ print("On an XOR target no single cut is informative, so the lossless greedy roo
 print("takes an extreme cut; the 8 coarse bins leave only central cuts, which the")
 print("next level can use. More candidates never worsen one greedy split, but can")
 print("worsen the whole tree.")
+print("The uniform tree draws one random cut per feature at each node, so its")
+print("greedy choice sees far fewer candidates than exact; extra trees trade that")
+print("for diversity between the trees of a forest.")

@@ -9,7 +9,8 @@ histogram splits, cat oblivious trees and sk_et uniform random thresholds.
 ``_backend_fitter`` is the one place that maps a backend to a tree fitter:
 exact, hist and oblivious all fit on bins built once per model (lossless
 for exact and oblivious, at most ``max_bin_edges`` edges per feature for
-hist); uniform draws its thresholds from the raw matrix.
+hist); uniform draws its thresholds from the raw matrix and scores them
+with the same gain table.
 Both boosting learners run one loop, ``_boost``, over a loss's
 (gradient/hessian, loss) pair; the forests average class-mean leaves
 instead of boosting.

@@ -123,6 +123,10 @@ class RunConfig:
             raise UsageError(f"bad config: {exc}") from None
         if cfg.n_seeds < 1:
             raise UsageError("n_seeds must be >= 1")
+        if cfg.k_folds < 2:
+            raise UsageError("k_folds must be >= 2")
+        if cfg.base_seed < 0:
+            raise UsageError("base_seed must be >= 0")
         if not cfg.learners or not cfg.modes:
             raise UsageError("config enables no settings")
         unknown = set(cfg.learner_params) - set(ALL_LEARNERS)
@@ -162,6 +166,10 @@ class RunConfig:
         params = SynthParams(**self.synth)
         if seed is not None:
             params = replace(params, seed=seed)
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise UsageError(f"bad synth parameters: {exc}") from None
         return params
 
     # fixed output locations under out_dir
@@ -531,6 +539,8 @@ def _run(argv) -> int:
         return EXIT_OK
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         cfg.base_seed = args.seed
     if args.command == "synth":
         cmd_synth(cfg, args.role, args.seed, args.out)

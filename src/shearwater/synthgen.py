@@ -36,15 +36,17 @@ class SynthParams:
 
     def validate(self) -> None:
         if self.male_speed <= 0 or self.female_speed <= 0:
-            raise ValueError("cruise speeds must be positive")
+            raise ValueError("male_speed and female_speed must be positive")
         if self.trip_length_min < 10:
-            raise ValueError("trips need at least 10 points")
+            raise ValueError("trip_length_min must be >= 10 points")
         if self.trip_length_max < self.trip_length_min:
-            raise ValueError("empty trip length range")
+            raise ValueError("trip_length_max must be >= trip_length_min")
         if not self.cadence_jitter_s < self.cadence_s / 2:
-            raise ValueError("jitter must stay below half the cadence")
+            raise ValueError("cadence_jitter_s must stay below half of cadence_s")
         if self.n_birds < 1:
-            raise ValueError("need at least one bird")
+            raise ValueError("n_birds must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _generate_bird(params: SynthParams, index: int) -> tuple[Trajectory, int]:

@@ -16,15 +16,17 @@ in their bins:
                of the tree rows' neighbouring distinct values; one shared
                (feature, threshold) test per depth level, scored by summing
                the current leaves' gain tables
-* uniform    - K random (feature, uniform threshold) draws per node, scored
-               by mask sums (no bins)
+* uniform    - one uniform threshold per node feature (extra trees), each
+               drawn column scored as two bins split at its one edge
 
-Growth is depth-wise everywhere. Ties in gain resolve to the lowest
-feature index, then the lowest threshold, up to the rounding of the
-histogram sums: two cuts whose gains are equal in exact arithmetic may
-differ in the last bits. Rows with value < threshold go left; missing
-values follow the node's missing-direction flag (left by default). Fitting
-assumes finite inputs; prediction tolerates NaN.
+Growth is depth-wise everywhere, and ``_best_cut`` accepts every cut. Ties
+in gain resolve to the lowest feature index, then the lowest threshold, up
+to the rounding of the histogram sums: two cuts whose gains are equal in
+exact arithmetic may differ in the last bits. A gain of at most 1e-12
+times the node's own parent term G^2/(H+l) in magnitude is rounding noise
+and counts as exactly 0, so a pure node never splits. Rows with value <
+threshold go left; missing values follow the node's missing-direction flag
+(left by default). Fitting assumes finite inputs; prediction tolerates NaN.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def _gain_table(sub, grad, hess, n_edges, reg_lambda, mcw) -> np.ndarray:
 
     ``sub`` holds the node rows' bin indices (rows x columns), ``grad`` and
     ``hess`` their gradients and hessians, ``n_edges`` each column's edge
-    count. Entry [c, j] scores sending bins <= j left; it is -inf where j is
-    not an edge of column c or a child fails min_child_weight.
+    count. Entry [c, j] scores sending bins <= j left: -inf where j is not
+    an edge of column c or a child fails min_child_weight, and exactly 0
+    where the gain is rounding noise next to the node's parent term.
     """
     m = sub.shape[1]
     width = int(n_edges.max(initial=0)) + 1
@@ -189,9 +192,24 @@ def _gain_table(sub, grad, hess, n_edges, reg_lambda, mcw) -> np.ndarray:
     gl, hl = cg[:, :-1], ch[:, :-1]
     gr, hr = cg[:, -1:] - gl, ch[:, -1:] - hl
     gains = newton_gain(gl, hl, gr, hr, reg_lambda)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise = np.abs(gains) <= 1e-12 * grad.sum() ** 2 / (hess.sum() + reg_lambda)
     in_range = np.arange(width - 1)[None, :] < n_edges[:, None]
     ok = in_range & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
-    return np.where(ok, gains, -np.inf)
+    return np.where(ok, np.where(noise, 0.0, gains), -np.inf)
+
+
+def _best_cut(gains) -> tuple[int, int, float] | None:
+    """The (column, edge, gain) of a gain table's best cut, or None when no
+    cut gains. argmax scans the table row by row, one row per column, so
+    ties go to the lowest column, then the lowest edge."""
+    if gains.size == 0:
+        return None
+    best = int(np.argmax(gains))
+    if not gains.flat[best] > 0.0:
+        return None
+    col, j = divmod(best, gains.shape[1])
+    return col, j, float(gains.flat[best])
 
 
 def _grow(find_split, rows, depth, params: TreeParams, grad, hess) -> TreeNode:
@@ -293,16 +311,13 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> HistogramBins:
 def _best_split_hist(Xb, grad, hess, rows, feats, bins, reg_lambda, mcw):
     sub = Xb[np.ix_(rows, feats)]
     gains = _gain_table(sub, grad[rows], hess[rows], bins.n_edges[feats], reg_lambda, mcw)
-    if gains.size == 0:
+    found = _best_cut(gains)
+    if found is None:
         return None
-    best = int(np.argmax(gains))  # feature-major, so ties go to the lowest feature then edge
-    gain = gains.flat[best]
-    if not gain > 0.0:
-        return None
-    col, j = divmod(best, gains.shape[1])
+    col, j, gain = found
     feature = int(feats[col])
     go_left, threshold = _cut(sub[:, col], j, bins, feature)
-    return float(gain), feature, threshold, rows[go_left], rows[~go_left]
+    return gain, feature, threshold, rows[go_left], rows[~go_left]
 
 
 def _cut(col_bins, j, bins: HistogramBins, feature: int) -> tuple[np.ndarray, float]:
@@ -382,12 +397,10 @@ def fit_tree_oblivious(
                 params.reg_lambda, params.min_child_weight,
             )
             totals += np.where(gains == -np.inf, 0.0, gains)
-        if totals.size == 0:
+        found = _best_cut(totals)
+        if found is None:
             break
-        best = int(np.argmax(totals))
-        if not totals.flat[best] > 0.0:
-            break
-        col, j = divmod(best, totals.shape[1])
+        col, j, _ = found
         feature = int(feats[col])
         go_left, threshold = _cut(xb[:, col], j, bins, feature)
         levels.append((feature, threshold))
@@ -416,35 +429,30 @@ def fit_tree_oblivious(
 def fit_tree_uniform(
     X, grad, hess, params: TreeParams, rng, rows=None, candidate_features=None
 ) -> DecisionTree:
-    """Extra-trees style fitter: at each node draw K features without
-    replacement and one uniform threshold inside each feature's observed
-    node range; the best-gain candidate wins.
-    """
+    """Extra trees (Geurts, Ernst & Wehenkel 2006): each node picks its
+    features as the histogram fitter does (``features_per_node=None`` means
+    every candidate feature), then draws one uniform threshold inside each
+    one's node range; the gain table scores each drawn cut as two bins."""
     X, grad, hess, rows, feats = _prep(X, grad, hess, rows, candidate_features)
-    k = params.features_per_node or int(np.ceil(np.sqrt(len(feats))))
 
     def find_split(node_rows):
-        picked = rng.choice(feats, size=min(k, len(feats)), replace=False)
-        picked.sort()
-        gn = grad[node_rows]
-        hn = hess[node_rows]
-        g_tot, h_tot = gn.sum(), hn.sum()
-        best = None
-        for f in picked:
-            col = X[node_rows, f]
-            lo, hi = col.min(), col.max()
-            if not hi > lo:
-                continue
-            threshold = rng.uniform(lo, hi)
-            mask = col < threshold
-            gl, hl = gn[mask].sum(), hn[mask].sum()
-            gr, hr = g_tot - gl, h_tot - hl
-            if hl < params.min_child_weight or hr < params.min_child_weight:
-                continue
-            gain = newton_gain(gl, hl, gr, hr, params.reg_lambda)
-            if np.isfinite(gain) and gain > 0.0 and (best is None or gain > best[0]):
-                best = (float(gain), int(f), float(threshold), node_rows[mask], node_rows[~mask])
-        return best
+        node_feats = _node_features(feats, params, rng)
+        sub = X[np.ix_(node_rows, node_feats)]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        drawn = hi > lo
+        thresholds = np.full(len(node_feats), np.inf)  # an undrawn column has one bin
+        thresholds[drawn] = rng.uniform(lo[drawn], hi[drawn])
+        cols = sub >= thresholds  # bin 0 goes left
+        gains = _gain_table(
+            cols, grad[node_rows], hess[node_rows], drawn.astype(np.int64),
+            params.reg_lambda, params.min_child_weight,
+        )
+        found = _best_cut(gains)
+        if found is None:
+            return None
+        col, _, gain = found
+        left = ~cols[:, col]
+        return gain, int(node_feats[col]), float(thresholds[col]), node_rows[left], node_rows[~left]
 
     root = _grow(find_split, rows, 0, params, grad, hess)
     return DecisionTree(root, X.shape[1])

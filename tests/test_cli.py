@@ -225,6 +225,30 @@ def test_synth_seed_flag_keeps_test_role_distinct(tmp_path):
     assert corpus(tmp_path / "test") == corpus(tmp_path / "s8")
 
 
+SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags, field",
+    [
+        ("folds", {"k_folds": 0}, [], "k_folds"),  # was a ZeroDivisionError
+        ("folds", {"k_folds": -2}, [], "k_folds"),  # wrote fold ids -1 and 0
+        ("folds", {"k_folds": 1}, [], "k_folds"),  # passed, then cv saw one class
+        ("synth", {"synth": {**SYNTH, "n_birds": 0}}, [], "n_birds"),
+        ("synth", {"synth": {**SYNTH, "seed": -4}}, [], "seed"),
+        ("synth", {}, ["--seed", "-1"], "--seed"),
+        ("folds", {}, ["--seed", "-1"], "--seed"),
+        ("cv", {}, ["--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
+    prepare_folds(tmp_path, learners=["svc"])
+    cfg = write_config(tmp_path, learners=["svc"], **overrides)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
 def test_truncated_model_is_data_error(tmp_path, capsys):
     cfg = prepare_folds(tmp_path, learners=["svc"])
     assert main(["synth", "--config", str(cfg), "--role", "test"]) == EXIT_OK

@@ -424,6 +424,29 @@ def test_oblivious_every_level_matches_bruteforce_oracle(rng):
             leaf_of = 2 * leaf_of + (Xr[:, feature] >= threshold)
 
 
+@pytest.mark.parametrize("backend", ["exact", "hist", "oblivious", "uniform"])
+def test_constant_gradient_node_never_splits(rng, backend):
+    # with one gradient and hessian on every row each cut's exact gain is 0
+    # (lambda 0) or negative (lambda 1); a split would be on rounding noise
+    for _ in range(100):
+        n = int(rng.integers(4, 60))
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        grad = np.full(n, rng.normal())
+        hess = np.full(n, rng.uniform(0.2, 2.0))
+        lam = float(rng.choice([0.0, 1.0]))
+        params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=0.0)
+        if backend == "exact":
+            tree = fit_tree_exact(X, grad, hess, params)
+        elif backend == "hist":
+            bins = build_bins(X, max_edges=7)
+            tree = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
+        elif backend == "oblivious":
+            tree = fit_oblivious_lossless(X, grad, hess, params)
+        else:
+            tree = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(n))
+        assert tree.root.is_leaf
+
+
 def test_oblivious_on_model_bins_equals_bins_of_tree_rows(rng):
     # the model's bins add empty bins and duplicate cuts of one partition;
     # neither may change the tree
@@ -465,6 +488,79 @@ def test_uniform_deterministic(rng):
     a = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(9))
     b = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(9))
     assert a.to_dict() == b.to_dict()
+
+
+class _RecordingRng:
+    """Passes draws through to a generator and keeps each one, a uniform
+    draw per value."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def choice(self, *args, **kwargs):
+        out = self._rng.choice(*args, **kwargs)
+        self.draws.append(("choice", np.sort(out)))
+        return out
+
+    def uniform(self, *args, **kwargs):
+        out = self._rng.uniform(*args, **kwargs)
+        self.draws.extend(("uniform", float(v)) for v in np.ravel(out))
+        return out
+
+
+def test_uniform_every_node_matches_bruteforce_oracle(rng):
+    # every cut has the best mask-sum gain among the cuts its node drew, and a
+    # leaf that could have split drew no cut that gains
+    tol = 1e-9
+    for _ in range(100):
+        X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
+        per_node = int(rng.integers(1, X.shape[1]))
+        params = TreeParams(
+            max_depth=3, reg_lambda=lam, min_child_weight=mcw, features_per_node=per_node
+        )
+        recorder = _RecordingRng(int(rng.integers(2**32)))
+        tree = fit_tree_uniform(X, grad, hess, params, recorder, rows=rows, candidate_features=feats)
+        draws = iter(recorder.draws)
+
+        def drawn_cuts(node_rows):
+            node_feats = feats
+            if per_node < len(feats):
+                kind, node_feats = next(draws)
+                assert kind == "choice"
+            cols = X[np.ix_(node_rows, node_feats)]
+            varies = cols.max(axis=0) > cols.min(axis=0)
+            cands = []
+            for f in node_feats[varies]:
+                kind, thr = next(draws)
+                assert kind == "uniform"
+                left = X[node_rows, f] < thr
+                gl, hl = grad[node_rows][left].sum(), hess[node_rows][left].sum()
+                gr, hr = grad[node_rows][~left].sum(), hess[node_rows][~left].sum()
+                gain = newton_gain(gl, hl, gr, hr, lam)
+                if hl >= mcw and hr >= mcw and np.isfinite(gain):
+                    cands.append((float(gain), int(f), float(thr)))
+            return cands
+
+        def check(node, node_rows, depth):
+            if depth >= params.max_depth or len(node_rows) < 2:
+                assert node.is_leaf
+                return
+            cands = drawn_cuts(node_rows)
+            best = max((c[0] for c in cands), default=0.0)
+            scale = max(1.0, abs(best))
+            if node.is_leaf:
+                assert best <= tol * scale
+                return
+            chosen = [c for c in cands if (c[1], c[2]) == (node.feature, node.threshold)]
+            assert chosen, "a cut the node never drew"
+            assert abs(chosen[0][0] - best) <= tol * scale
+            go_left = X[node_rows, node.feature] < node.threshold
+            check(node.left, node_rows[go_left], depth + 1)
+            check(node.right, node_rows[~go_left], depth + 1)
+
+        check(tree.root, rows, 0)
+        assert next(draws, None) is None, "draws no node used"
 
 
 # --- prediction and serialization --------------------------------------------
