@@ -20,8 +20,9 @@ import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -159,10 +160,16 @@ class RunConfig:
         return [(s, seed) for s in self.settings() for seed in self.seeds()]
 
     def synth_params(self, seed: int | None = None) -> SynthParams:
-        known = {f.name for f in fields(SynthParams)}
-        unknown = sorted(set(self.synth) - known)
+        types = get_type_hints(SynthParams)
+        unknown = sorted(set(self.synth) - set(types))
         if unknown:
             raise UsageError(f"unknown synth parameters: {unknown}")
+        for name, value in self.synth.items():
+            # an int field takes an int, a float field an int or a float; never a bool
+            allowed = (int,) if types[name] is int else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                expected = "an integer" if types[name] is int else "a number"
+                raise UsageError(f"synth.{name}: expected {expected}, got {value!r}")
         params = SynthParams(**self.synth)
         if seed is not None:
             params = replace(params, seed=seed)

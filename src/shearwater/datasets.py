@@ -12,10 +12,10 @@ always come from the matching pooled subset of the *training* corpus.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,17 +77,22 @@ class FeatureMatrix:
         )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        header = ["bird_id"] + (["label"] if self.labels is not None else []) + self.columns
-        writer.writerow(header)
-        for i, bird_id in enumerate(self.bird_ids):
-            row = [bird_id]
-            if self.labels is not None:
-                row.append(str(int(self.labels[i])))
-            row += ["" if np.isnan(v) else repr(float(v)) for v in self.values[i]]
-            writer.writerow(row)
-        return out.getvalue()
+        """The header and each row's lead go through ``csv.writer``, which
+        quotes a bird id when it needs it. The value cells (``repr``, NaN
+        as ``""``) never need quoting, so all but the first are joined
+        directly in place of the row's line end.
+        """
+        parts: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n")
+        has_label = self.labels is not None
+        writer.writerow(["bird_id"] + (["label"] if has_label else []) + self.columns)
+        labels = [[str(y)] for y in self.labels.tolist()] if has_label else [[]] * len(self.bird_ids)
+        for bird_id, label, values in zip(self.bird_ids, labels, self.values):
+            cells = ["" if v != v else repr(v) for v in values.tolist()]
+            writer.writerow([bird_id, *label, *cells[:1]])
+            parts[-1] = parts[-1][:-1]  # drop the writer's "\n"; the row goes on
+            parts.append(",".join(["", *cells[1:]]) + "\n")
+        return "".join(parts)
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":

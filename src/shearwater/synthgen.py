@@ -3,8 +3,11 @@
 Each bird is a correlated random walk on the sphere with gender-dependent
 cruise speed and turning concentration; the velocity-mean separation is
 the planted signal because the velocity summaries downstream measure it
-directly. Sun geometry is a crude diurnal sinusoid (features consume it
-numerically, so astronomical fidelity is irrelevant).
+directly. The walk has no per-step loop: headings are a cumulative sum of
+the turns, and latitude then longitude are cumulative sums of their steps,
+clipped to ±85° / ±179° (:func:`_clipped_walk`). Sun geometry is a crude
+diurnal sinusoid (features consume it numerically, so astronomical fidelity
+is irrelevant).
 """
 
 from __future__ import annotations
@@ -49,6 +52,27 @@ class SynthParams:
             raise ValueError("seed must be >= 0")
 
 
+def _clipped_walk(start: float, steps: np.ndarray, bound: float) -> np.ndarray:
+    """Points ``x[0] = start``, ``x[t + 1] = clip(x[t] + steps[t], -bound, bound)``.
+
+    ``np.cumsum`` adds in sequence, so a run of unclipped points is the same
+    floats as adding one step at a time. Each point past the bound is set to
+    the bound and the sum restarts from it.
+    """
+    out = np.empty(len(steps) + 1)
+    out[0] = start
+    fixed = 0  # out[: fixed + 1] is final
+    while fixed < len(steps):
+        run = np.cumsum(np.concatenate((out[fixed : fixed + 1], steps[fixed:])))[1:]
+        over = np.flatnonzero(np.abs(run) > bound)
+        end = len(run) if over.size == 0 else int(over[0]) + 1
+        out[fixed + 1 : fixed + 1 + end] = run[:end]
+        if over.size:
+            out[fixed + end] = np.clip(run[end - 1], -bound, bound)
+        fixed += end
+    return out
+
+
 def _generate_bird(params: SynthParams, index: int) -> tuple[Trajectory, int]:
     # Private stream per bird so generation order / parallelism is irrelevant.
     rng = np.random.default_rng([params.seed, index])
@@ -63,21 +87,16 @@ def _generate_bird(params: SynthParams, index: int) -> tuple[Trajectory, int]:
 
     start_local = float(rng.integers(0, SECONDS_PER_DAY))
     heading = rng.uniform(0.0, 2.0 * np.pi)
-    lon = np.empty(n)
-    lat = np.empty(n)
-    lon[0] = params.start_lon + rng.uniform(-0.2, 0.2)
-    lat[0] = params.start_lat + rng.uniform(-0.2, 0.2)
+    lon0 = params.start_lon + rng.uniform(-0.2, 0.2)
+    lat0 = params.start_lat + rng.uniform(-0.2, 0.2)
     speeds = np.maximum(0.1, rng.normal(speed_mu, params.speed_sigma, size=n - 1))
     turns = rng.normal(0.0, 1.0 / np.sqrt(kappa), size=n - 1)
-    for t in range(n - 1):
-        heading += turns[t]
-        dist = speeds[t] * (elapsed[t + 1] - elapsed[t])
-        dlat = np.degrees(dist * np.cos(heading) / EARTH_RADIUS_M)
-        dlon = np.degrees(
-            dist * np.sin(heading) / (EARTH_RADIUS_M * np.cos(np.radians(lat[t])))
-        )
-        lat[t + 1] = np.clip(lat[t] + dlat, -85.0, 85.0)
-        lon[t + 1] = np.clip(lon[t] + dlon, -179.0, 179.0)
+    headings = np.cumsum(np.concatenate(([heading], turns)))[1:]
+    dist = speeds * np.diff(elapsed)
+    dlat = np.degrees(dist * np.cos(headings) / EARTH_RADIUS_M)
+    lat = _clipped_walk(lat0, dlat, 85.0)
+    dlon = np.degrees(dist * np.sin(headings) / (EARTH_RADIUS_M * np.cos(np.radians(lat[:-1]))))
+    lon = _clipped_walk(lon0, dlon, 179.0)
 
     absolute = start_local + elapsed
     local_time = (absolute % SECONDS_PER_DAY).astype(np.int64)

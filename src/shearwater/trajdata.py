@@ -151,12 +151,6 @@ def parse_local_time(text: str) -> int:
     return h * 3600 + m * 60 + s
 
 
-def format_local_time(seconds: int) -> str:
-    h, rem = divmod(int(seconds), 3600)
-    m, s = divmod(rem, 60)
-    return f"{h:02d}:{m:02d}:{s:02d}"
-
-
 def _float(text: str, column: str) -> float:
     try:
         return float(text)
@@ -208,25 +202,30 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     return traj
 
 
+_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
+_DAY_MINUTES = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Inverse of :func:`parse_trajectory`; floats use shortest round-trip repr."""
-    lines = [",".join(CSV_HEADER)]
-    for i in range(len(traj)):
-        lines.append(
-            ",".join(
-                (
-                    repr(float(traj.longitude[i])),
-                    repr(float(traj.latitude[i])),
-                    repr(float(traj.sun_azimuth[i])),
-                    repr(float(traj.sun_elevation[i])),
-                    str(int(traj.daytime[i])),
-                    repr(float(traj.elapsed[i])),
-                    format_local_time(int(traj.local_time[i])),
-                    str(int(traj.days[i])),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Inverse of :func:`parse_trajectory`; floats use shortest round-trip repr.
+
+    Each column is converted to Python numbers once and formatted as a whole;
+    ``hh:mm:ss`` comes from a table of the day's 1440 ``hh:mm:`` prefixes.
+    """
+    seconds = traj.local_time.tolist()
+    if seconds and not (0 <= min(seconds) and max(seconds) < SECONDS_PER_DAY):
+        raise OutOfRange(f"{traj.bird_id}: local_time out of range")
+    rows = zip(
+        map(repr, traj.longitude.tolist()),
+        map(repr, traj.latitude.tolist()),
+        map(repr, traj.sun_azimuth.tolist()),
+        map(repr, traj.sun_elevation.tolist()),
+        map(str, traj.daytime.tolist()),
+        map(repr, traj.elapsed.tolist()),
+        [_DAY_MINUTES[t // 60] + _TWO_DIGITS[t % 60] for t in seconds],
+        map(str, traj.days.tolist()),
+    )
+    return "\n".join([",".join(CSV_HEADER), *map(",".join, rows), ""])
 
 
 def parse_labels(csv_text: str) -> dict[str, int]:

@@ -239,6 +239,10 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("synth", {}, ["--seed", "-1"], "--seed"),
         ("folds", {}, ["--seed", "-1"], "--seed"),
         ("cv", {}, ["--seed", "-1"], "--seed"),
+        ("synth", {"synth": {**SYNTH, "n_birds": "many"}}, [], "synth.n_birds"),  # was exit 3
+        ("synth", {"synth": {**SYNTH, "n_birds": True}}, [], "synth.n_birds"),
+        ("synth", {"synth": {**SYNTH, "trip_length_min": 20.5}}, [], "synth.trip_length_min"),
+        ("synth", {"synth": {**SYNTH, "male_speed": "fast"}}, [], "synth.male_speed"),
     ],
 )
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
@@ -247,6 +251,11 @@ def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, fl
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
     assert field in capsys.readouterr().err
+
+
+def test_synth_float_field_takes_an_int(tmp_path):
+    cfg = RunConfig.from_file(write_config(tmp_path, synth={**SYNTH, "male_speed": 12}))
+    assert cfg.synth_params().male_speed == 12
 
 
 def test_truncated_model_is_data_error(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,47 @@ def test_matrix_csv_missing_serialized_empty(rng):
     matrix = build_dataset(corpus, DatasetMode.SPLIT)
     first_row = matrix.to_csv().splitlines()[1]
     assert ",," in first_row  # consecutive empties from the night block
+
+
+def _matrix_csv_per_cell(matrix):
+    """The one-cell-at-a-time writer that FeatureMatrix.to_csv replaced, kept as its oracle."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    labels = ["label"] if matrix.labels is not None else []
+    writer.writerow(["bird_id", *labels, *matrix.columns])
+    for i, bird_id in enumerate(matrix.bird_ids):
+        row = [bird_id]
+        if matrix.labels is not None:
+            row.append(str(int(matrix.labels[i])))
+        row += ["" if np.isnan(v) else repr(float(v)) for v in matrix.values[i]]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+EDGE_ROWS = np.array([
+    [-0.0, 5e-324, np.nan],
+    [1e-300, 1e16, np.inf],
+    [-np.inf, np.nan, np.nan],
+    [np.nan, 0.1, -1e-5],
+])
+
+
+@pytest.mark.parametrize("n_columns", [0, 1, 3])
+@pytest.mark.parametrize("labels", [None, [0, 1, 1, 0]], ids=["unlabeled", "labeled"])
+def test_matrix_writer_matches_per_cell_oracle_on_edge_values(n_columns, labels):
+    matrix = FeatureMatrix(
+        bird_ids=["plain", "has,comma", 'has"quote', ""],
+        columns=["x", "y,z", 'w"'][:n_columns],
+        values=EDGE_ROWS[:, :n_columns],
+        labels=labels,
+    )
+    text = matrix.to_csv()
+    assert text == _matrix_csv_per_cell(matrix)
+    again = FeatureMatrix.from_csv(text)
+    assert again.bird_ids == matrix.bird_ids
+    assert again.columns == matrix.columns
+    np.testing.assert_array_equal(again.values, matrix.values)
+    np.testing.assert_array_equal(again.labels, matrix.labels)
 
 
 @pytest.mark.parametrize(

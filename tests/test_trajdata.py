@@ -135,6 +135,66 @@ def test_round_trip_random_trajectories(n, seed):
     assert again == traj
 
 
+def _format_local_time(seconds):
+    h, rem = divmod(int(seconds), 3600)
+    m, s = divmod(rem, 60)
+    return f"{h:02d}:{m:02d}:{s:02d}"
+
+
+def _trajectory_to_csv_per_cell(traj):
+    """The one-cell-at-a-time writer that trajectory_to_csv replaced, kept as its oracle."""
+    lines = [HEADER]
+    for i in range(len(traj)):
+        lines.append(
+            ",".join(
+                (
+                    repr(float(traj.longitude[i])),
+                    repr(float(traj.latitude[i])),
+                    repr(float(traj.sun_azimuth[i])),
+                    repr(float(traj.sun_elevation[i])),
+                    str(int(traj.daytime[i])),
+                    repr(float(traj.elapsed[i])),
+                    _format_local_time(int(traj.local_time[i])),
+                    str(int(traj.days[i])),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_per_cell_oracle_on_edge_values():
+    from tests.conftest import make_traj
+
+    traj = make_traj(
+        longitude=[-0.0, 5e-324, 1e-300, -179.99999999999997],
+        latitude=[5e-324, -0.0, 89.99999999999999, 1e-300],
+        elapsed=[-0.0, 5e-324, 1e-300, 1e16],
+        sun_azimuth=[0.0, 5e-324, 359.99999999999994, 1e-300],
+        sun_elevation=[-0.0, -90.0, 1e-300, 90.0],
+        daytime=[0, 1, 1, 0],
+        local_time=[0, 59, 3599, 86399],
+        days=[1, 1, 2, 10**12],
+    )
+    traj.validate()
+    text = trajectory_to_csv(traj)
+    assert text == _trajectory_to_csv_per_cell(traj)
+    assert [line.split(",")[6] for line in text.splitlines()[1:]] == [
+        "00:00:00", "00:00:59", "00:59:59", "23:59:59",
+    ]
+    again = parse_trajectory("b1", text)
+    assert again == traj
+    assert np.signbit(again.longitude[0]) and again.elapsed[3] == 1e16
+    assert trajectory_to_csv(traj.filter_daytime(2)) == HEADER + "\n"  # no rows
+
+
+@pytest.mark.parametrize("seconds", [-1, 86400])
+def test_writer_refuses_a_local_time_outside_the_day(seconds):
+    from tests.conftest import make_traj
+
+    with pytest.raises(OutOfRange, match="local_time"):
+        trajectory_to_csv(make_traj(local_time=[0, seconds]))
+
+
 def test_corpus_iteration_order_lexicographic(tmp_path):
     for name in ("b2", "b1", "b10"):
         (tmp_path / f"{name}.csv").write_text(TWO_ROWS)
