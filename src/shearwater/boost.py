@@ -6,14 +6,14 @@ Brand differences reduce to (loss, split-candidate generation, tree shape,
 bagging). ``LearnerKind.backend`` names each learner's split search: the
 xgb variants, sk_gbt and sk_rf use exact splits, the lgb variants
 histogram splits, cat oblivious trees and sk_et uniform random thresholds.
-``_backend_fitter`` is the one place that maps a backend to a tree fitter:
-exact, hist and oblivious all fit on bins built once per model (lossless
-for exact and oblivious, at most ``max_bin_edges`` edges per feature for
-hist); uniform draws its thresholds from the raw matrix and scores them
-with the same gain table.
-Both boosting learners run one loop, ``_boost``, over a loss's
-(gradient/hessian, loss) pair; the forests average class-mean leaves
-instead of boosting.
+``_fit_matrix`` is the one place that prepares a backend's matrix: exact,
+hist and oblivious all fit on bins built once per model (lossless for exact
+and oblivious, at most ``max_bin_edges`` edges per feature for hist);
+uniform draws its thresholds from the raw matrix and scores them with the
+same split kernel. Both boosting learners run one loop, ``_boost``, over a
+loss's (gradient/hessian, loss) pair and fit one tree a round through
+``_backend_fitter``; the forests grow all their trees together through
+``trees.fit_trees`` and average class-mean leaves instead of boosting.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .trees import (
     fit_tree_hist,
     fit_tree_oblivious,
     fit_tree_uniform,
+    fit_trees,
 )
 
 PROB_CLAMP = 1e-6
@@ -229,20 +230,31 @@ def _subsample(n: int, fraction: float, rng) -> np.ndarray | None:
     return picked
 
 
+def _fit_matrix(backend: str, X, max_bin_edges: int):
+    """The matrix a backend's trees fit on and its bins: raw X and None for
+    uniform; bins built once per model (lossless for exact and oblivious, at
+    most ``max_bin_edges`` edges per feature for hist) and X binned by them
+    otherwise."""
+    if backend == "uniform":
+        return X, None
+    if backend not in ("exact", "hist", "oblivious"):
+        raise ValueError(f"unknown backend {backend!r}")
+    bins = build_bins(X, max_bin_edges if backend == "hist" else None)
+    return bins.bin_matrix(X), bins
+
+
 def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int):
-    """The one map from a backend name to a tree fitter; returns
+    """The one map from a backend name to a one-tree fitter; returns
     fit(grad, hess, rng=, rows=, candidate_features=).
 
     The fitters are read from this module's globals each time this runs,
     so a wrapper installed on this module's attributes sees every fit.
     """
-    if backend == "uniform":
-        return partial(fit_tree_uniform, X, params=tree_params)
-    fitters = {"exact": fit_tree_hist, "hist": fit_tree_hist, "oblivious": fit_tree_oblivious}
-    if backend not in fitters:
-        raise ValueError(f"unknown backend {backend!r}")
-    bins = build_bins(X, max_bin_edges if backend == "hist" else None)
-    return partial(fitters[backend], bins.bin_matrix(X), bins=bins, params=tree_params)
+    data, bins = _fit_matrix(backend, X, max_bin_edges)
+    if bins is None:
+        return partial(fit_tree_uniform, data, params=tree_params)
+    fitter = fit_tree_oblivious if backend == "oblivious" else fit_tree_hist
+    return partial(fitter, data, bins=bins, params=tree_params)
 
 
 def _boost(X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss):
@@ -360,6 +372,11 @@ def fit_forest(
     * sk_rf:  bootstrap rows, sqrt(d) features per node, exact splits
     * lgb_rf: same bagging policy on the histogram backend
     * sk_et:  no bootstrap, sqrt(d) random uniform-threshold candidates
+
+    Every tree's bootstrap rows are drawn first; then ``trees.fit_trees``
+    grows all the trees together, level by level, each level's nodes
+    drawing their features (and sk_et's thresholds) in (tree, then
+    left-to-right) order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -375,18 +392,21 @@ def fit_forest(
         reg_lambda=0.0,
         features_per_node=per_node,
     )
-    fitter = _backend_fitter(kind.backend, X, tree_params, params.max_bin_edges)
-    bootstrap = kind is not LearnerKind.SK_ET
-    trees: list[DecisionTree] = []
-    for _ in range(params.n_trees):
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        p_bar = float(y[rows].mean())
-        tree = fitter(p_bar - y, np.ones(n), rng=rng, rows=rows)
+    data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges)
+    if kind is LearnerKind.SK_ET:
+        rows = [np.arange(n)] * params.n_trees
+    else:
+        rows = [rng.integers(0, n, size=n) for _ in range(params.n_trees)]
+    p_bars = [float(y[r].mean()) for r in rows]
+    trees = fit_trees(
+        data, [p_bar - y for p_bar in p_bars], [np.ones(n)] * params.n_trees, rows,
+        tree_params, rng, bins,
+    )
+    for tree, p_bar in zip(trees, p_bars):
         tree.shift_leaves(p_bar)
         for leaf in tree.leaves():
             # leaves are class means; clamp away shift rounding like -1e-17
             leaf.value = float(np.clip(leaf.value, 0.0, 1.0))
-        trees.append(tree)
     return TrainedModel(
         kind=kind,
         params=params,

@@ -74,6 +74,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_numbers(values: dict, types: dict, prefix: str) -> None:
+    """UsageError naming the first field whose value does not fit its type:
+    an int field takes an int, a float field an int or a float; never a bool."""
+    for name, value in values.items():
+        allowed = (int,) if types[name] is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            expected = "an integer" if types[name] is int else "a number"
+            raise UsageError(f"{prefix}{name}: expected {expected}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     train_dir: Path
@@ -115,13 +125,15 @@ class RunConfig:
                 learners=[LearnerKind(k) for k in doc.get("learners", ALL_LEARNERS)],
                 default_params=params.get("default", {}),
                 learner_params={k: v for k, v in params.items() if k != "default"},
-                n_seeds=int(doc.get("n_seeds", 10)),
-                base_seed=int(doc.get("base_seed", 2018)),
-                k_folds=int(doc.get("k_folds", 5)),
+                n_seeds=doc.get("n_seeds", 10),
+                base_seed=doc.get("base_seed", 2018),
+                k_folds=doc.get("k_folds", 5),
                 synth=doc.get("synth", {}),
             )
         except (KeyError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from None
+        counts = {"n_seeds": cfg.n_seeds, "base_seed": cfg.base_seed, "k_folds": cfg.k_folds}
+        _check_numbers(counts, dict.fromkeys(counts, int), "")
         if cfg.n_seeds < 1:
             raise UsageError("n_seeds must be >= 1")
         if cfg.k_folds < 2:
@@ -140,6 +152,9 @@ class RunConfig:
     def params_for(self, kind: LearnerKind) -> GbdtParams:
         merged = dict(self.default_params)
         merged.update(self.learner_params.get(kind.value, {}))
+        types = get_type_hints(GbdtParams)
+        known = {name: value for name, value in merged.items() if name in types}
+        _check_numbers(known, types, f"params.{kind.value}.")
         try:
             return GbdtParams.from_dict(merged)
         except (KeyError, TypeError) as exc:
@@ -164,12 +179,7 @@ class RunConfig:
         unknown = sorted(set(self.synth) - set(types))
         if unknown:
             raise UsageError(f"unknown synth parameters: {unknown}")
-        for name, value in self.synth.items():
-            # an int field takes an int, a float field an int or a float; never a bool
-            allowed = (int,) if types[name] is int else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                expected = "an integer" if types[name] is int else "a number"
-                raise UsageError(f"synth.{name}: expected {expected}, got {value!r}")
+        _check_numbers(self.synth, types, "synth.")
         params = SynthParams(**self.synth)
         if seed is not None:
             params = replace(params, seed=seed)

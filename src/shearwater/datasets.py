@@ -176,17 +176,29 @@ def build_dataset_with_thresholds(
     )
 
 
+def _column_medians(values: np.ndarray) -> np.ndarray:
+    """Each column's median over its non-NaN entries, 0 for a column with
+    none. A sort puts NaN last, so a column's k observed values lead it; the
+    median is (s[(k-1)//2] + s[k//2]) / 2, the sum-then-halve np.nanmedian
+    takes below 600 rows (an odd count's middle value is added to itself).
+    Only a tie of 0.0 and -0.0 can differ from it, in the zero's sign."""
+    if values.shape[0] == 0:
+        return np.zeros(values.shape[1])
+    s = np.sort(values, axis=0)
+    k = (~np.isnan(values)).sum(axis=0)
+    cols = np.arange(values.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):  # as np.nanmedian: inf - inf, huge sums
+        medians = (s[(k - 1) // 2, cols] + s[k // 2, cols]) / 2
+    return np.where(k > 0, medians, 0.0)
+
+
 def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
     """Fill missing entries with training-column medians (0 when a training
     column is entirely missing). Idempotent; never touches the train matrix.
     """
     if train.columns != apply_to.columns:
         raise SchemaMismatch("imputation train/apply column schemas differ")
-    fill = np.zeros(len(train.columns))
-    observed = ~np.isnan(train.values)
-    any_observed = observed.any(axis=0)
-    if any_observed.any():
-        fill[any_observed] = np.nanmedian(train.values[:, any_observed], axis=0)
+    fill = _column_medians(train.values)
     values = apply_to.values.copy()
     nan_rows, nan_cols = np.nonzero(np.isnan(values))
     values[nan_rows, nan_cols] = fill[nan_cols]

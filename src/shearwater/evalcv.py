@@ -181,14 +181,13 @@ def cross_validate(
     for k in range(folds.k):
         test_mask = fold_of == k
         train = matrix.subset(~test_mask)
-        test = matrix.subset(test_mask)
-        train_imp = impute(train, train)
-        test_imp = impute(train, test)
+        filled = impute(train, matrix)  # one fill from the training rows, for all rows
         rng = setting_rng(setting.name, seed, k)
         model = fit_learner(
-            setting.kind, train_imp.values, train.labels, setting.params, rng, train.columns
+            setting.kind, filled.values[~test_mask], train.labels, setting.params, rng,
+            train.columns,
         )
-        oof[test_mask] = predict_scores(model, test_imp)
+        oof[test_mask] = predict_scores(model, filled.subset(test_mask))
     unscored = [b for b, score in zip(matrix.bird_ids, oof) if np.isnan(score)]
     if unscored:
         raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {unscored[:5]}")

@@ -4,10 +4,10 @@ One Newton objective serves every backend: a split's quality is
 
     gain = 1/2 * [GL^2/(HL+l) + GR^2/(HR+l) - (GL+GR)^2/(HL+HR+l)]
 
-and a leaf predicts -G/(H+l). One kernel, ``_gain_table``, scores every
-(feature, bin edge) cut of a node from gradient and hessian histograms.
-The exact, histogram and oblivious backends all search it and differ only
-in their bins:
+and a leaf predicts -G/(H+l). Trees grow level by level. One kernel,
+``_level_gains``, scores every (node, feature, bin) cut of many nodes at
+once from gradient and hessian histograms, and ``_best_cuts`` picks each
+node's cut. The backends all search it and differ only in their bins:
 
 * exact      - lossless bins, one per distinct value, so the cuts are the
                midpoints between consecutive distinct observed values
@@ -15,18 +15,34 @@ in their bins:
 * oblivious  - the model's lossless bins, with thresholds at the midpoints
                of the tree rows' neighbouring distinct values; one shared
                (feature, threshold) test per depth level, scored by summing
-               the current leaves' gain tables
+               the current leaves' gains
 * uniform    - one uniform threshold per node feature (extra trees), each
                drawn column scored as two bins split at its one edge
 
-Growth is depth-wise everywhere, and ``_best_cut`` accepts every cut. Ties
-in gain resolve to the lowest feature index, then the lowest threshold, up
-to the rounding of the histogram sums: two cuts whose gains are equal in
-exact arithmetic may differ in the last bits. A gain of at most 1e-12
-times the node's own parent term G^2/(H+l) in magnitude is rounding noise
-and counts as exactly 0, so a pure node never splits. Rows with value <
-threshold go left; missing values follow the node's missing-direction flag
-(left by default). Fitting assumes finite inputs; prediction tolerates NaN.
+A node is scored only at the bins its rows occupy (an oblivious leaf at the
+bins its tree's rows occupy, so the leaves' gains line up and sum). An
+empty bin repeats the cumulative sums of the bin below it, so its cut ties
+with a lower one and never wins, and skipping it leaves out only exact
+zeros; per-bin sums accumulate in row order, so every gain is the float a
+node-by-node search computes.
+
+``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
+and ``fit_tree_uniform`` grow a batch of one. A level's nodes go to the
+kernel in runs of at most ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS``
+histogram slots, so memory does not grow with the batch. Random draws
+follow the level, not the run: every node of a level that may split draws
+its features in (tree, then left-to-right) order, and uniform thresholds
+are then drawn for those nodes in the same order, so the runs never change
+a tree.
+
+Ties in gain resolve to the lowest feature index, then the lowest
+threshold, up to the rounding of the histogram sums: two cuts whose gains
+are equal in exact arithmetic may differ in the last bits. A gain of at
+most 1e-12 times the node's own parent term G^2/(H+l) in magnitude is
+rounding noise and counts as exactly 0, so a pure node never splits. Rows
+with value < threshold go left; missing values follow the node's
+missing-direction flag (left by default). Fitting assumes finite inputs;
+prediction tolerates NaN.
 """
 
 from __future__ import annotations
@@ -34,6 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Upper bounds on one kernel call's samples and histogram slots (nodes x
+# columns x bins), so a call's memory does not grow with the batch.
+_KERNEL_ROWS = 1024
+_KERNEL_SLOTS = 1 << 16
 
 
 @dataclass
@@ -155,11 +176,25 @@ def newton_gain(gl, hl, gr, hr, reg_lambda):
         return 0.5 * (gl**2 / (hl + reg_lambda) + gr**2 / (hr + reg_lambda) - parent)
 
 
-def _leaf_value(rows, grad, hess, reg_lambda) -> float:
-    g = grad[rows].sum()
-    h = hess[rows].sum()
+def _leaf_value(g, h, reg_lambda) -> float:
     denom = h + reg_lambda
     return 0.0 if denom == 0.0 else float(-g / denom)
+
+
+def _new_nodes(grad, hess, sizes, reg_lambda):
+    """Leaf nodes for consecutive runs of samples, with each run's gradient
+    and hessian sums; each run is summed on its own, so its sums are the
+    floats a sum over that node's rows alone gives."""
+    ends = np.cumsum(sizes)
+    g = np.array([grad[end - size:end].sum() for size, end in zip(sizes, ends)])
+    h = np.array([hess[end - size:end].sum() for size, end in zip(sizes, ends)])
+    return [TreeNode(value=_leaf_value(gk, hk, reg_lambda)) for gk, hk in zip(g, h)], g, h
+
+
+def _candidates(n_features: int, candidate_features) -> np.ndarray:
+    if candidate_features is None:
+        return np.arange(n_features)
+    return np.sort(np.asarray(candidate_features))
 
 
 def _node_features(candidate_features, params: TreeParams, rng) -> np.ndarray:
@@ -170,83 +205,206 @@ def _node_features(candidate_features, params: TreeParams, rng) -> np.ndarray:
     return picked
 
 
-def _gain_table(sub, grad, hess, n_edges, reg_lambda, mcw) -> np.ndarray:
-    """Newton gain of every (column, bin edge) cut of one node.
+def _runs(sizes, slots_per_node: int, order) -> list[np.ndarray]:
+    """The nodes, taken in ``order``, cut into runs of at most
+    ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS`` histogram slots (a node
+    over either runs alone)."""
+    runs, start, rows, slots = [], 0, 0, 0
+    for i, size in enumerate(sizes[order]):
+        if i > start and (rows + size > _KERNEL_ROWS or slots + slots_per_node > _KERNEL_SLOTS):
+            runs.append(order[start:i])
+            start, rows, slots = i, 0, 0
+        rows += size
+        slots += slots_per_node
+    runs.append(order[start:])
+    return runs
 
-    ``sub`` holds the node rows' bin indices (rows x columns), ``grad`` and
-    ``hess`` their gradients and hessians, ``n_edges`` each column's edge
-    count. Entry [c, j] scores sending bins <= j left: -inf where j is not
-    an edge of column c or a child fails min_child_weight, and exactly 0
-    where the gain is rounding noise next to the node's parent term.
+
+def _positions(starts, nodes) -> np.ndarray:
+    """The sample positions of ``nodes``, node after node, where node k's
+    samples sit at starts[k]:starts[k + 1]."""
+    sizes = starts[nodes + 1] - starts[nodes]
+    return np.repeat(starts[nodes] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def _occupied_ranks(key, n_seg: int, width: int) -> np.ndarray:
+    """rank[s, b] + 1 is how many bins <= b segment s occupies, where each
+    cell's ``key`` is its segment * width + its bin; so an occupied bin's
+    rank is its position among the segment's occupied bins."""
+    present = np.zeros(n_seg * width, dtype=bool)
+    present[key] = True
+    return np.cumsum(present.reshape(n_seg, width), axis=1, dtype=np.int32) - 1
+
+
+def _level_gains(
+    binned, node_of, n_nodes, width, grad, hess, node_g, node_h, reg_lambda, mcw, rank=None
+):
+    """Newton gain of every (node, column, occupied bin) cut of a run of nodes.
+
+    ``binned`` holds the bin ids (< width) of the run's samples, one row per
+    sample and one column per node column; each node's samples sit in the
+    node's row order, and ``node_of`` numbers their node from 0.
+    ``grad``/``hess`` are the samples' statistics and ``node_g``/``node_h``
+    each node's sums. Each (node, column) is scored at the bins its own
+    samples occupy, or, given ``rank`` (columns x width, from a whole
+    tree's rows), at the bins the tree occupies.
+
+    Returns the gains (nodes x columns x ranks) and the ranks. Entry
+    [k, c, r] scores sending the occupied bins of rank <= r left: -inf past
+    the occupied bins or where a child fails min_child_weight, and exactly
+    0 where the gain is rounding noise next to the node's parent term.
     """
-    m = sub.shape[1]
-    width = int(n_edges.max(initial=0)) + 1
-    flat_idx = (sub + np.arange(m, dtype=np.int64)[None, :] * width).ravel()
+    m = binned.shape[1]
+    seg = node_of[:, None] * m + np.arange(m)
+    if rank is None:
+        key = seg * width + binned
+        rank = _occupied_ranks(key, n_nodes * m, width)
+        count = rank[:, -1] + 1
+    else:
+        key = np.arange(m) * width + binned
+        count = np.tile(rank[:, -1] + 1, n_nodes)
+    k = int(count.max())
+    flat_idx = (seg * k + np.take(rank, key)).ravel()
 
     def cumulative_hist(w):
-        weights = np.broadcast_to(w[:, None], sub.shape).ravel()
-        hist = np.bincount(flat_idx, weights=weights, minlength=m * width)
-        return np.cumsum(hist.reshape(m, width), axis=1)
+        weights = np.broadcast_to(w[:, None], binned.shape).ravel()
+        hist = np.bincount(flat_idx, weights=weights, minlength=n_nodes * m * k)
+        return np.cumsum(hist.reshape(n_nodes * m, k), axis=1)
 
-    cg, ch = cumulative_hist(grad), cumulative_hist(hess)
-    gl, hl = cg[:, :-1], ch[:, :-1]
-    gr, hr = cg[:, -1:] - gl, ch[:, -1:] - hl
+    gl, hl = cumulative_hist(grad), cumulative_hist(hess)
+    gr, hr = gl[:, -1:] - gl, hl[:, -1:] - hl
     gains = newton_gain(gl, hl, gr, hr, reg_lambda)
     with np.errstate(divide="ignore", invalid="ignore"):
-        noise = np.abs(gains) <= 1e-12 * grad.sum() ** 2 / (hess.sum() + reg_lambda)
-    in_range = np.arange(width - 1)[None, :] < n_edges[:, None]
-    ok = in_range & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
-    return np.where(ok, np.where(noise, 0.0, gains), -np.inf)
+        parent = 1e-12 * node_g**2 / (node_h + reg_lambda)
+    ok = (np.arange(k) < count[:, None]) & (hl >= mcw) & (hr >= mcw) & np.isfinite(gains)
+    gains[np.abs(gains) <= np.repeat(parent, m)[:, None]] = 0.0
+    gains[~ok] = -np.inf
+    return gains.reshape(n_nodes, m, k), rank
 
 
-def _best_cut(gains) -> tuple[int, int, float] | None:
-    """The (column, edge, gain) of a gain table's best cut, or None when no
-    cut gains. argmax scans the table row by row, one row per column, so
-    ties go to the lowest column, then the lowest edge."""
-    if gains.size == 0:
-        return None
-    best = int(np.argmax(gains))
-    if not gains.flat[best] > 0.0:
-        return None
-    col, j = divmod(best, gains.shape[1])
-    return col, j, float(gains.flat[best])
+def _best_cuts(gains):
+    """Each node's best cut in a (nodes x columns x ranks) gain table: its
+    column, its rank and whether it gains (> 0). argmax scans a node's table
+    column by column, so ties go to the lowest column, then the lowest bin."""
+    flat = gains.reshape(len(gains), -1)
+    best = flat.argmax(axis=1)
+    col, r = np.divmod(best, gains.shape[2])
+    return col, r, flat[np.arange(len(flat)), best] > 0.0
 
 
-def _grow(find_split, rows, depth, params: TreeParams, grad, hess) -> TreeNode:
-    node = TreeNode(value=_leaf_value(rows, grad, hess, params.reg_lambda))
-    if depth >= params.max_depth or len(rows) < 2:
-        return node
-    found = find_split(rows)
-    if found is None:
-        return node
-    _, feature, threshold, left_rows, right_rows = found
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(find_split, left_rows, depth + 1, params, grad, hess)
-    node.right = _grow(find_split, right_rows, depth + 1, params, grad, hess)
-    return node
+def _rank_bins(rank_rows, r):
+    """Per row of ranks, the occupied bin of rank r and the next occupied bin."""
+    return (rank_rows < r[:, None]).sum(axis=1), (rank_rows <= r[:, None]).sum(axis=1)
 
 
-def _prep(X, grad, hess, rows, candidate_features, dtype=np.float64):
-    X = np.asarray(X, dtype=dtype)
-    grad = np.asarray(grad, dtype=np.float64)
-    hess = np.asarray(hess, dtype=np.float64)
-    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
-    if candidate_features is None:
-        feats = np.arange(X.shape[1])
-    else:
-        feats = np.sort(np.asarray(candidate_features))
-    return X, grad, hess, rows, feats
+def _threshold(bins: "HistogramBins", feature: int, ltop, rbot) -> float:
+    """The recorded threshold of a cut between occupied bins ``ltop`` and
+    ``rbot``: the midpoint between their training value bounds, so training
+    rows route identically to the bin split; with lossless bins it is the
+    midpoint between the rows' neighbouring distinct values."""
+    return float(0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot]))
 
 
-def fit_tree_exact(
-    X, grad, hess, params: TreeParams, rng=None, rows=None, candidate_features=None
-) -> DecisionTree:
-    """Greedy depth-wise tree over midpoint thresholds of observed values:
-    the histogram fitter on lossless bins.
+def fit_trees(
+    X, grads, hesses, rows, params: TreeParams, rng=None, bins=None, candidate_features=None
+) -> list[DecisionTree]:
+    """Grow a batch of trees together, one level at a time: tree t fits
+    ``grads[t]`` and ``hesses[t]`` on ``rows[t]`` (None for every row;
+    repeats allowed). Each node picks its features with ``_node_features``.
+
+    With ``bins``, X is the binned matrix and a node cuts at a bin edge
+    (exact and histogram backends). Without, X is the raw matrix and each
+    node draws one uniform threshold inside each picked feature's node range
+    (extra trees; Geurts, Ernst & Wehenkel 2006), each drawn cut scored as
+    two bins.
     """
-    bins = build_bins(X, max_edges=None)
-    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, rng, rows, candidate_features)
+    if not rows:
+        return []
+    uniform = bins is None
+    X = np.asarray(X, dtype=np.float64 if uniform else None)
+    n, d = X.shape
+    feats = _candidates(d, candidate_features)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    lam, mcw = params.reg_lambda, params.min_child_weight
+    width = 2 if uniform else int(bins.n_edges[feats].max(initial=0)) + 1
+    tree_rows = [np.arange(n) if r is None else np.asarray(r) for r in rows]
+    # the level's samples, node after node, each node's in its row order
+    samples = np.concatenate(tree_rows)
+    grad = np.concatenate([np.asarray(g, dtype=np.float64)[r] for g, r in zip(grads, tree_rows)])
+    hess = np.concatenate([np.asarray(h, dtype=np.float64)[r] for h, r in zip(hesses, tree_rows)])
+    sizes = np.array([len(r) for r in tree_rows])
+    nodes, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
+    roots = list(nodes)
+
+    for _ in range(params.max_depth):
+        live = sizes >= 2
+        if not live.any() or feats.size == 0:
+            break
+        keep = np.repeat(live, sizes)
+        samples, grad, hess = samples[keep], grad[keep], hess[keep]
+        nodes = [node for node, k in zip(nodes, live) if k]
+        sizes, node_g, node_h = sizes[live], node_g[live], node_h[live]
+        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        F = np.array([_node_features(feats, params, rng) for _ in nodes])
+        m = F.shape[1]
+        # nodes of like size share a run, so little of its table is padding
+        runs = _runs(sizes, m * width, np.argsort(sizes, kind="stable"))
+
+        if uniform:
+            lo, hi = np.empty(F.shape), np.empty(F.shape)
+            for run in runs:
+                s = _positions(starts, run)
+                vals = np.take(X, samples[s, None] * d + F[node_of[s]])
+                run_starts = np.cumsum(sizes[run]) - sizes[run]
+                lo[run] = np.minimum.reduceat(vals, run_starts)
+                hi[run] = np.maximum.reduceat(vals, run_starts)
+            drawn = hi > lo
+            thresholds = np.full(F.shape, np.inf)  # an undrawn column has one bin
+            thresholds[drawn] = rng.uniform(lo[drawn], hi[drawn])
+
+        def binned(s, c):
+            """Bin ids of level samples ``s`` in their nodes' columns ``c``."""
+            values = np.take(X, samples[s] * d + F[node_of[s], c])
+            if uniform:  # bin 0 goes left
+                return (values >= thresholds[node_of[s], c]).astype(np.intp)
+            return values
+
+        col = np.zeros(len(nodes), dtype=np.intp)
+        ltop = np.zeros(len(nodes), dtype=np.intp)
+        rbot = np.zeros(len(nodes), dtype=np.intp)
+        split = np.zeros(len(nodes), dtype=bool)
+        for run in runs:
+            s = _positions(starts, run)
+            local = np.repeat(np.arange(len(run)), sizes[run])
+            gains, rank = _level_gains(
+                binned(s[:, None], np.arange(m)), local, len(run), width,
+                grad[s], hess[s], node_g[run], node_h[run], lam, mcw,
+            )
+            col[run], r, split[run] = _best_cuts(gains)
+            ltop[run], rbot[run] = _rank_bins(rank[np.arange(len(run)) * m + col[run]], r)
+        if not split.any():
+            break
+
+        # children in (node, left then right) order, each keeping its rows' order
+        pos = np.flatnonzero(split[node_of])
+        right = binned(pos, col[node_of[pos]]) > ltop[node_of[pos]]
+        child = 2 * (np.cumsum(split) - 1)[node_of[pos]] + right
+        order = pos[np.argsort(child, kind="stable")]
+        samples, grad, hess = samples[order], grad[order], hess[order]
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        children, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
+        for i, k in enumerate(np.flatnonzero(split)):
+            node = nodes[k]
+            node.feature = int(F[k, col[k]])
+            if uniform:
+                node.threshold = float(thresholds[k, col[k]])
+            else:
+                node.threshold = _threshold(bins, node.feature, ltop[k], rbot[k])
+            node.left, node.right = children[2 * i], children[2 * i + 1]
+        nodes = children
+    return [DecisionTree(root, d) for root in roots]
 
 
 @dataclass
@@ -308,30 +466,14 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> HistogramBins:
     return HistogramBins(edges_list, mins_list, maxs_list)
 
 
-def _best_split_hist(Xb, grad, hess, rows, feats, bins, reg_lambda, mcw):
-    sub = Xb[np.ix_(rows, feats)]
-    gains = _gain_table(sub, grad[rows], hess[rows], bins.n_edges[feats], reg_lambda, mcw)
-    found = _best_cut(gains)
-    if found is None:
-        return None
-    col, j, gain = found
-    feature = int(feats[col])
-    go_left, threshold = _cut(sub[:, col], j, bins, feature)
-    return gain, feature, threshold, rows[go_left], rows[~go_left]
-
-
-def _cut(col_bins, j, bins: HistogramBins, feature: int) -> tuple[np.ndarray, float]:
-    """The rows' routing and recorded threshold of the cut "bins <= j go left".
-
-    ``col_bins`` holds the rows' bin indices of ``feature``. The threshold is
-    the midpoint between the adjacent occupied bins' training value bounds,
-    so training rows route identically to the bin split; with lossless bins
-    it is the midpoint between the rows' neighbouring distinct values.
+def fit_tree_exact(
+    X, grad, hess, params: TreeParams, rng=None, rows=None, candidate_features=None
+) -> DecisionTree:
+    """Greedy depth-wise tree over midpoint thresholds of observed values:
+    the histogram fitter on lossless bins.
     """
-    go_left = col_bins <= j
-    ltop = col_bins[go_left].max()
-    rbot = col_bins[~go_left].min()
-    return go_left, float(0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot]))
+    bins = build_bins(X, max_edges=None)
+    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, rng, rows, candidate_features)
 
 
 def fit_tree_hist(
@@ -345,18 +487,16 @@ def fit_tree_hist(
     candidate_features=None,
 ) -> DecisionTree:
     """Depth-wise tree with candidate thresholds restricted to bin edges."""
-    Xb, grad, hess, rows, feats = _prep(X_binned, grad, hess, rows, candidate_features, dtype=None)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    return fit_trees(X_binned, [grad], [hess], [rows], params, rng, bins, candidate_features)[0]
 
-    def find_split(node_rows):
-        node_feats = _node_features(feats, params, rng)
-        return _best_split_hist(
-            Xb, grad, hess, node_rows, node_feats, bins, params.reg_lambda, params.min_child_weight
-        )
 
-    root = _grow(find_split, rows, 0, params, grad, hess)
-    return DecisionTree(root, Xb.shape[1])
+def fit_tree_uniform(
+    X, grad, hess, params: TreeParams, rng, rows=None, candidate_features=None
+) -> DecisionTree:
+    """Extra-trees tree (see ``fit_trees``): each node draws one uniform
+    threshold per picked feature (``features_per_node=None`` means every
+    candidate feature)."""
+    return fit_trees(X, [grad], [hess], [rows], params, rng, None, candidate_features)[0]
 
 
 def fit_tree_oblivious(
@@ -376,45 +516,52 @@ def fit_tree_oblivious(
     consecutive distinct values over the tree's full row set, and a depth-1
     oblivious tree coincides with a depth-1 exact tree. A level's score for
     each cut is the sum, over current leaves in leaf order, of that leaf's
-    gain table, where a leaf whose children would violate min_child_weight
-    contributes zero; the level is applied only when the best total is
-    strictly positive.
+    gains at the bins the tree's rows occupy, where a leaf whose children
+    would violate min_child_weight contributes zero; the level is applied
+    only when the best total is strictly positive.
     """
-    Xb, grad, hess, rows, feats = _prep(X_binned, grad, hess, rows, candidate_features, dtype=None)
+    Xb = np.asarray(X_binned)
+    rows = np.arange(Xb.shape[0]) if rows is None else np.asarray(rows)
+    feats = _candidates(Xb.shape[1], candidate_features)
     xb = Xb[np.ix_(rows, feats)]
-    n_edges = bins.n_edges[feats]
-    g_all = grad[rows]
-    h_all = hess[rows]
+    g_all = np.asarray(grad, dtype=np.float64)[rows]
+    h_all = np.asarray(hess, dtype=np.float64)[rows]
+    m = len(feats)
+    width = int(bins.n_edges[feats].max(initial=0)) + 1
+    rank = _occupied_ranks(np.arange(m) * width + xb, m, width)  # shared by the leaves
+    k = int(rank[:, -1].max(initial=-1)) + 1
     levels: list[tuple[int, float]] = []
     leaf_of = np.zeros(len(rows), dtype=np.int64)
 
-    for _ in range(params.max_depth):
-        totals = np.zeros((len(feats), int(n_edges.max(initial=0))))
-        for leaf in range(2 ** len(levels)):
-            member = leaf_of == leaf
-            gains = _gain_table(
-                xb[member], g_all[member], h_all[member], n_edges,
-                params.reg_lambda, params.min_child_weight,
-            )
-            totals += np.where(gains == -np.inf, 0.0, gains)
-        found = _best_cut(totals)
-        if found is None:
+    while True:
+        order = np.argsort(leaf_of, kind="stable")
+        sizes = np.bincount(leaf_of, minlength=2 ** len(levels))
+        g, h = g_all[order], h_all[order]
+        leaves, node_g, node_h = _new_nodes(g, h, sizes, params.reg_lambda)
+        if len(levels) == params.max_depth or len(rows) < 2 or m == 0:
             break
-        col, j, _ = found
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        totals = np.zeros((m, k))
+        for run in _runs(sizes, m * k, np.arange(len(sizes))):
+            a, b = starts[run[0]], starts[run[-1] + 1]
+            gains, _ = _level_gains(
+                xb[order[a:b]], leaf_of[order[a:b]] - run[0], len(run), width, g[a:b], h[a:b],
+                node_g[run], node_h[run], params.reg_lambda, params.min_child_weight, rank=rank,
+            )
+            for leaf_gains in gains:
+                totals += np.where(leaf_gains == -np.inf, 0.0, leaf_gains)
+        col, r, ok = _best_cuts(totals[None])
+        if not ok[0]:
+            break
+        col = int(col[0])
+        (ltop,), (rbot,) = _rank_bins(rank[col][None], r)
         feature = int(feats[col])
-        go_left, threshold = _cut(xb[:, col], j, bins, feature)
-        levels.append((feature, threshold))
-        leaf_of = 2 * leaf_of + ~go_left
-
-    n_leaves = 2 ** len(levels)
-    values = np.zeros(n_leaves)
-    for leaf in range(n_leaves):
-        leaf_rows = rows[leaf_of == leaf]
-        values[leaf] = _leaf_value(leaf_rows, grad, hess, params.reg_lambda)
+        levels.append((feature, _threshold(bins, feature, ltop, rbot)))
+        leaf_of = 2 * leaf_of + (xb[:, col] > ltop)
 
     def build(level: int, prefix: int) -> TreeNode:
         if level == len(levels):
-            return TreeNode(value=float(values[prefix]))
+            return leaves[prefix]
         feature, threshold = levels[level]
         return TreeNode(
             feature=feature,
@@ -424,35 +571,3 @@ def fit_tree_oblivious(
         )
 
     return DecisionTree(build(0, 0), Xb.shape[1])
-
-
-def fit_tree_uniform(
-    X, grad, hess, params: TreeParams, rng, rows=None, candidate_features=None
-) -> DecisionTree:
-    """Extra trees (Geurts, Ernst & Wehenkel 2006): each node picks its
-    features as the histogram fitter does (``features_per_node=None`` means
-    every candidate feature), then draws one uniform threshold inside each
-    one's node range; the gain table scores each drawn cut as two bins."""
-    X, grad, hess, rows, feats = _prep(X, grad, hess, rows, candidate_features)
-
-    def find_split(node_rows):
-        node_feats = _node_features(feats, params, rng)
-        sub = X[np.ix_(node_rows, node_feats)]
-        lo, hi = sub.min(axis=0), sub.max(axis=0)
-        drawn = hi > lo
-        thresholds = np.full(len(node_feats), np.inf)  # an undrawn column has one bin
-        thresholds[drawn] = rng.uniform(lo[drawn], hi[drawn])
-        cols = sub >= thresholds  # bin 0 goes left
-        gains = _gain_table(
-            cols, grad[node_rows], hess[node_rows], drawn.astype(np.int64),
-            params.reg_lambda, params.min_child_weight,
-        )
-        found = _best_cut(gains)
-        if found is None:
-            return None
-        col, _, gain = found
-        left = ~cols[:, col]
-        return gain, int(node_feats[col]), float(thresholds[col]), node_rows[left], node_rows[~left]
-
-    root = _grow(find_split, rows, 0, params, grad, hess)
-    return DecisionTree(root, X.shape[1])

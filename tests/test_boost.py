@@ -338,3 +338,60 @@ def test_cat_bins_each_model_once(rng, monkeypatch):
     model = fit_learner(LearnerKind.CAT, X, y, params, np.random.default_rng(3))
     assert len(model.trees) == 5
     assert len(calls) == 1
+
+
+def _pinned_data():
+    rng = np.random.default_rng(2018)
+    n = 80
+    X = np.column_stack([
+        rng.normal(size=(n, 4)),
+        rng.integers(0, 5, size=(n, 2)).astype(float),  # tied values
+        np.full(n, 1.5),  # a column with no cut
+        rng.choice([-1.0, 0.0, 2.5], size=n),
+    ])
+    y = (X[:, 0] + 0.5 * X[:, 4] + rng.normal(scale=0.8, size=n) > 0.5).astype(np.int64)
+    return X, y
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("xgb_binary", "0b5d9c4e8dc1f158f04b9aed02e42b70795a4c24872696557d9860af74ef9fb3"),
+        ("xgb_rank", "bc627fe9e73fa2aa4bd139ab5b56f2cd46534b908de6da5695fd280460ea1a29"),
+        ("lgb_gbdt", "af5fd168007b8bc2a01b917fdd799cf63092e5023fe7e88d5bd2492a7b2e3a55"),
+        ("sk_gbt", "959972ca32f2e9c2afec394075c4954177fdd60038aad8510bc9872f048e3db3"),
+        ("cat", "87578811ec31da1c765f12ff49d4b926a36eb666944e7a60a26e0537b08aee72"),
+    ],
+)
+def test_boosting_model_bytes_are_pinned(kind, digest):
+    # the sha256 of each boosting learner's model JSON on a fixed dataset, as
+    # the node-by-node split search produced it; level-wise growth keeps them
+    import hashlib
+    import json
+
+    X, y = _pinned_data()
+    params = GbdtParams(
+        n_rounds=8, learning_rate=0.3, max_depth=3, subsample=0.8, colsample=0.8,
+        max_bin_edges=15, n_trees=6,
+    )
+    model = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(7))
+    text = json.dumps(model.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["sk_rf", "lgb_rf", "sk_et"])
+@pytest.mark.parametrize("rows, slots", [(1, 1), (70, 2000)])
+def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):
+    # a level's nodes reach the split kernel in runs bounded by module
+    # constants; every random draw is made per level, so the runs never
+    # change a forest: one node per call, or a few, equals the default
+    import shearwater.trees
+
+    X, y = _pinned_data()
+    params = small_params(n_trees=6, max_depth=4, max_bin_edges=15, min_child_weight=1.0)
+    default = fit_forest(X, y, params, LearnerKind(kind), np.random.default_rng(5))
+    monkeypatch.setattr(shearwater.trees, "_KERNEL_ROWS", rows)
+    monkeypatch.setattr(shearwater.trees, "_KERNEL_SLOTS", slots)
+    bounded = fit_forest(X, y, params, LearnerKind(kind), np.random.default_rng(5))
+    assert bounded.to_dict() == default.to_dict()
+    assert max(t.depth() for t in default.trees) >= 3

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shearwater.boost import LearnerKind
 from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
@@ -243,6 +244,12 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("synth", {"synth": {**SYNTH, "n_birds": True}}, [], "synth.n_birds"),
         ("synth", {"synth": {**SYNTH, "trip_length_min": 20.5}}, [], "synth.trip_length_min"),
         ("synth", {"synth": {**SYNTH, "male_speed": "fast"}}, [], "synth.male_speed"),
+        ("folds", {"k_folds": 3.7}, [], "k_folds"),  # ran 3 folds
+        ("folds", {"n_seeds": True}, [], "n_seeds"),  # ran 1 seed
+        ("folds", {"base_seed": "12"}, [], "base_seed"),  # ran seed 12
+        ("cv", {"params": {"default": {"n_trees": 2.5}}}, [], "params.svc.n_trees"),  # exit 3
+        ("cv", {"params": {"svc": {"max_depth": "2"}}}, [], "params.svc.max_depth"),  # exit 3
+        ("cv", {"params": {"svc": {"svm_reg": "0.1"}}}, [], "params.svc.svm_reg"),
     ],
 )
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
@@ -256,6 +263,11 @@ def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, fl
 def test_synth_float_field_takes_an_int(tmp_path):
     cfg = RunConfig.from_file(write_config(tmp_path, synth={**SYNTH, "male_speed": 12}))
     assert cfg.synth_params().male_speed == 12
+
+
+def test_hyperparameter_float_field_takes_an_int(tmp_path):
+    cfg = RunConfig.from_file(write_config(tmp_path, params={"default": {"learning_rate": 1}}))
+    assert cfg.params_for(LearnerKind.SVC).learning_rate == 1
 
 
 def test_truncated_model_is_data_error(tmp_path, capsys):

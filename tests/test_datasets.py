@@ -144,6 +144,23 @@ def test_impute_idempotent(rng):
     assert not np.isnan(once.values).any()
 
 
+def test_impute_fill_equals_nanmedian(rng):
+    # odd and even counts of observed values, an all-NaN column, signed zeros
+    # and infinities; np.nanmedian's own warnings (inf - inf) are not ours
+    for n in (1, 2, 7, 8, 40, 41):
+        values = rng.choice([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 3.25], size=(n, 6))
+        values[:, 0] = np.nan
+        values[:, 1] = rng.normal(size=n)
+        columns = list("abcdef")
+        train = FeatureMatrix(bird_ids=[f"b{i}" for i in range(n)], columns=columns, values=values)
+        target = FeatureMatrix(bird_ids=["z"], columns=columns, values=np.full((1, 6), np.nan))
+        observed = ~np.isnan(values).all(axis=0)
+        expected = np.zeros(6)
+        with np.errstate(invalid="ignore"):
+            expected[observed] = np.nanmedian(values[:, observed], axis=0)
+        np.testing.assert_array_equal(impute(train, target).values[0], expected)
+
+
 def test_impute_schema_mismatch():
     a = FeatureMatrix(bird_ids=["a"], columns=["x"], values=np.zeros((1, 1)))
     b = FeatureMatrix(bird_ids=["a"], columns=["y"], values=np.zeros((1, 1)))

@@ -10,6 +10,7 @@ from shearwater.trees import (
     fit_tree_hist,
     fit_tree_oblivious,
     fit_tree_uniform,
+    fit_trees,
     newton_gain,
 )
 
@@ -511,7 +512,9 @@ class _RecordingRng:
 
 def test_uniform_every_node_matches_bruteforce_oracle(rng):
     # every cut has the best mask-sum gain among the cuts its node drew, and a
-    # leaf that could have split drew no cut that gains
+    # leaf that could have split drew no cut that gains; the draws are
+    # replayed in growth order: level by level, every node that may split
+    # draws its features left to right, then its thresholds in the same order
     tol = 1e-9
     for _ in range(100):
         X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
@@ -523,11 +526,14 @@ def test_uniform_every_node_matches_bruteforce_oracle(rng):
         tree = fit_tree_uniform(X, grad, hess, params, recorder, rows=rows, candidate_features=feats)
         draws = iter(recorder.draws)
 
-        def drawn_cuts(node_rows):
-            node_feats = feats
-            if per_node < len(feats):
-                kind, node_feats = next(draws)
-                assert kind == "choice"
+        def drawn_features():
+            if per_node >= len(feats):
+                return feats
+            kind, node_feats = next(draws)
+            assert kind == "choice"
+            return node_feats
+
+        def drawn_cuts(node_rows, node_feats):
             cols = X[np.ix_(node_rows, node_feats)]
             varies = cols.max(axis=0) > cols.min(axis=0)
             cands = []
@@ -542,24 +548,28 @@ def test_uniform_every_node_matches_bruteforce_oracle(rng):
                     cands.append((float(gain), int(f), float(thr)))
             return cands
 
-        def check(node, node_rows, depth):
-            if depth >= params.max_depth or len(node_rows) < 2:
-                assert node.is_leaf
-                return
-            cands = drawn_cuts(node_rows)
-            best = max((c[0] for c in cands), default=0.0)
-            scale = max(1.0, abs(best))
-            if node.is_leaf:
-                assert best <= tol * scale
-                return
-            chosen = [c for c in cands if (c[1], c[2]) == (node.feature, node.threshold)]
-            assert chosen, "a cut the node never drew"
-            assert abs(chosen[0][0] - best) <= tol * scale
-            go_left = X[node_rows, node.feature] < node.threshold
-            check(node.left, node_rows[go_left], depth + 1)
-            check(node.right, node_rows[~go_left], depth + 1)
-
-        check(tree.root, rows, 0)
+        level, depth = [(tree.root, rows)], 0
+        while level:
+            searched = []
+            for node, node_rows in level:
+                if depth >= params.max_depth or len(node_rows) < 2:
+                    assert node.is_leaf
+                else:
+                    searched.append((node, node_rows, drawn_features()))
+            level = []
+            for node, node_rows, node_feats in searched:
+                cands = drawn_cuts(node_rows, node_feats)
+                best = max((c[0] for c in cands), default=0.0)
+                scale = max(1.0, abs(best))
+                if node.is_leaf:
+                    assert best <= tol * scale
+                    continue
+                chosen = [c for c in cands if (c[1], c[2]) == (node.feature, node.threshold)]
+                assert chosen, "a cut the node never drew"
+                assert abs(chosen[0][0] - best) <= tol * scale
+                go_left = X[node_rows, node.feature] < node.threshold
+                level += [(node.left, node_rows[go_left]), (node.right, node_rows[~go_left])]
+            depth += 1
         assert next(draws, None) is None, "draws no node used"
 
 
@@ -593,3 +603,25 @@ def test_json_round_trip(rng):
     again = DecisionTree.from_dict(tree.to_dict())
     np.testing.assert_array_equal(tree.predict(X), again.predict(X))
     assert again.to_dict() == tree.to_dict()
+
+
+def test_batch_without_draws_equals_each_tree_alone(rng):
+    # with every candidate feature at every node no node draws, so a batch
+    # grown level by level holds the trees each grown alone
+    X = rng.normal(size=(50, 5))
+    X[:, 3] = rng.integers(0, 3, size=50)
+    bins = build_bins(X, max_edges=16)
+    Xb = bins.bin_matrix(X)
+    params = TreeParams(max_depth=4, reg_lambda=0.5, min_child_weight=0.2)
+    grads = [rng.normal(size=50) for _ in range(4)]
+    hesses = [rng.uniform(0.1, 1.0, size=50) for _ in range(4)]
+    rows = [rng.integers(0, 50, size=50), None, np.arange(10, 40), rng.integers(0, 50, size=5)]
+    feats = [0, 1, 3, 4]
+    batch = fit_trees(Xb, grads, hesses, rows, params, bins=bins, candidate_features=feats)
+    assert len(batch) == 4
+    for t in range(4):
+        alone = fit_tree_hist(
+            Xb, grads[t], hesses[t], bins, params, rows=rows[t], candidate_features=feats
+        )
+        assert batch[t].to_dict() == alone.to_dict()
+    assert any(not tree.root.is_leaf for tree in batch)
