@@ -14,10 +14,9 @@ import numpy as np
 from shearwater.trees import (
     TreeParams,
     build_bins,
-    fit_tree_exact,
     fit_tree_hist,
     fit_tree_oblivious,
-    fit_tree_uniform,
+    fit_trees,
     newton_gain,
 )
 
@@ -31,12 +30,13 @@ grad, hess = p - y, p * (1 - p)
 print(f"plug-in gain example: {newton_gain(2.0, 1.0, -2.0, 1.0, 1.0)} (expect 2.0)")
 
 params = TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=1.0)
-exact = fit_tree_exact(X, grad, hess, params)  # bins X losslessly, then fits on them
-lossless = build_bins(X, max_edges=None)
+lossless = build_bins(X, max_edges=None)  # exact: one bin per distinct value
 bins = build_bins(X, max_edges=7)
+exact = fit_tree_hist(lossless.bin_matrix(X), grad, hess, lossless, params)
 hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
 oblivious = fit_tree_oblivious(lossless.bin_matrix(X), grad, hess, lossless, params)
-uniform = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(7))
+# no bins: fit_trees draws uniform cuts from the raw matrix, a batch of one tree
+uniform = fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(7))[0]
 
 print(f"\ncandidate cuts per column: lossless {lossless.n_edges.tolist()}, lossy {bins.n_edges.tolist()}")
 print(f"exact root: feature {exact.root.feature} @ {exact.root.threshold:.4f}")

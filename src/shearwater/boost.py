@@ -1,19 +1,20 @@
-"""The ensemble learners: logistic and pairwise-rank GBDT, random forest,
-extra trees, and the linear SVM wrapper, all sharing the Newton tree
-backends from :mod:`shearwater.trees`.
+"""The eight ensemble learners: logistic and pairwise-rank GBDT, random
+forest, extra trees, and the linear SVM wrapper, the tree learners sharing
+the Newton tree backends from :mod:`shearwater.trees`.
 
 Brand differences reduce to (loss, split-candidate generation, tree shape,
 bagging). ``LearnerKind.backend`` names each learner's split search: the
-xgb variants, sk_gbt and sk_rf use exact splits, the lgb variants
-histogram splits, cat oblivious trees and sk_et uniform random thresholds.
-``_fit_matrix`` is the one place that prepares a backend's matrix: exact,
-hist and oblivious all fit on bins built once per model (lossless for exact
-and oblivious, at most ``max_bin_edges`` edges per feature for hist);
-uniform draws its thresholds from the raw matrix and scores them with the
-same split kernel. Both boosting learners run one loop, ``_boost``, over a
-loss's (gradient/hessian, loss) pair and fit one tree a round through
-``_backend_fitter``; the forests grow all their trees together through
-``trees.fit_trees`` and average class-mean leaves instead of boosting.
+xgb variants and sk_rf use exact splits, the lgb variants histogram splits,
+cat oblivious trees and sk_et uniform random thresholds. ``_fit_matrix`` is
+the one place that prepares a backend's matrix: exact, hist and oblivious
+all fit on bins built once per model (lossless for exact and oblivious, at
+most ``max_bin_edges`` edges per feature for hist); uniform draws its
+thresholds from the raw matrix and scores them with the same split kernel.
+Both boosting learners run one loop, ``_boost``, over a loss's
+(gradient/hessian, loss) pair and fit one tree a round through
+``_backend_fitter`` on a binned backend (no learner boosts on uniform); the
+forests grow all their trees together through ``trees.fit_trees`` and
+average class-mean leaves instead of boosting.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .trees import (
     build_bins,
     fit_tree_hist,
     fit_tree_oblivious,
-    fit_tree_uniform,
     fit_trees,
 )
 
@@ -45,7 +45,6 @@ class LearnerKind(str, Enum):
     LGB_GBDT = "lgb_gbdt"
     LGB_RF = "lgb_rf"
     CAT = "cat"
-    SK_GBT = "sk_gbt"
     SK_RF = "sk_rf"
     SK_ET = "sk_et"
     SVC = "svc"
@@ -244,15 +243,15 @@ def _fit_matrix(backend: str, X, max_bin_edges: int):
 
 
 def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int):
-    """The one map from a backend name to a one-tree fitter; returns
-    fit(grad, hess, rng=, rows=, candidate_features=).
+    """The one map from a binned backend's name to a one-tree fitter;
+    returns fit(grad, hess, rng=, rows=, candidate_features=).
 
     The fitters are read from this module's globals each time this runs,
     so a wrapper installed on this module's attributes sees every fit.
     """
+    if backend == "uniform":
+        raise ValueError("the uniform backend grows forests only")
     data, bins = _fit_matrix(backend, X, max_bin_edges)
-    if bins is None:
-        return partial(fit_tree_uniform, data, params=tree_params)
     fitter = fit_tree_oblivious if backend == "oblivious" else fit_tree_hist
     return partial(fitter, data, bins=bins, params=tree_params)
 
@@ -424,7 +423,7 @@ def fit_learner(
     rng: np.random.Generator,
     feature_names: list[str] | None = None,
 ) -> TrainedModel:
-    """Dispatch one of the nine learner settings by family and backend."""
+    """Dispatch one of the eight learners by family and backend."""
     family = kind.family
     if family == "svm":
         svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)

@@ -156,9 +156,16 @@ class RunConfig:
         known = {name: value for name, value in merged.items() if name in types}
         _check_numbers(known, types, f"params.{kind.value}.")
         try:
-            return GbdtParams.from_dict(merged)
+            params = GbdtParams.from_dict(merged)
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad hyperparameters for {kind.value}: {exc}") from None
+        if not params.svm_reg > 0:  # also refuses NaN
+            raise UsageError(f"params.{kind.value}.svm_reg must be > 0, got {params.svm_reg!r}")
+        if params.svm_epochs < 1:
+            raise UsageError(
+                f"params.{kind.value}.svm_epochs must be >= 1, got {params.svm_epochs!r}"
+            )
+        return params
 
     def settings(self) -> list[ModelSetting]:
         return [

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import MalformedRow, MissingLabel, SchemaMismatch, csv_rows
+from .errors import MalformedRow, MissingLabel, OutOfRange, SchemaMismatch, csv_rows
 from .featex import VelocityThresholds, bird_features, feature_names, velocity_thresholds
 from .geokin import velocities
 from .trajdata import Corpus, Trajectory, atomic_write_text
@@ -96,19 +96,22 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":
+        """Read a ``to_csv`` document: an empty cell is missing, and an
+        infinite one (``inf``, ``1e400``) is OutOfRange naming its line."""
         rows = csv_rows(text)
         header = next(rows, [])
         if not header or header[0] != "bird_id":
             raise SchemaMismatch("feature CSV must start with a bird_id column")
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
-        bird_ids, labels, values = [], [], []
+        bird_ids, labels, values, linenos = [], [], [], []
         for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             bird_ids.append(row[0])
+            linenos.append(lineno)
             body = row[1:]
             if has_label:
                 if body[0] not in ("0", "1"):
@@ -119,10 +122,17 @@ class FeatureMatrix:
                 values.append([np.nan if cell == "" else float(cell) for cell in body])
             except ValueError as exc:
                 raise MalformedRow(f"line {lineno}: {exc}") from None
+        matrix = np.array(values, dtype=np.float64).reshape(len(bird_ids), len(columns))
+        infinite = np.argwhere(np.isinf(matrix))
+        if infinite.size:
+            row, col = infinite[0]
+            raise OutOfRange(
+                f"line {linenos[row]}: {columns[col]} is {matrix[row, col]}, not a finite number"
+            )
         return cls(
             bird_ids=bird_ids,
             columns=columns,
-            values=np.array(values, dtype=np.float64).reshape(len(bird_ids), len(columns)),
+            values=matrix,
             labels=np.array(labels, dtype=np.int64) if has_label else None,
         )
 

@@ -60,6 +60,10 @@ class SingleClass(PipelineError):
     """Operation needs both classes present (ranking pairs, threshold tuning)."""
 
 
+class NonFiniteScore(PipelineError):
+    """A fitted learner scored a row NaN or infinite."""
+
+
 # --- evaluation ----------------------------------------------------------
 
 class TooFewPerClass(PipelineError):

@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatch,
     MalformedRow,
     MissingLabel,
+    NonFiniteScore,
     OutOfRange,
     PipelineError,
     SingleClass,
@@ -53,8 +54,8 @@ def setting_rng(setting_name: str, seed: int, stage: int) -> np.random.Generator
     """Private random stream per (setting, replicate seed, fold/stage).
 
     Deriving the stream from the setting name keeps settings that share an
-    algorithm (e.g. the two exact-backend logistic learners) from training
-    bit-identical ensemble members.
+    algorithm (e.g. sk_rf and lgb_rf where every column's distinct values
+    fit the histogram bins) from training bit-identical ensemble members.
     """
     return np.random.default_rng([seed, stable_seed(setting_name), stage])
 
@@ -177,7 +178,8 @@ def cross_validate(
         raise MissingLabel("cross-validation needs a labeled matrix")
     fold_of = folds.fold_vector(matrix.bird_ids)
     y = matrix.labels
-    oof = np.full(len(y), np.nan)
+    oof = np.zeros(len(y))
+    scored = np.zeros(len(y), dtype=bool)
     for k in range(folds.k):
         test_mask = fold_of == k
         train = matrix.subset(~test_mask)
@@ -187,8 +189,17 @@ def cross_validate(
             setting.kind, filled.values[~test_mask], train.labels, setting.params, rng,
             train.columns,
         )
-        oof[test_mask] = predict_scores(model, filled.subset(test_mask))
-    unscored = [b for b, score in zip(matrix.bird_ids, oof) if np.isnan(score)]
+        held_out = filled.subset(test_mask)
+        scores = predict_scores(model, held_out)
+        bad = [b for b, score in zip(held_out.bird_ids, scores) if not np.isfinite(score)]
+        if bad:
+            raise NonFiniteScore(
+                f"{setting.name} seed {seed} fold {k}: non-finite score for {len(bad)} "
+                f"birds: {bad[:5]}"
+            )
+        oof[test_mask] = scores
+        scored |= test_mask
+    unscored = [b for b, ok in zip(matrix.bird_ids, scored) if not ok]
     if unscored:
         raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {unscored[:5]}")
     tau = tune_threshold(oof, y)

@@ -57,24 +57,6 @@ def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def hinge_subgradient(u: np.ndarray, x: np.ndarray, y: float, reg: float) -> np.ndarray:
-    """Subgradient of the regularized per-sample objective at u.
-
-    At margin > 1 (and exactly at 1) this is reg * u with no data term.
-    """
-    g = reg * u
-    if y * (u @ x) < 1.0:
-        g = g - y * x
-    return g
-
-
-def svm_objective(u: np.ndarray, X_aug: np.ndarray, y_signed: np.ndarray, reg: float) -> float:
-    """Training objective in homogeneous form (bias inside the norm)."""
-    margins = y_signed * (X_aug @ u)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * reg * float(u @ u) + float(hinge.mean())
-
-
 def fit_pegasos(
     X: np.ndarray,
     y: np.ndarray,

@@ -27,7 +27,7 @@ zeros; per-bin sums accumulate in row order, so every gain is the float a
 node-by-node search computes.
 
 ``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
-and ``fit_tree_uniform`` grow a batch of one. A level's nodes go to the
+grows a batch of one on bins (a boosting round). A level's nodes go to the
 kernel in runs of at most ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS``
 histogram slots, so memory does not grow with the batch. Random draws
 follow the level, not the run: every node of a level that may split draws
@@ -466,16 +466,6 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> HistogramBins:
     return HistogramBins(edges_list, mins_list, maxs_list)
 
 
-def fit_tree_exact(
-    X, grad, hess, params: TreeParams, rng=None, rows=None, candidate_features=None
-) -> DecisionTree:
-    """Greedy depth-wise tree over midpoint thresholds of observed values:
-    the histogram fitter on lossless bins.
-    """
-    bins = build_bins(X, max_edges=None)
-    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, rng, rows, candidate_features)
-
-
 def fit_tree_hist(
     X_binned,
     grad,
@@ -488,15 +478,6 @@ def fit_tree_hist(
 ) -> DecisionTree:
     """Depth-wise tree with candidate thresholds restricted to bin edges."""
     return fit_trees(X_binned, [grad], [hess], [rows], params, rng, bins, candidate_features)[0]
-
-
-def fit_tree_uniform(
-    X, grad, hess, params: TreeParams, rng, rows=None, candidate_features=None
-) -> DecisionTree:
-    """Extra-trees tree (see ``fit_trees``): each node draws one uniform
-    threshold per picked feature (``features_per_node=None`` means every
-    candidate feature)."""
-    return fit_trees(X, [grad], [hess], [rows], params, rng, None, candidate_features)[0]
 
 
 def fit_tree_oblivious(

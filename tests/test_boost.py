@@ -127,6 +127,13 @@ def test_empty_tree_list_constant_sigmoid_f0():
     np.testing.assert_allclose(scores, sigmoid(0.37))
 
 
+def test_boosting_refuses_the_uniform_backend(rng):
+    # uniform cuts are the extra-trees forest's; no boosting learner draws them
+    X = rng.normal(size=(10, 2))
+    with pytest.raises(ValueError, match="uniform"):
+        fit_gbdt_logistic(X, np.arange(10) % 2, small_params(), backend="uniform")
+
+
 def test_hist_and_exact_backends_identical_without_sampling(rng):
     X = rng.normal(size=(40, 5))
     y = (X[:, 1] > 0).astype(float)
@@ -359,7 +366,6 @@ def _pinned_data():
         ("xgb_binary", "0b5d9c4e8dc1f158f04b9aed02e42b70795a4c24872696557d9860af74ef9fb3"),
         ("xgb_rank", "bc627fe9e73fa2aa4bd139ab5b56f2cd46534b908de6da5695fd280460ea1a29"),
         ("lgb_gbdt", "af5fd168007b8bc2a01b917fdd799cf63092e5023fe7e88d5bd2492a7b2e3a55"),
-        ("sk_gbt", "959972ca32f2e9c2afec394075c4954177fdd60038aad8510bc9872f048e3db3"),
         ("cat", "87578811ec31da1c765f12ff49d4b926a36eb666944e7a60a26e0537b08aee72"),
     ],
 )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,16 +32,38 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def test_default_config_enumerates_180_jobs(tmp_path):
+def test_default_config_enumerates_160_jobs(tmp_path):
     cfg_path = write_config(tmp_path)
     doc = json.loads(cfg_path.read_text())
     del doc["modes"], doc["learners"], doc["n_seeds"]
     cfg_path.write_text(json.dumps(doc))
     cfg = RunConfig.from_file(cfg_path)
     settings = cfg.settings()
-    assert len(settings) == 18  # 9 learners x 2 modes
-    assert len([(s, seed) for s in settings for seed in cfg.seeds()]) == 180
-    assert len({s.name for s in settings}) == 18
+    assert len(settings) == 16  # 8 learners x 2 modes
+    assert len([(s, seed) for s in settings for seed in cfg.seeds()]) == 160
+    assert len({s.name for s in settings}) == 16
+
+
+def test_readme_config_example_names_every_learner_once(tmp_path):
+    # the docs cannot list a learner that the CLI rejects, or leave one out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = RunConfig.from_file(path)
+    assert sorted(kind.value for kind in cfg.learners) == sorted(kind.value for kind in LearnerKind)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"learners": ["svc", "sk_gbt"]}, {"params": {"sk_gbt": {"n_rounds": 3}}}],
+    ids=["learners", "params"],
+)
+def test_removed_learner_sk_gbt_is_usage_error(tmp_path, capsys, overrides):
+    # sk_gbt fitted what xgb_binary fits, and was deleted
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["cv", "--config", str(cfg)]) == EXIT_USAGE
+    assert "sk_gbt" in capsys.readouterr().err
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -198,6 +221,10 @@ def _set_field(path, line, field, value):
         ("cv", "out/features/train_together.csv", -1, None),  # ragged row
         ("cv", "out/folds.csv", 1, "one"),  # non-integer fold
         ("ensemble", "out/predictions/together_svc_s11.csv", 1, "yes"),  # non-integer label
+        # an infinite feature: cv read it as a score of NaN, then a bird in no fold
+        ("cv", "out/features/train_together.csv", 5, "inf"),
+        ("cv", "out/features/train_together.csv", 5, "-inf"),
+        ("cv", "out/features/train_together.csv", 5, "1e400"),
     ],
 )
 def test_malformed_internal_csv_is_data_error(tmp_path, capsys, command, relpath, field, value):
@@ -250,6 +277,10 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("cv", {"params": {"default": {"n_trees": 2.5}}}, [], "params.svc.n_trees"),  # exit 3
         ("cv", {"params": {"svc": {"max_depth": "2"}}}, [], "params.svc.max_depth"),  # exit 3
         ("cv", {"params": {"svc": {"svm_reg": "0.1"}}}, [], "params.svc.svm_reg"),
+        ("cv", {"params": {"svc": {"svm_reg": 0}}}, [], "params.svc.svm_reg"),  # exit 3
+        ("cv", {"params": {"default": {"svm_reg": -0.5}}}, [], "params.svc.svm_reg"),
+        # weights of 0/0, then cv's "birds in no fold", exit 2
+        ("cv", {"params": {"svc": {"svm_epochs": 0}}}, [], "params.svc.svm_epochs"),
     ],
 )
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
@@ -258,6 +289,19 @@ def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, fl
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
     assert field in capsys.readouterr().err
+
+
+def test_non_finite_learner_score_names_the_setting_and_fold(tmp_path, capsys):
+    # a column of +-1e308 is finite, but svc's standardisation overflows on it
+    # and every score is NaN; cv read those as birds in no fold
+    cfg = prepare_folds(tmp_path, learners=["svc"])
+    path = tmp_path / "out" / "features" / "train_together.csv"
+    for line in range(1, 25):
+        _set_field(path, line, 5, "1e308" if line % 2 else "-1e308")
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):  # the overflow, and the NaN it makes
+        assert main(["cv", "--config", str(cfg)]) == EXIT_DATA
+    assert "together_svc seed 11 fold 0: non-finite score" in capsys.readouterr().err
 
 
 def test_synth_float_field_takes_an_int(tmp_path):

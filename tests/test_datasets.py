@@ -12,7 +12,7 @@ from shearwater.datasets import (
     impute,
     schema_columns,
 )
-from shearwater.errors import SchemaMismatch
+from shearwater.errors import OutOfRange, SchemaMismatch
 from shearwater.geokin import velocities
 from shearwater.trajdata import Corpus
 from tests.conftest import make_traj
@@ -219,6 +219,11 @@ def test_matrix_writer_matches_per_cell_oracle_on_edge_values(n_columns, labels)
     )
     text = matrix.to_csv()
     assert text == _matrix_csv_per_cell(matrix)
+    infinite_rows = np.flatnonzero(np.isinf(matrix.values).any(axis=1))
+    if infinite_rows.size:  # written, but an infinite cell is a data error to read
+        with pytest.raises(OutOfRange, match=f"line {infinite_rows[0] + 2}:"):
+            FeatureMatrix.from_csv(text)
+        return
     again = FeatureMatrix.from_csv(text)
     assert again.bird_ids == matrix.bird_ids
     assert again.columns == matrix.columns

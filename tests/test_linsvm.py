@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from shearwater.errors import DegenerateLabels
-from shearwater.linsvm import (
-    SvmModel,
-    fit_pegasos,
-    hinge_subgradient,
-    standardize_stats,
-    svm_objective,
-)
+from shearwater.linsvm import SvmModel, fit_pegasos, standardize_stats
+
+
+def svm_objective(u, X_aug, y_signed, reg):
+    """The objective Pegasos minimizes, in homogeneous form (bias inside the
+    norm): reg/2 * ||u||^2 + mean_i max(0, 1 - y_i * (u . x_i))."""
+    margins = y_signed * (X_aug @ u)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    return 0.5 * reg * float(u @ u) + float(hinge.mean())
 
 
 def blobs(rng, n_per=40, gap=3.0, sigma=0.3):
@@ -41,17 +43,6 @@ def test_objective_invariant_under_row_duplication(rng):
     assert svm_objective(u, X_aug, y_signed, 0.01) == pytest.approx(
         svm_objective(u, doubled, np.concatenate([y_signed, y_signed]), 0.01), rel=1e-12
     )
-
-
-def test_hinge_subgradient_no_data_term_beyond_margin():
-    u = np.array([2.0, -1.0, 0.5])
-    x = np.array([1.0, 0.0, 0.0])
-    reg = 0.7
-    # margin = y * u.x = 2 > 1: only the regularizer contributes
-    np.testing.assert_array_equal(hinge_subgradient(u, x, 1.0, reg), reg * u)
-    # margin = -2 < 1: data term appears
-    g = hinge_subgradient(u, x, -1.0, reg)
-    np.testing.assert_array_equal(g, reg * u + x)
 
 
 def test_constant_columns_get_zero_weight(rng):

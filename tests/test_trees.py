@@ -6,10 +6,8 @@ from shearwater.trees import (
     TreeNode,
     TreeParams,
     build_bins,
-    fit_tree_exact,
     fit_tree_hist,
     fit_tree_oblivious,
-    fit_tree_uniform,
     fit_trees,
     newton_gain,
 )
@@ -76,11 +74,18 @@ def test_gain_plug_in_value():
 
 # --- exact fitter -----------------------------------------------------------
 
+def fit_exact(X, grad, hess, params, **kwargs):
+    """A tree on lossless bins of all of X, as the exact backend bins each
+    model once: its cuts are the midpoints of consecutive distinct values."""
+    bins = build_bins(X, max_edges=None)
+    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, **kwargs)
+
+
 def test_exact_degenerate_single_leaf():
     X = np.full((6, 3), 1.5)
     grad = np.full(6, 0.7)
     hess = np.ones(6)
-    tree = fit_tree_exact(X, grad, hess, TreeParams(reg_lambda=0.0))
+    tree = fit_exact(X, grad, hess, TreeParams(reg_lambda=0.0))
     assert tree.root.is_leaf
     assert tree.root.value == pytest.approx(-0.7)
 
@@ -89,7 +94,7 @@ def test_exact_hand_computed_split():
     X = np.array([[0.0], [1.0]])
     grad = np.array([1.0, -1.0])
     hess = np.array([1.0, 1.0])
-    tree = fit_tree_exact(X, grad, hess, TreeParams(max_depth=1, reg_lambda=0.0))
+    tree = fit_exact(X, grad, hess, TreeParams(max_depth=1, reg_lambda=0.0))
     assert not tree.root.is_leaf
     assert tree.root.threshold == 0.5
     assert tree.root.left.value == -1.0
@@ -100,7 +105,7 @@ def test_exact_max_depth_zero():
     X = np.arange(8.0).reshape(-1, 1)
     grad = np.linspace(-1, 1, 8)
     hess = np.ones(8)
-    tree = fit_tree_exact(X, grad, hess, TreeParams(max_depth=0, reg_lambda=2.0))
+    tree = fit_exact(X, grad, hess, TreeParams(max_depth=0, reg_lambda=2.0))
     assert tree.root.is_leaf
     assert tree.root.value == pytest.approx(-grad.sum() / (8 + 2.0))
 
@@ -115,7 +120,7 @@ def test_exact_root_matches_bruteforce_oracle(rng):
         lam = float(rng.choice([0.0, 0.5, 1.0]))
         mcw = float(rng.choice([0.0, 0.2]))
         params = TreeParams(max_depth=1, reg_lambda=lam, min_child_weight=mcw)
-        tree = fit_tree_exact(X, grad, hess, params)
+        tree = fit_exact(X, grad, hess, params)
         assert_root_matches_oracle(tree, X, grad, hess, lam, mcw)
 
 
@@ -124,8 +129,8 @@ def test_exact_deterministic(rng):
     grad = rng.normal(size=40)
     hess = rng.uniform(0.1, 1.0, 40)
     params = TreeParams(max_depth=4, reg_lambda=0.5, features_per_node=3)
-    t1 = fit_tree_exact(X, grad, hess, params, rng=np.random.default_rng(5))
-    t2 = fit_tree_exact(X, grad, hess, params, rng=np.random.default_rng(5))
+    t1 = fit_exact(X, grad, hess, params, rng=np.random.default_rng(5))
+    t2 = fit_exact(X, grad, hess, params, rng=np.random.default_rng(5))
     assert t1.to_dict() == t2.to_dict()
 
 
@@ -133,7 +138,7 @@ def test_exact_finite_leaves_with_degenerate_hessian():
     X = np.arange(10.0).reshape(-1, 1)
     grad = np.linspace(-1, 1, 10)
     hess = np.zeros(10)
-    tree = fit_tree_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=0.0))
+    tree = fit_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=0.0))
     for leaf in tree.leaves():
         assert np.isfinite(leaf.value)
 
@@ -149,7 +154,7 @@ def test_hist_lossless_equals_exact(rng):
         hess = rng.uniform(0.05, 2.0, size=n)
         lam = float(rng.choice([0.0, 1.0]))
         params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=0.0)
-        exact = fit_tree_exact(X, grad, hess, params)
+        exact = fit_exact(X, grad, hess, params)
         bins = build_bins(X)  # every distinct value gets its own bin
         hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
         assert hist.to_dict() == exact.to_dict()
@@ -216,7 +221,7 @@ def test_oblivious_depth1_equals_exact(rng):
         grad = rng.normal(size=n)
         hess = rng.uniform(0.1, 2.0, size=n)
         params = TreeParams(max_depth=1, reg_lambda=0.5, min_child_weight=0.0)
-        a = fit_tree_exact(X, grad, hess, params)
+        a = fit_exact(X, grad, hess, params)
         b = fit_oblivious_lossless(X, grad, hess, params)
         assert a.to_dict() == b.to_dict()
 
@@ -346,7 +351,7 @@ def test_exact_every_node_matches_bruteforce_oracle(rng):
     for _ in range(100):
         X, grad, hess, rows, feats, lam, mcw = _tie_heavy_instance(rng)
         params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=mcw)
-        tree = fit_tree_exact(X, grad, hess, params, rows=rows, candidate_features=feats)
+        tree = fit_exact(X, grad, hess, params, rows=rows, candidate_features=feats)
 
         def check(node, node_rows, depth):
             cands = [
@@ -437,14 +442,14 @@ def test_constant_gradient_node_never_splits(rng, backend):
         lam = float(rng.choice([0.0, 1.0]))
         params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=0.0)
         if backend == "exact":
-            tree = fit_tree_exact(X, grad, hess, params)
+            tree = fit_exact(X, grad, hess, params)
         elif backend == "hist":
             bins = build_bins(X, max_edges=7)
             tree = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
         elif backend == "oblivious":
             tree = fit_oblivious_lossless(X, grad, hess, params)
         else:
-            tree = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(n))
+            tree = fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(n))[0]
         assert tree.root.is_leaf
 
 
@@ -467,9 +472,10 @@ def test_uniform_thresholds_within_observed_range(rng):
     X = rng.uniform(5.0, 9.0, size=(50, 3))
     grad = rng.normal(size=50)
     hess = np.ones(50)
-    tree = fit_tree_uniform(
-        X, grad, hess, TreeParams(max_depth=4, reg_lambda=0.0), np.random.default_rng(3)
-    )
+    tree = fit_trees(
+        X, [grad], [hess], [None], TreeParams(max_depth=4, reg_lambda=0.0),
+        np.random.default_rng(3),
+    )[0]
 
     def walk(node):
         if node.is_leaf:
@@ -486,8 +492,8 @@ def test_uniform_deterministic(rng):
     grad = rng.normal(size=30)
     hess = np.ones(30)
     params = TreeParams(max_depth=3, reg_lambda=0.0)
-    a = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(9))
-    b = fit_tree_uniform(X, grad, hess, params, np.random.default_rng(9))
+    a = fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(9))[0]
+    b = fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(9))[0]
     assert a.to_dict() == b.to_dict()
 
 
@@ -523,7 +529,9 @@ def test_uniform_every_node_matches_bruteforce_oracle(rng):
             max_depth=3, reg_lambda=lam, min_child_weight=mcw, features_per_node=per_node
         )
         recorder = _RecordingRng(int(rng.integers(2**32)))
-        tree = fit_tree_uniform(X, grad, hess, params, recorder, rows=rows, candidate_features=feats)
+        tree = fit_trees(
+            X, [grad], [hess], [rows], params, recorder, candidate_features=feats
+        )[0]
         draws = iter(recorder.draws)
 
         def drawn_features():
@@ -599,7 +607,7 @@ def test_json_round_trip(rng):
     X = rng.normal(size=(25, 3))
     grad = rng.normal(size=25)
     hess = np.ones(25)
-    tree = fit_tree_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=0.3))
+    tree = fit_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=0.3))
     again = DecisionTree.from_dict(tree.to_dict())
     np.testing.assert_array_equal(tree.predict(X), again.predict(X))
     assert again.to_dict() == tree.to_dict()
