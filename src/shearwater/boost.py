@@ -15,6 +15,9 @@ Both boosting learners run one loop, ``_boost``, over a loss's
 ``_backend_fitter`` on a binned backend (no learner boosts on uniform); the
 forests grow all their trees together through ``trees.fit_trees`` and
 average class-mean leaves instead of boosting.
+
+A model file holds each tree's node arrays; ``TrainedModel.from_dict``
+checks every tree against the schema's width (ValueError otherwise).
 """
 
 from __future__ import annotations
@@ -139,19 +142,17 @@ class TrainedModel:
         as wide as the feature schema."""
         if ("trees" in doc) == ("svm" in doc):
             raise ValueError("a model holds either trees or an svm")
+        width = len(doc["feature_names"])
+        trees = [DecisionTree.from_dict(t, width) for t in doc["trees"]] if "trees" in doc else None
         model = cls(
             kind=LearnerKind(doc["kind"]),
             params=GbdtParams.from_dict(doc["params"]),
             feature_names=list(doc["feature_names"]),
             f0=float(doc["f0"]),
             threshold=None if doc["threshold"] is None else float(doc["threshold"]),
-            trees=[DecisionTree.from_dict(t) for t in doc["trees"]] if "trees" in doc else None,
+            trees=trees,
             svm=SvmModel.from_dict(doc["svm"]) if "svm" in doc else None,
         )
-        width = len(model.feature_names)
-        for i, tree in enumerate(model.trees or ()):
-            if tree.n_features != width:
-                raise ValueError(f"tree {i} has {tree.n_features} features, schema has {width}")
         if model.svm is not None:
             for name in ("weights", "mean", "std"):
                 shape = getattr(model.svm, name).shape
@@ -403,9 +404,8 @@ def fit_forest(
     )
     for tree, p_bar in zip(trees, p_bars):
         tree.shift_leaves(p_bar)
-        for leaf in tree.leaves():
-            # leaves are class means; clamp away shift rounding like -1e-17
-            leaf.value = float(np.clip(leaf.value, 0.0, 1.0))
+        # leaves are class means; clamp away shift rounding like -1e-17
+        np.clip(tree.value, 0.0, 1.0, out=tree.value)
     return TrainedModel(
         kind=kind,
         params=params,

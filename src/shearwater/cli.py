@@ -52,6 +52,7 @@ from .evalcv import (
     majority_vote,
     make_folds,
     prevalent_label,
+    require_finite_scores,
 )
 from .featex import THRESHOLD_NAMES
 from .synthgen import SynthParams, generate_corpus
@@ -82,6 +83,18 @@ def _check_numbers(values: dict, types: dict, prefix: str) -> None:
         if isinstance(value, bool) or not isinstance(value, allowed):
             expected = "an integer" if types[name] is int else "a number"
             raise UsageError(f"{prefix}{name}: expected {expected}, got {value!r}")
+
+
+# the values each hyperparameter may take
+PARAM_DOMAINS = {
+    **dict.fromkeys(
+        ("n_rounds", "n_trees", "max_depth", "max_bin_edges", "pair_cap_factor", "svm_epochs"),
+        (">= 1", lambda v: v >= 1),
+    ),
+    **dict.fromkeys(("learning_rate", "svm_reg"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("subsample", "colsample"), ("in (0, 1]", lambda v: 0 < v <= 1)),
+    **dict.fromkeys(("reg_lambda", "min_child_weight"), (">= 0", lambda v: v >= 0)),
+}
 
 
 @dataclass
@@ -159,12 +172,10 @@ class RunConfig:
             params = GbdtParams.from_dict(merged)
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad hyperparameters for {kind.value}: {exc}") from None
-        if not params.svm_reg > 0:  # also refuses NaN
-            raise UsageError(f"params.{kind.value}.svm_reg must be > 0, got {params.svm_reg!r}")
-        if params.svm_epochs < 1:
-            raise UsageError(
-                f"params.{kind.value}.svm_epochs must be >= 1, got {params.svm_epochs!r}"
-            )
+        for name, (domain, ok) in PARAM_DOMAINS.items():
+            value = getattr(params, name)
+            if not ok(value):  # each test is False for NaN
+                raise UsageError(f"params.{kind.value}.{name} must be {domain}, got {value!r}")
         return params
 
     def settings(self) -> list[ModelSetting]:
@@ -492,6 +503,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
         matrix = imputed[setting.mode]
         scores = predict_scores(model, matrix)
+        require_finite_scores(scores, matrix.bird_ids, str(path))
         if model.threshold is None:
             raise PipelineError(f"model {path.name} has no tuned threshold")
         pset = PredictionSet(

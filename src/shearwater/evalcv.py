@@ -150,6 +150,14 @@ def hard_labels(scores, tau: float) -> np.ndarray:
     return (np.asarray(scores) > tau).astype(np.int64)
 
 
+def require_finite_scores(scores, bird_ids: list[str], where: str) -> None:
+    """NonFiniteScore naming ``where`` and the first birds scored NaN or
+    infinite; hard_labels would quietly label each of them 0."""
+    bad = [bird_ids[i] for i in np.flatnonzero(~np.isfinite(scores))]
+    if bad:
+        raise NonFiniteScore(f"{where}: non-finite score for {len(bad)} birds: {bad[:5]}")
+
+
 @dataclass
 class CvResult:
     setting_name: str
@@ -191,12 +199,7 @@ def cross_validate(
         )
         held_out = filled.subset(test_mask)
         scores = predict_scores(model, held_out)
-        bad = [b for b, score in zip(held_out.bird_ids, scores) if not np.isfinite(score)]
-        if bad:
-            raise NonFiniteScore(
-                f"{setting.name} seed {seed} fold {k}: non-finite score for {len(bad)} "
-                f"birds: {bad[:5]}"
-            )
+        require_finite_scores(scores, held_out.bird_ids, f"{setting.name} seed {seed} fold {k}")
         oof[test_mask] = scores
         scored |= test_mask
     unscored = [b for b, ok in zip(matrix.bird_ids, scored) if not ok]

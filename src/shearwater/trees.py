@@ -39,10 +39,14 @@ Ties in gain resolve to the lowest feature index, then the lowest
 threshold, up to the rounding of the histogram sums: two cuts whose gains
 are equal in exact arithmetic may differ in the last bits. A gain of at
 most 1e-12 times the node's own parent term G^2/(H+l) in magnitude is
-rounding noise and counts as exactly 0, so a pure node never splits. Rows
-with value < threshold go left; missing values follow the node's
-missing-direction flag (left by default). Fitting assumes finite inputs;
-prediction tolerates NaN.
+rounding noise and counts as exactly 0, so a pure node never splits.
+
+A fitted tree is four node arrays, ``feature``, ``threshold``, ``child``
+and ``value``, numbered level by level from the root (node 0). A leaf has
+child -1; an inner node sends a row to ``child[i]`` when its value is
+< ``threshold[i]`` or missing (NaN), else to ``child[i] + 1``, so missing
+values go left. Every node keeps its Newton value; predictions read the
+leaves'. Fitting assumes finite inputs; prediction tolerates NaN.
 """
 
 from __future__ import annotations
@@ -67,106 +71,89 @@ class TreeParams:
     features_per_node: int | None = None
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    missing_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
+@dataclass(frozen=True)
+class Node:
+    """A read-only view of node ``index`` of ``tree``; a leaf's children are None."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    tree: "DecisionTree"
+    index: int
+
+    is_leaf = property(lambda self: bool(self.tree.child[self.index] < 0))
+    feature = property(lambda self: int(self.tree.feature[self.index]))
+    threshold = property(lambda self: float(self.tree.threshold[self.index]))
+    value = property(lambda self: float(self.tree.value[self.index]))
+    left = property(lambda self: None if self.is_leaf else Node(self.tree, self._first))
+    right = property(lambda self: None if self.is_leaf else Node(self.tree, self._first + 1))
+    _first = property(lambda self: int(self.tree.child[self.index]))
 
 
 class DecisionTree:
-    """Immutable-after-fit binary tree. Evaluation is vectorized."""
+    """A fitted binary tree as node arrays, laid out as the module docstring says."""
 
-    def __init__(self, root: TreeNode, n_features: int):
-        self.root = root
-        self.n_features = n_features
+    # the node arrays, and the numpy kinds each one's JSON list may decode to
+    ARRAYS = {"feature": "i", "threshold": "if", "child": "i", "value": "if"}
+
+    def __init__(self, feature, threshold, child, value):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.child = np.asarray(child, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+
+    @property
+    def root(self) -> Node:
+        return Node(self, 0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        _fill_predictions(self.root, X, np.arange(X.shape[0]), out)
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.flatnonzero(self.child[node] >= 0)  # the rows still at inner nodes
+        while rows.size:
+            at = node[rows]
+            # NaN compares False, so a missing value goes left
+            node[rows] = self.child[at] + (X[rows, self.feature[at]] >= self.threshold[at])
+            rows = rows[self.child[node[rows]] >= 0]
+        return self.value[node]
 
-    def leaves(self) -> list[TreeNode]:
-        found: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                found.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return found
+    def leaves(self) -> np.ndarray:
+        return np.flatnonzero(self.child < 0)
 
     def scale_leaves(self, factor: float) -> None:
-        for leaf in self.leaves():
-            leaf.value *= factor
+        self.value *= factor
 
     def shift_leaves(self, delta: float) -> None:
-        for leaf in self.leaves():
-            leaf.value += delta
+        self.value += delta
 
     def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        level, depth = np.zeros(1, dtype=np.intp), 0
+        while (first := self.child[level][self.child[level] >= 0]).size:
+            level, depth = np.concatenate([first, first + 1]), depth + 1
+        return depth
 
     def to_dict(self) -> dict:
-        def encode(node: TreeNode) -> dict:
-            if node.is_leaf:
-                return {"value": node.value}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "missing_left": node.missing_left,
-                "left": encode(node.left),
-                "right": encode(node.right),
-            }
-
-        return {"n_features": self.n_features, "root": encode(self.root)}
+        return {key: getattr(self, key).tolist() for key in self.ARRAYS}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "DecisionTree":
-        n_features = int(doc["n_features"])
-
-        def decode(obj: dict) -> TreeNode:
-            if "value" in obj:
-                return TreeNode(value=float(obj["value"]))
-            feature = int(obj["feature"])
-            if not 0 <= feature < n_features:
-                raise ValueError(f"split feature {feature} outside 0..{n_features - 1}")
-            return TreeNode(
-                feature=feature,
-                threshold=float(obj["threshold"]),
-                missing_left=bool(obj["missing_left"]),
-                left=decode(obj["left"]),
-                right=decode(obj["right"]),
-            )
-
-        return cls(decode(doc["root"]), n_features)
-
-
-def _fill_predictions(node: TreeNode, X, idx, out) -> None:
-    if node.is_leaf:
-        out[idx] = node.value
-        return
-    x = X[idx, node.feature]
-    go_left = x < node.threshold
-    if node.missing_left:
-        go_left |= np.isnan(x)
-    _fill_predictions(node.left, X, idx[go_left], out)
-    _fill_predictions(node.right, X, idx[~go_left], out)
+    def from_dict(cls, doc: dict, n_features: int) -> "DecisionTree":
+        """Decode a tree; ValueError unless its arrays form one tree over
+        ``n_features`` columns, so ``predict`` ends and reads real columns."""
+        raw = [np.asarray(doc[key]) for key in cls.ARRAYS]
+        if any(a.dtype.kind not in kinds for a, kinds in zip(raw, cls.ARRAYS.values())):
+            raise ValueError("tree indices must be int64 and thresholds and values numbers")
+        tree = cls(*raw)
+        n = tree.child.size
+        if n == 0 or any(a.shape != (n,) for a in raw):
+            raise ValueError(f"tree arrays of shapes {[a.shape for a in raw]}")
+        index = np.arange(n)
+        if ((tree.child != -1) & (tree.child <= index)).any():
+            raise ValueError("a tree node's child must come after it")
+        inner = tree.child >= 0
+        slots = np.sort(np.concatenate([tree.child[inner], tree.child[inner] + 1]))
+        if slots.size != n - 1 or (slots != index[1:]).any():
+            raise ValueError("tree children out of range, or a node with two parents or none")
+        split_on = tree.feature[inner]
+        if split_on.min(initial=0) < 0 or split_on.max(initial=0) >= n_features:
+            raise ValueError(f"split feature outside 0..{n_features - 1}")
+        return tree
 
 
 def newton_gain(gl, hl, gr, hr, reg_lambda):
@@ -176,19 +163,17 @@ def newton_gain(gl, hl, gr, hr, reg_lambda):
         return 0.5 * (gl**2 / (hl + reg_lambda) + gr**2 / (hr + reg_lambda) - parent)
 
 
-def _leaf_value(g, h, reg_lambda) -> float:
-    denom = h + reg_lambda
-    return 0.0 if denom == 0.0 else float(-g / denom)
-
-
 def _new_nodes(grad, hess, sizes, reg_lambda):
-    """Leaf nodes for consecutive runs of samples, with each run's gradient
-    and hessian sums; each run is summed on its own, so its sums are the
-    floats a sum over that node's rows alone gives."""
+    """Newton values -G/(H+l) (0 where H+l is 0) of nodes over consecutive
+    runs of samples, with each run's gradient and hessian sums; each run is
+    summed on its own, so its sums are the floats a sum over that node's
+    rows alone gives."""
     ends = np.cumsum(sizes)
     g = np.array([grad[end - size:end].sum() for size, end in zip(sizes, ends)])
     h = np.array([hess[end - size:end].sum() for size, end in zip(sizes, ends)])
-    return [TreeNode(value=_leaf_value(gk, hk, reg_lambda)) for gk, hk in zip(g, h)], g, h
+    denom = h + reg_lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, -g / denom), g, h
 
 
 def _candidates(n_features: int, candidate_features) -> np.ndarray:
@@ -334,8 +319,11 @@ def fit_trees(
     grad = np.concatenate([np.asarray(g, dtype=np.float64)[r] for g, r in zip(grads, tree_rows)])
     hess = np.concatenate([np.asarray(h, dtype=np.float64)[r] for h, r in zip(hesses, tree_rows)])
     sizes = np.array([len(r) for r in tree_rows])
-    nodes, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
-    roots = list(nodes)
+    value, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
+    # the batch's node arrays, each level's children appended after it, and
+    # the batch number of each node of the level
+    tree_of = ids = np.arange(len(rows))
+    feature, threshold, child = np.full(len(rows), -1), np.zeros(len(rows)), np.full(len(rows), -1)
 
     for _ in range(params.max_depth):
         live = sizes >= 2
@@ -343,11 +331,10 @@ def fit_trees(
             break
         keep = np.repeat(live, sizes)
         samples, grad, hess = samples[keep], grad[keep], hess[keep]
-        nodes = [node for node, k in zip(nodes, live) if k]
-        sizes, node_g, node_h = sizes[live], node_g[live], node_h[live]
-        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        ids, sizes, node_g, node_h = ids[live], sizes[live], node_g[live], node_h[live]
+        node_of = np.repeat(np.arange(len(ids)), sizes)
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        F = np.array([_node_features(feats, params, rng) for _ in nodes])
+        F = np.array([_node_features(feats, params, rng) for _ in ids])
         m = F.shape[1]
         # nodes of like size share a run, so little of its table is padding
         runs = _runs(sizes, m * width, np.argsort(sizes, kind="stable"))
@@ -371,10 +358,8 @@ def fit_trees(
                 return (values >= thresholds[node_of[s], c]).astype(np.intp)
             return values
 
-        col = np.zeros(len(nodes), dtype=np.intp)
-        ltop = np.zeros(len(nodes), dtype=np.intp)
-        rbot = np.zeros(len(nodes), dtype=np.intp)
-        split = np.zeros(len(nodes), dtype=bool)
+        col, ltop, rbot = np.zeros((3, len(ids)), dtype=np.intp)
+        split = np.zeros(len(ids), dtype=bool)
         for run in runs:
             s = _positions(starts, run)
             local = np.repeat(np.arange(len(run)), sizes[run])
@@ -390,21 +375,35 @@ def fit_trees(
         # children in (node, left then right) order, each keeping its rows' order
         pos = np.flatnonzero(split[node_of])
         right = binned(pos, col[node_of[pos]]) > ltop[node_of[pos]]
-        child = 2 * (np.cumsum(split) - 1)[node_of[pos]] + right
-        order = pos[np.argsort(child, kind="stable")]
+        slot = 2 * (np.cumsum(split) - 1)[node_of[pos]] + right
+        order = pos[np.argsort(slot, kind="stable")]
         samples, grad, hess = samples[order], grad[order], hess[order]
-        sizes = np.bincount(child, minlength=2 * int(split.sum()))
-        children, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
-        for i, k in enumerate(np.flatnonzero(split)):
-            node = nodes[k]
-            node.feature = int(F[k, col[k]])
-            if uniform:
-                node.threshold = float(thresholds[k, col[k]])
-            else:
-                node.threshold = _threshold(bins, node.feature, ltop[k], rbot[k])
-            node.left, node.right = children[2 * i], children[2 * i + 1]
-        nodes = children
-    return [DecisionTree(root, d) for root in roots]
+        k = np.flatnonzero(split)
+        sizes = np.bincount(slot, minlength=2 * k.size)
+        new_value, node_g, node_h = _new_nodes(grad, hess, sizes, lam)
+        parent = ids[k]
+        feature[parent] = F[k, col[k]]
+        if uniform:
+            threshold[parent] = thresholds[k, col[k]]
+        else:
+            cuts = zip(feature[parent], ltop[k], rbot[k])
+            threshold[parent] = [_threshold(bins, *cut) for cut in cuts]
+        ids = len(value) + np.arange(2 * k.size)
+        child[parent] = ids[::2]
+        tree_of = np.concatenate([tree_of, np.repeat(tree_of[parent], 2)])
+        value = np.concatenate([value, new_value])
+        feature, child = (np.concatenate([a, np.full(2 * k.size, -1)]) for a in (feature, child))
+        threshold = np.concatenate([threshold, np.zeros(2 * k.size)])
+
+    # renumber each tree's nodes from 0; a stable sort keeps them level by level
+    order = np.argsort(tree_of, kind="stable")
+    counts = np.bincount(tree_of, minlength=len(rows))
+    local = np.argsort(order) - (np.cumsum(counts) - counts)[tree_of]
+    child = np.where(child < 0, -1, local[child])
+    return [
+        DecisionTree(feature[t], threshold[t], child[t], value[t])
+        for t in np.split(order, np.cumsum(counts)[:-1])
+    ]
 
 
 @dataclass
@@ -512,13 +511,15 @@ def fit_tree_oblivious(
     rank = _occupied_ranks(np.arange(m) * width + xb, m, width)  # shared by the leaves
     k = int(rank[:, -1].max(initial=-1)) + 1
     levels: list[tuple[int, float]] = []
+    values = []  # each level's node values
     leaf_of = np.zeros(len(rows), dtype=np.int64)
 
     while True:
         order = np.argsort(leaf_of, kind="stable")
         sizes = np.bincount(leaf_of, minlength=2 ** len(levels))
         g, h = g_all[order], h_all[order]
-        leaves, node_g, node_h = _new_nodes(g, h, sizes, params.reg_lambda)
+        value, node_g, node_h = _new_nodes(g, h, sizes, params.reg_lambda)
+        values.append(value)
         if len(levels) == params.max_depth or len(rows) < 2 or m == 0:
             break
         starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -540,15 +541,12 @@ def fit_tree_oblivious(
         levels.append((feature, _threshold(bins, feature, ltop, rbot)))
         leaf_of = 2 * leaf_of + (xb[:, col] > ltop)
 
-    def build(level: int, prefix: int) -> TreeNode:
-        if level == len(levels):
-            return leaves[prefix]
-        feature, threshold = levels[level]
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=build(level + 1, prefix * 2),
-            right=build(level + 1, prefix * 2 + 1),
-        )
-
-    return DecisionTree(build(0, 0), Xb.shape[1])
+    # a complete tree, numbered level by level: node i's children are 2i + 1 and 2i + 2
+    inner = [cut for level, cut in enumerate(levels) for _ in range(2**level)]
+    leaves = [-1] * len(values[-1])
+    return DecisionTree(
+        [feature for feature, _ in inner] + leaves,
+        [threshold for _, threshold in inner] + [0.0] * len(leaves),
+        [2 * i + 1 for i in range(len(inner))] + leaves,
+        np.concatenate(values),
+    )

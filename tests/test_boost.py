@@ -315,7 +315,7 @@ def test_predict_scores_schema_mismatch(rng):
 def test_model_json_round_trip(rng):
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 2, 30)
-    for kind in (LearnerKind.XGB_BINARY, LearnerKind.SK_RF, LearnerKind.SVC, LearnerKind.CAT):
+    for kind in LearnerKind:
         model = fit_learner(kind, X, y, small_params(n_rounds=3, n_trees=2), np.random.default_rng(2))
         model.threshold = 0.41
         again = TrainedModel.from_dict(model.to_dict())
@@ -363,15 +363,16 @@ def _pinned_data():
 @pytest.mark.parametrize(
     "kind, digest",
     [
-        ("xgb_binary", "0b5d9c4e8dc1f158f04b9aed02e42b70795a4c24872696557d9860af74ef9fb3"),
-        ("xgb_rank", "bc627fe9e73fa2aa4bd139ab5b56f2cd46534b908de6da5695fd280460ea1a29"),
-        ("lgb_gbdt", "af5fd168007b8bc2a01b917fdd799cf63092e5023fe7e88d5bd2492a7b2e3a55"),
-        ("cat", "87578811ec31da1c765f12ff49d4b926a36eb666944e7a60a26e0537b08aee72"),
+        ("xgb_binary", "999010e7ef6439d6ca86f7b46e05ca11e4e8a0413fc98ef19bd1bbf9073588e2"),
+        ("xgb_rank", "04637fe2c7812f879138a558dc77455356c767cd9d0a41947abb54a1646a5dd9"),
+        ("lgb_gbdt", "b4f5be9a53eb4e306b1140d58da9f6644149cfaaa3a0765da5b3cea88cdbe996"),
+        ("cat", "8fd4dd44993e3a0580c6037d0f040b9b1d244ddfe08069007f961f11f1eaf787"),
     ],
 )
 def test_boosting_model_bytes_are_pinned(kind, digest):
-    # the sha256 of each boosting learner's model JSON on a fixed dataset, as
-    # the node-by-node split search produced it; level-wise growth keeps them
+    # the sha256 of each boosting learner's model JSON on a fixed dataset, in
+    # the node-array format; test_tree_learner_scores_are_pinned pins what
+    # these models score
     import hashlib
     import json
 
@@ -383,6 +384,37 @@ def test_boosting_model_bytes_are_pinned(kind, digest):
     model = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(7))
     text = json.dumps(model.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("xgb_binary", "8e2f9b4d4e35db910fe6b36e477405f3c06f67ff13f8215bec60cae926bb2a0b"),
+        ("xgb_rank", "7043106edcc3d103bbba94a9af8e7517a3b789b615cf29d93456ecfa8b21a401"),
+        ("lgb_gbdt", "d0c8a8b3c48ec41aa08cd86100aa7665ddfd3499b68c36d42d5063d0fc572965"),
+        ("lgb_rf", "18719f16f21134a413f87fafd65a72dfae6ef5ebfa8ec9e3743d1510a5198a57"),
+        ("cat", "d1c22bed9bb4247a47203c0e92a609243ebda2ad1a9d4a689a74d043a1e21129"),
+        ("sk_rf", "2a60d30043b76d894cdfdebee15a2c947a8d520df3354edfec16b71f5a6747ed"),
+        ("sk_et", "0c54f06ff741fde39e99c52c712d2e5adb7f3fe94d5ba6b128d337aa71a602b5"),
+    ],
+)
+def test_tree_learner_scores_are_pinned(kind, digest):
+    # the sha256 of each tree learner's score bytes on a fixed dataset, scored
+    # on a matrix with missing cells; a change of the model format must keep
+    # every score to the last bit
+    import hashlib
+
+    X, y = _pinned_data()
+    params = GbdtParams(
+        n_rounds=8, learning_rate=0.3, max_depth=3, subsample=0.8, colsample=0.8,
+        max_bin_edges=15, n_trees=6,
+    )
+    model = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(7))
+    scored = X.copy()
+    scored[::7, 0] = np.nan
+    scored[3::5, 4] = np.nan
+    scored[1::9, 7] = np.nan
+    assert hashlib.sha256(predict_scores(model, scored).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", ["sk_rf", "lgb_rf", "sk_et"])

@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from shearwater.boost import LearnerKind
-from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from shearwater.boost import GbdtParams, LearnerKind
+from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PARAM_DOMAINS, RunConfig, main
 
 
 def write_config(tmp_path, **overrides):
@@ -281,6 +282,18 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("cv", {"params": {"default": {"svm_reg": -0.5}}}, [], "params.svc.svm_reg"),
         # weights of 0/0, then cv's "birds in no fold", exit 2
         ("cv", {"params": {"svc": {"svm_epochs": 0}}}, [], "params.svc.svm_epochs"),
+        # each of these was accepted; n_trees 0 and n_rounds -1 trained constant models
+        ("cv", {"params": {"svc": {"n_trees": 0}}}, [], "params.svc.n_trees"),
+        ("cv", {"params": {"default": {"n_rounds": -1}}}, [], "params.svc.n_rounds"),
+        ("cv", {"params": {"svc": {"max_depth": 0}}}, [], "params.svc.max_depth"),
+        ("cv", {"params": {"svc": {"max_bin_edges": 0}}}, [], "params.svc.max_bin_edges"),
+        ("cv", {"params": {"svc": {"pair_cap_factor": 0}}}, [], "params.svc.pair_cap_factor"),
+        ("cv", {"params": {"svc": {"learning_rate": 0}}}, [], "params.svc.learning_rate"),
+        ("cv", {"params": {"svc": {"subsample": 0.0}}}, [], "params.svc.subsample"),
+        ("cv", {"params": {"svc": {"subsample": 1.5}}}, [], "params.svc.subsample"),
+        ("cv", {"params": {"svc": {"colsample": -0.2}}}, [], "params.svc.colsample"),
+        ("cv", {"params": {"svc": {"reg_lambda": -1}}}, [], "params.svc.reg_lambda"),
+        ("cv", {"params": {"svc": {"min_child_weight": -0.5}}}, [], "params.svc.min_child_weight"),
     ],
 )
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
@@ -302,6 +315,30 @@ def test_non_finite_learner_score_names_the_setting_and_fold(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):  # the overflow, and the NaN it makes
         assert main(["cv", "--config", str(cfg)]) == EXIT_DATA
     assert "together_svc seed 11 fold 0: non-finite score" in capsys.readouterr().err
+
+
+def test_every_hyperparameter_has_a_domain():
+    assert set(PARAM_DOMAINS) == {f.name for f in fields(GbdtParams)}
+
+
+def test_predict_refuses_non_finite_scores(tmp_path, capsys):
+    # +-1e308 features are finite, but svc's standardisation overflows on them
+    # and every score is NaN; predict labelled each bird 0 and exited 0
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["svc"])
+    path = tmp_path / "out" / "features" / "test_together.csv"
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        lines[i] = ",".join(cells[:1] + ["1e308" if i % 2 else "-1e308"] * (len(cells) - 1))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):  # the overflow, and the NaN it makes
+        assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "together_svc_s11.json: non-finite score for 24 birds" in err
+    assert "bird_0000" in err
+    assert not (tmp_path / "out" / "predictions" / "together_svc_s11.csv").exists()
 
 
 def test_synth_float_field_takes_an_int(tmp_path):
@@ -545,12 +582,29 @@ def test_predict_refuses_a_model_not_trained_on_the_current_inputs(tmp_path, cap
     assert not (tmp_path / "out" / "predictions" / "together_svc_s11.csv").exists()
 
 
+def _first_tree(doc):
+    tree = doc["trees"][0]
+    assert tree["child"][0] > 0, "the first tree is a single leaf"
+    return tree
+
+
 def _set_tree_feature(feature):
     def edit(doc):
-        root = doc["trees"][0]["root"]
-        assert "feature" in root, "the first tree is a single leaf"
-        root["feature"] = feature
+        _first_tree(doc)["feature"][0] = feature
     return edit
+
+
+def _point_child_back(doc):
+    _first_tree(doc)["child"][0] = 0  # a cycle: the root sends rows left to itself
+
+
+def _point_child_past_the_end(doc):
+    tree = _first_tree(doc)
+    tree["child"][0] = len(tree["child"]) - 1
+
+
+def _cut_tree_values(doc):
+    _first_tree(doc)["value"].pop()
 
 
 def _cut_svm_weights(doc):
@@ -568,8 +622,12 @@ def _drop_trees(doc):
         ("together_sk_rf_s11.json", _set_tree_feature(-1)),
         ("together_svc_s11.json", _cut_svm_weights),
         ("together_sk_rf_s11.json", _drop_trees),
+        ("together_sk_rf_s11.json", _point_child_back),
+        ("together_sk_rf_s11.json", _point_child_past_the_end),
+        ("together_sk_rf_s11.json", _cut_tree_values),
     ],
-    ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees"],
+    ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees",
+         "child-cycle", "child-out-of-range", "unequal-arrays"],
 )
 def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     tmp_path, capsys, model_name, edit

@@ -3,7 +3,6 @@ import pytest
 
 from shearwater.trees import (
     DecisionTree,
-    TreeNode,
     TreeParams,
     build_bins,
     fit_tree_hist,
@@ -139,8 +138,7 @@ def test_exact_finite_leaves_with_degenerate_hessian():
     grad = np.linspace(-1, 1, 10)
     hess = np.zeros(10)
     tree = fit_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=0.0))
-    for leaf in tree.leaves():
-        assert np.isfinite(leaf.value)
+    assert np.all(np.isfinite(tree.value[tree.leaves()]))
 
 
 # --- histogram fitter -------------------------------------------------------
@@ -308,7 +306,7 @@ def test_oblivious_is_lookup_table(rng):
     assert len(tree.leaves()) == 2 ** len(levels) <= 2**3
 
     # prediction = indexing leaves by the split outcome bits
-    leaf_values = np.array([leaf.value for leaf in tree.leaves()])
+    leaf_values = tree.value[tree.leaves()]
     idx = np.zeros(len(X), dtype=int)
     for f, t in levels:
         idx = 2 * idx + (X[:, f] >= t)
@@ -322,8 +320,7 @@ def test_oblivious_empty_leaves_finite(rng):
     tree = fit_oblivious_lossless(
         X, grad, hess, TreeParams(max_depth=4, reg_lambda=1.0, min_child_weight=0.0)
     )
-    for leaf in tree.leaves():
-        assert np.isfinite(leaf.value)
+    assert np.all(np.isfinite(tree.value[tree.leaves()]))
 
 
 # --- equivalence contract at every node --------------------------------------
@@ -584,23 +581,23 @@ def test_uniform_every_node_matches_bruteforce_oracle(rng):
 # --- prediction and serialization --------------------------------------------
 
 def test_predict_single_leaf():
-    tree = DecisionTree(TreeNode(value=0.42), n_features=3)
+    tree = DecisionTree([-1], [0.0], [-1], [0.42])
     np.testing.assert_array_equal(tree.predict(np.array([[1.0, 2.0, 3.0]])), [0.42])
     np.testing.assert_array_equal(tree.predict(np.zeros((4, 3))), np.full(4, 0.42))
 
 
+def _stump():
+    """x0 < 1 goes to leaf 1 (-1), else to leaf 2 (+1)."""
+    return DecisionTree([0, -1, -1], [1.0, 0.0, 0.0], [1, -1, -1], [0.0, -1.0, 1.0])
+
+
 def test_predict_tie_goes_right():
-    root = TreeNode(feature=0, threshold=1.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-    tree = DecisionTree(root, 1)
-    np.testing.assert_array_equal(tree.predict(np.array([[1.0], [0.999]])), [1.0, -1.0])
+    np.testing.assert_array_equal(_stump().predict(np.array([[1.0], [0.999]])), [1.0, -1.0])
 
 
 def test_predict_missing_follows_flag():
-    root = TreeNode(feature=0, threshold=1.0, left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-    tree = DecisionTree(root, 1)
-    np.testing.assert_array_equal(tree.predict(np.array([[np.nan]])), [-1.0])  # default left
-    root.missing_left = False
-    np.testing.assert_array_equal(tree.predict(np.array([[np.nan], [0.0]])), [1.0, -1.0])
+    # there is no per-node flag any more: a missing value always goes left
+    np.testing.assert_array_equal(_stump().predict(np.array([[np.nan], [2.0]])), [-1.0, 1.0])
 
 
 def test_json_round_trip(rng):
@@ -608,9 +605,79 @@ def test_json_round_trip(rng):
     grad = rng.normal(size=25)
     hess = np.ones(25)
     tree = fit_exact(X, grad, hess, TreeParams(max_depth=3, reg_lambda=0.3))
-    again = DecisionTree.from_dict(tree.to_dict())
+    again = DecisionTree.from_dict(tree.to_dict(), 3)
     np.testing.assert_array_equal(tree.predict(X), again.predict(X))
     assert again.to_dict() == tree.to_dict()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"value": [0.0, -1.0]},  # unequal lengths
+        {"feature": [], "threshold": [], "child": [], "value": []},
+        {"child": [0, -1, -1]},  # a child that is its own node: a cycle
+        {"child": [2, -1, -1]},  # a right child past the end
+        {"child": [-2, -1, -1]},  # neither a leaf nor a later node
+        {"feature": [3, -1, -1]},  # a split column past the schema's 3
+        {"feature": [-1, -1, -1]},
+        {"feature": [2**70, -1, -1]},  # past int64: ValueError, not OverflowError
+        {"child": [1.7, -1, -1]},  # not an index: was read as 1
+        {"threshold": [None, 0.0, 0.0]},  # was read as NaN, sending every row left
+        {"value": ["0", "-1", "1"]},
+        {"child": [[1], [-1], [-1]]},  # not one-dimensional
+    ],
+)
+def test_from_dict_refuses_a_malformed_tree(edit):
+    with pytest.raises(ValueError):
+        DecisionTree.from_dict({**_stump().to_dict(), **edit}, 3)
+
+
+def test_from_dict_refuses_a_node_with_two_parents():
+    # nodes 1 and 2 both send rows to nodes 3 and 4; nodes 5 and 6 have no parent
+    doc = {
+        "feature": [0, 0, 0, -1, -1, -1, -1],
+        "threshold": [0.0] * 7,
+        "child": [1, 3, 3, -1, -1, -1, -1],
+        "value": [0.0] * 7,
+    }
+    with pytest.raises(ValueError, match="two parents"):
+        DecisionTree.from_dict(doc, 1)
+
+
+def test_root_view_walks_to_the_leaves_predict_picks(rng):
+    # one tree per backend; the view reaches exactly the leaves, and a walk
+    # down it (missing values left) ends where predict does
+    X = rng.normal(size=(80, 4))
+    X[:, 2] = rng.integers(0, 3, size=80)
+    grad, hess = rng.normal(size=80), rng.uniform(0.2, 1.0, size=80)
+    params = TreeParams(max_depth=3, reg_lambda=0.5, min_child_weight=0.0)
+    bins = build_bins(X, max_edges=7)
+    trees = {
+        "exact": fit_exact(X, grad, hess, params),
+        "hist": fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params),
+        "oblivious": fit_oblivious_lossless(X, grad, hess, params),
+        "uniform": fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(4))[0],
+    }
+    scored = X.copy()
+    scored[::3, :] = np.nan
+    for backend, tree in trees.items():
+        assert not tree.root.is_leaf, backend
+        reached, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                reached.append(node.index)
+            else:
+                stack += [node.left, node.right]
+        assert sorted(reached) == tree.leaves().tolist(), backend
+        walked = []
+        for x in scored:
+            node = tree.root
+            while not node.is_leaf:
+                node = node.right if x[node.feature] >= node.threshold else node.left
+            walked.append(node.index)
+        tree.value = np.arange(len(tree.value), dtype=np.float64)  # predict the leaf number
+        np.testing.assert_array_equal(tree.predict(scored), walked, err_msg=backend)
 
 
 def test_batch_without_draws_equals_each_tree_alone(rng):
