@@ -30,11 +30,11 @@ grad, hess = p - y, p * (1 - p)
 print(f"plug-in gain example: {newton_gain(2.0, 1.0, -2.0, 1.0, 1.0)} (expect 2.0)")
 
 params = TreeParams(max_depth=3, reg_lambda=1.0, min_child_weight=1.0)
-lossless = build_bins(X, max_edges=None)  # exact: one bin per distinct value
-bins = build_bins(X, max_edges=7)
-exact = fit_tree_hist(lossless.bin_matrix(X), grad, hess, lossless, params)
-hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
-oblivious = fit_tree_oblivious(lossless.bin_matrix(X), grad, hess, lossless, params)
+lossless, X_lossless = build_bins(X, max_edges=None)  # exact: one bin per distinct value
+bins, X_binned = build_bins(X, max_edges=7)
+exact = fit_tree_hist(X_lossless, grad, hess, lossless, params)
+hist = fit_tree_hist(X_binned, grad, hess, bins, params)
+oblivious = fit_tree_oblivious(X_lossless, grad, hess, lossless, params)
 # no bins: fit_trees draws uniform cuts from the raw matrix, a batch of one tree
 uniform = fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(7))[0]
 

@@ -6,10 +6,13 @@ Brand differences reduce to (loss, split-candidate generation, tree shape,
 bagging). ``LearnerKind.backend`` names each learner's split search: the
 xgb variants and sk_rf use exact splits, the lgb variants histogram splits,
 cat oblivious trees and sk_et uniform random thresholds. ``_fit_matrix`` is
-the one place that prepares a backend's matrix: exact, hist and oblivious
-all fit on bins built once per model (lossless for exact and oblivious, at
-most ``max_bin_edges`` edges per feature for hist); uniform draws its
-thresholds from the raw matrix and scores them with the same split kernel.
+the one place that picks a backend's matrix and bins: exact, hist and
+oblivious fit on one binned matrix per model, either lossless bins a caller
+shares between fits (``evalcv.prepare`` bins each training matrix once for
+every fold, setting and seed; hist takes them only when its own bins would
+be lossless too, which always holds at <= 256 rows) or bins made from the
+model's rows; uniform draws its thresholds from the raw matrix and scores
+them with the same split kernel.
 Both boosting learners run one loop, ``_boost``, over a loss's
 (gradient/hessian, loss) pair and fit one tree a round through
 ``_backend_fitter`` on a binned backend (no learner boosts on uniform); the
@@ -32,6 +35,7 @@ from .errors import DegenerateLabels, SchemaMismatch, SingleClass
 from .linsvm import SvmModel, fit_pegasos
 from .trees import (
     DecisionTree,
+    HistogramBins,
     TreeParams,
     build_bins,
     fit_tree_hist,
@@ -143,7 +147,7 @@ class TrainedModel:
         if ("trees" in doc) == ("svm" in doc):
             raise ValueError("a model holds either trees or an svm")
         width = len(doc["feature_names"])
-        trees = [DecisionTree.from_dict(t, width) for t in doc["trees"]] if "trees" in doc else None
+        trees = DecisionTree.from_dicts(doc["trees"], width) if "trees" in doc else None
         model = cls(
             kind=LearnerKind(doc["kind"]),
             params=GbdtParams.from_dict(doc["params"]),
@@ -230,20 +234,38 @@ def _subsample(n: int, fraction: float, rng) -> np.ndarray | None:
     return picked
 
 
-def _fit_matrix(backend: str, X, max_bin_edges: int):
-    """The matrix a backend's trees fit on and its bins: raw X and None for
-    uniform; bins built once per model (lossless for exact and oblivious, at
-    most ``max_bin_edges`` edges per feature for hist) and X binned by them
-    otherwise."""
+def _fit_matrix(backend: str, X, max_bin_edges: int, binned=None):
+    """The matrix a backend's trees fit on and its bins.
+
+    ``binned`` is X binned losslessly and those bins: one bin per value of
+    a superset of each column's values, as ``evalcv.prepare`` shares them
+    between fits. exact and oblivious fit on them; so does hist when its
+    own quantile bins would be lossless too (no column of X has more than
+    ``max_bin_edges + 1`` distinct values), for bins over more values give
+    the same trees. Otherwise X is binned here, once per model: losslessly
+    for exact and oblivious, by at most ``max_bin_edges`` quantile edges per
+    feature for hist. uniform fits on raw X and no bins.
+    """
     if backend == "uniform":
         return X, None
     if backend not in ("exact", "hist", "oblivious"):
         raise ValueError(f"unknown backend {backend!r}")
-    bins = build_bins(X, max_bin_edges if backend == "hist" else None)
-    return bins.bin_matrix(X), bins
+    if binned is not None and (backend != "hist" or _lossless(*binned, max_bin_edges)):
+        return binned
+    bins, data = build_bins(X, max_bin_edges if backend == "hist" else None)
+    return data, bins
 
 
-def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int):
+def _lossless(binned, bins, max_edges: int) -> bool:
+    """Whether no column of ``binned`` occupies more than max_edges + 1 bins."""
+    if len(binned) <= max_edges + 1 or bins.n_edges.max(initial=0) <= max_edges:
+        return True
+    occupied = np.zeros((binned.shape[1], int(bins.n_edges.max()) + 1), dtype=bool)
+    occupied[np.arange(binned.shape[1]), binned] = True
+    return bool(occupied.sum(axis=1).max() <= max_edges + 1)
+
+
+def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int, binned=None):
     """The one map from a binned backend's name to a one-tree fitter;
     returns fit(grad, hess, rng=, rows=, candidate_features=).
 
@@ -252,19 +274,21 @@ def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int
     """
     if backend == "uniform":
         raise ValueError("the uniform backend grows forests only")
-    data, bins = _fit_matrix(backend, X, max_bin_edges)
+    data, bins = _fit_matrix(backend, X, max_bin_edges, binned)
     fitter = fit_tree_oblivious if backend == "oblivious" else fit_tree_hist
     return partial(fitter, data, bins=bins, params=tree_params)
 
 
-def _boost(X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss):
+def _boost(
+    X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss, binned
+):
     """Stagewise Newton boosting from the constant margin f0.
 
     Each round asks ``grad_hess(margins)`` for per-instance gradients and
     hessians, fits a tree on an optionally row/column-subsampled view, adds
     learning_rate * tree to the margins and records ``loss(margins, y)``.
     """
-    fitter = _backend_fitter(backend, X, params.tree_params(), params.max_bin_edges)
+    fitter = _backend_fitter(backend, X, params.tree_params(), params.max_bin_edges, binned)
     n, d = X.shape
     margins = np.full(n, f0)
     trees: list[DecisionTree] = []
@@ -296,11 +320,12 @@ def fit_gbdt_logistic(
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
     kind: LearnerKind = LearnerKind.XGB_BINARY,
+    binned=None,
 ) -> TrainedModel:
     """Logistic-loss boosting with Newton trees.
 
     F0 is the clamped log-odds of the training prevalence; each round fits
-    a tree to (p - y, p(1 - p)).
+    a tree to (p - y, p(1 - p)). ``binned`` is as for :func:`fit_learner`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -313,7 +338,7 @@ def fit_gbdt_logistic(
 
     return _boost(
         X, y, params, backend, rng, feature_names, kind, f0,
-        partial(logistic_grad_hess, y=y), logistic_loss,
+        partial(logistic_grad_hess, y=y), logistic_loss, binned,
     )
 
 
@@ -324,12 +349,14 @@ def fit_gbdt_pairwise(
     backend: str = "exact",
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
+    binned=None,
 ) -> TrainedModel:
     """RankNet-style pairwise boosting; scores are raw margins from F0 = 0.
 
     Per-instance gradients aggregate over that instance's sampled pairs;
     pairs are drawn uniformly without replacement up to
-    pair_cap_factor * n per round (all pairs when they fit).
+    pair_cap_factor * n per round (all pairs when they fit). ``binned`` is
+    as for :func:`fit_learner`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -351,7 +378,7 @@ def fit_gbdt_pairwise(
 
     return _boost(
         X, y, params, backend, rng, feature_names, LearnerKind.XGB_RANK, 0.0, grad_hess,
-        pairwise_loss,
+        pairwise_loss, binned,
     )
 
 
@@ -362,6 +389,7 @@ def fit_forest(
     kind: LearnerKind = LearnerKind.SK_RF,
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
+    binned=None,
 ) -> TrainedModel:
     """Random forest / extra trees with class-mean leaves.
 
@@ -376,7 +404,7 @@ def fit_forest(
     Every tree's bootstrap rows are drawn first; then ``trees.fit_trees``
     grows all the trees together, level by level, each level's nodes
     drawing their features (and sk_et's thresholds) in (tree, then
-    left-to-right) order.
+    left-to-right) order. ``binned`` is as for :func:`fit_learner`.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -392,7 +420,7 @@ def fit_forest(
         reg_lambda=0.0,
         features_per_node=per_node,
     )
-    data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges)
+    data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges, binned)
     if kind is LearnerKind.SK_ET:
         rows = [np.arange(n)] * params.n_trees
     else:
@@ -422,8 +450,14 @@ def fit_learner(
     params: GbdtParams,
     rng: np.random.Generator,
     feature_names: list[str] | None = None,
+    binned: tuple[np.ndarray, HistogramBins] | None = None,
 ) -> TrainedModel:
-    """Dispatch one of the eight learners by family and backend."""
+    """Dispatch one of the eight learners by family and backend.
+
+    ``binned`` optionally gives X binned losslessly and its bins, which
+    may hold more values than X (see :func:`_fit_matrix`); a fit on them
+    equals the fit that bins X itself.
+    """
     family = kind.family
     if family == "svm":
         svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)
@@ -434,10 +468,10 @@ def fit_learner(
             svm=svm,
         )
     if family == "forest":
-        return fit_forest(X, y, params, kind, rng, feature_names)
+        return fit_forest(X, y, params, kind, rng, feature_names, binned)
     if family == "pairwise":
-        return fit_gbdt_pairwise(X, y, params, kind.backend, rng, feature_names)
-    return fit_gbdt_logistic(X, y, params, kind.backend, rng, feature_names, kind=kind)
+        return fit_gbdt_pairwise(X, y, params, kind.backend, rng, feature_names, binned)
+    return fit_gbdt_logistic(X, y, params, kind.backend, rng, feature_names, kind, binned)
 
 
 def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> np.ndarray:

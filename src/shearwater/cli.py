@@ -18,7 +18,6 @@ import json
 import sys
 import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,6 +50,7 @@ from .evalcv import (
     hard_labels,
     majority_vote,
     make_folds,
+    prepare,
     prevalent_label,
     require_finite_scores,
 )
@@ -265,6 +265,8 @@ def _load_model(path: Path, fingerprint: str) -> TrainedModel:
         try:
             doc = json.loads(path.read_text())
             model = TrainedModel.from_dict(doc)
+        except StaleArtifact:  # a model file in an older format
+            raise
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedRow(f"not a model file: {exc!r}") from None
         if doc.get("fingerprint") != fingerprint:
@@ -347,30 +349,34 @@ def cmd_folds(cfg: RunConfig) -> None:
 _WORKER: dict = {}
 
 
-def _init_worker(matrices, folds):
-    _WORKER["matrices"] = matrices
+def _init_worker(prepared, folds):
+    _WORKER["prepared"] = prepared
     _WORKER["folds"] = folds
 
 
 def _cv_task(item):
     setting, seed = item
-    return cross_validate(setting, _WORKER["matrices"][setting.mode], _WORKER["folds"], seed)
+    prepared = _WORKER["prepared"][setting.mode]
+    return cross_validate(setting, prepared.matrix, _WORKER["folds"], seed, prepared)
 
 
 def _train_task(item):
     setting, seed, threshold = item
-    model = fit_final_model(
-        setting, _WORKER["matrices"][setting.mode], _WORKER["folds"], seed, threshold
-    )
+    prepared = _WORKER["prepared"][setting.mode]
+    model = fit_final_model(setting, prepared.matrix, _WORKER["folds"], seed, threshold, prepared)
     return model.to_dict()
 
 
-def _parallel_map(task_fn, items, jobs, matrices, folds):
+def _parallel_map(task_fn, items, jobs, prepared, folds):
+    """``task_fn`` over ``items``, with the prepared matrices of each mode
+    and the folds in ``_WORKER``; in ``jobs`` worker processes when > 1."""
     if jobs <= 1:
-        _init_worker(matrices, folds)
+        _init_worker(prepared, folds)
         return [task_fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # its import is slow; one job needs none
+
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(matrices, folds)
+        max_workers=jobs, initializer=_init_worker, initargs=(prepared, folds)
     ) as pool:
         return list(pool.map(task_fn, items))
 
@@ -443,7 +449,8 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
 def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     items = cfg.runs()
-    results: list[CvResult] = _parallel_map(_cv_task, items, jobs, matrices, folds)
+    prepared = {mode: prepare(matrix, folds) for mode, matrix in matrices.items()}
+    results: list[CvResult] = _parallel_map(_cv_task, items, jobs, prepared, folds)
     tuned = {
         _run_name(s, seed): {
             "threshold": r.threshold,
@@ -479,7 +486,8 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
     matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     items = _train_items(cfg, inputs_crc)
-    docs = _parallel_map(_train_task, items, jobs, matrices, folds)
+    prepared = {mode: prepare(matrix) for mode, matrix in matrices.items()}
+    docs = _parallel_map(_train_task, items, jobs, prepared, folds)
     cfg.models_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed, _), doc in zip(items, docs):
         doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)

@@ -30,6 +30,7 @@ from .errors import (
     csv_rows,
     parse_int64,
 )
+from .trees import HistogramBins, build_bins
 
 
 def stable_seed(text: str) -> int:
@@ -123,6 +124,9 @@ def accuracy(pred, truth) -> float:
 def tune_threshold(scores, truth) -> float:
     """Threshold maximizing F1 of (score > tau) over the distinct-score
     midpoints plus below-min / above-max sentinels; ties take the smallest.
+
+    One sort of the scores: a candidate's predicted positives are the
+    scores above it, so TP and FP are counts past its place in the sort.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
@@ -132,18 +136,24 @@ def tune_threshold(scores, truth) -> float:
         raise ValueError("scores must be finite")
     if len(np.unique(truth)) < 2:
         raise SingleClass("threshold tuning needs both classes present")
-    distinct = np.unique(scores)
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    distinct = ranked[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
     candidates = np.concatenate(
         [[distinct[0] - 1.0], 0.5 * (distinct[:-1] + distinct[1:]), [distinct[-1] + 1.0]]
     )
-    best_tau = candidates[0]
-    best_f1 = -1.0
-    for tau in candidates:
-        f1 = f1_score((scores > tau).astype(np.int64), truth)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_tau = tau
-    return float(best_tau)
+    below = np.searchsorted(ranked, candidates, side="right")  # scores <= each candidate
+
+    def above(cls):  # how many of class ``cls`` score above each candidate
+        total = np.concatenate([[0], np.cumsum(truth[order] == cls)])
+        return total[-1] - total[below]
+
+    tp, fp = above(1), above(0)
+    fn = int((truth == 1).sum()) - tp
+    denom = 2 * tp + fp + fn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = np.where(denom == 0, 1.0, 2.0 * tp / denom)  # as f1_score
+    return float(candidates[np.argmax(f1)])
 
 
 def hard_labels(scores, tau: float) -> np.ndarray:
@@ -169,37 +179,91 @@ class CvResult:
     bird_ids: list[str]
 
 
+@dataclass
+class PreparedMatrix:
+    """A training matrix made ready once for every fit on it.
+
+    Fill j is the column medians of the rows of training set j (each fold's
+    training rows for ``cv``, every row for ``train``); it is kept only for
+    columns with a missing cell, the only ones a fill reaches. ``bins`` is
+    one lossless binning over every value set j's imputed rows can hold:
+    the observed values and every fill. ``binned`` holds each observed
+    cell's bin (-1 where missing) and ``fill_bins`` each fill's.
+    """
+
+    matrix: FeatureMatrix
+    fills: np.ndarray
+    binned: np.ndarray
+    fill_bins: np.ndarray
+    bins: HistogramBins
+
+    def rows(self, j: int, mask) -> np.ndarray:
+        """The rows under ``mask``, imputed by fill j."""
+        values = self.matrix.values[mask]
+        nan_rows, nan_cols = np.nonzero(np.isnan(values))
+        values[nan_rows, nan_cols] = self.fills[j, nan_cols]
+        return values
+
+    def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins]:
+        """The bins of ``rows(j, mask)``, and the bins."""
+        binned = self.binned[mask]
+        nan_rows, nan_cols = np.nonzero(binned < 0)
+        binned[nan_rows, nan_cols] = self.fill_bins[j, nan_cols]
+        return binned, self.bins
+
+
+def prepare(matrix: FeatureMatrix, folds: FoldAssignment | None = None) -> PreparedMatrix:
+    """``matrix`` ready for the fits of :func:`cross_validate` under
+    ``folds`` (fill j from the rows outside fold j), or without folds for
+    :func:`fit_final_model` (one fill from every row)."""
+    if folds is None:
+        train_masks = [np.ones(len(matrix.bird_ids), dtype=bool)]
+    else:
+        fold_of = folds.fold_vector(matrix.bird_ids)
+        train_masks = [fold_of != k for k in range(folds.k)]
+    # a row with every cell missing takes the fill in each column
+    blank = FeatureMatrix(["fill"], list(matrix.columns), np.full((1, len(matrix.columns)), np.nan))
+    fills = np.array([impute(matrix.subset(mask), blank).values[0] for mask in train_masks])
+    fills[:, ~np.isnan(matrix.values).any(axis=0)] = np.nan
+    bins, binned = build_bins(np.concatenate([matrix.values, fills]), None)
+    n = len(matrix.bird_ids)
+    return PreparedMatrix(matrix, fills, binned[:n], binned[n:], bins)
+
+
 def cross_validate(
     setting: ModelSetting,
     matrix: FeatureMatrix,
     folds: FoldAssignment,
     seed: int = 0,
+    prepared: PreparedMatrix | None = None,
 ) -> CvResult:
     """Out-of-fold evaluation of one setting under the shared folds.
 
-    Each fold refits imputation statistics on its training split, fits the
-    learner, and scores the held-out birds; the decision threshold is tuned
-    once on the pooled out-of-fold scores and the per-fold F1 values are
-    reported at that threshold.
+    Each fold imputes every row with the medians of its training rows, fits
+    the learner on its training rows, and scores the held-out birds; the
+    decision threshold is tuned once on the pooled out-of-fold scores and
+    the per-fold F1 values are reported at that threshold. ``prepared`` is
+    ``prepare(matrix, folds)``, made here when not given.
     """
     if matrix.labels is None:
         raise MissingLabel("cross-validation needs a labeled matrix")
+    if prepared is None:
+        prepared = prepare(matrix, folds)
     fold_of = folds.fold_vector(matrix.bird_ids)
     y = matrix.labels
     oof = np.zeros(len(y))
     scored = np.zeros(len(y), dtype=bool)
     for k in range(folds.k):
         test_mask = fold_of == k
-        train = matrix.subset(~test_mask)
-        filled = impute(train, matrix)  # one fill from the training rows, for all rows
+        train_mask = ~test_mask
         rng = setting_rng(setting.name, seed, k)
         model = fit_learner(
-            setting.kind, filled.values[~test_mask], train.labels, setting.params, rng,
-            train.columns,
+            setting.kind, prepared.rows(k, train_mask), y[train_mask], setting.params, rng,
+            matrix.columns, prepared.binned_rows(k, train_mask),
         )
-        held_out = filled.subset(test_mask)
-        scores = predict_scores(model, held_out)
-        require_finite_scores(scores, held_out.bird_ids, f"{setting.name} seed {seed} fold {k}")
+        scores = predict_scores(model, prepared.rows(k, test_mask), matrix.columns)
+        held_out = [matrix.bird_ids[i] for i in np.flatnonzero(test_mask)]
+        require_finite_scores(scores, held_out, f"{setting.name} seed {seed} fold {k}")
         oof[test_mask] = scores
         scored |= test_mask
     unscored = [b for b, ok in zip(matrix.bird_ids, scored) if not ok]
@@ -225,15 +289,20 @@ def fit_final_model(
     folds: FoldAssignment,
     seed: int,
     threshold: float,
+    prepared: PreparedMatrix | None = None,
 ) -> TrainedModel:
     """Fit on all rows; ``threshold`` is the one :func:`cross_validate`
     tuned on the out-of-fold scores of the same (setting, seed). The fit
-    draws from the stream after the k fold streams.
+    draws from the stream after the k fold streams. ``prepared`` is
+    ``prepare(matrix)``, made here when not given.
     """
-    full_imp = impute(matrix, matrix)
+    if prepared is None:
+        prepared = prepare(matrix)
+    every = np.ones(len(matrix.bird_ids), dtype=bool)
     rng = setting_rng(setting.name, seed, folds.k)
     model = fit_learner(
-        setting.kind, full_imp.values, matrix.labels, setting.params, rng, matrix.columns
+        setting.kind, prepared.rows(0, every), matrix.labels, setting.params, rng,
+        matrix.columns, prepared.binned_rows(0, every),
     )
     model.threshold = threshold
     return model

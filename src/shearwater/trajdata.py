@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -158,8 +159,55 @@ def _float(text: str, column: str) -> float:
         raise MalformedRow(f"unparseable {column} {text!r}") from None
 
 
+# each field's cell parser, in column order; a parser's error names the field
+_CELL_PARSERS = (
+    *(partial(_float, column=name) for name in CSV_HEADER[:4]),
+    partial(parse_int64, what="daytime"),
+    partial(_float, column="elapsed_time"),
+    parse_local_time,
+    partial(parse_int64, what="days"),
+)
+
+
+def _local_times(cells: tuple[str, ...]) -> np.ndarray:
+    """parse_local_time of every cell; the cells of a well-formed column,
+    all ``dd:dd:dd`` with the hour below 24, are read in one pass over their
+    bytes."""
+    if set(map(len, cells)) == {8} and (text := "".join(cells)).isascii():
+        chars = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 8).astype(np.int64) - 48
+        digits = chars[:, [0, 1, 3, 4, 6, 7]]
+        hms = 10 * digits[:, 0::2] + digits[:, 1::2]  # hours, minutes, seconds
+        well_formed = (chars[:, [2, 5]] == ord(":") - 48).all() and (
+            (digits >= 0) & (digits <= 9)
+        ).all()
+        if well_formed and (hms < [24, 60, 60]).all():
+            return hms @ np.array([3600, 60, 1])
+    return np.array([parse_local_time(cell) for cell in cells], dtype=np.int64)
+
+
+def _columns(cells: list[tuple[str, ...]]) -> list[np.ndarray]:
+    """Each column's cells converted in bulk, as the cell parsers convert
+    them; ValueError or OverflowError when a cell does not convert."""
+    return [
+        np.array(list(map(float, cells[0])), dtype=np.float64),
+        np.array(list(map(float, cells[1])), dtype=np.float64),
+        np.array(list(map(float, cells[2])), dtype=np.float64),
+        np.array(list(map(float, cells[3])), dtype=np.float64),
+        np.array(list(map(int, cells[4])), dtype=np.int64),
+        np.array(list(map(float, cells[5])), dtype=np.float64),
+        _local_times(cells[6]),
+        np.array(list(map(int, cells[7])), dtype=np.int64),
+    ]
+
+
 def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
-    """Parse one trajectory CSV document and validate all invariants."""
+    """Parse one trajectory CSV document and validate all invariants.
+
+    The rows are read first, up to the first one the CSV reader refuses or
+    that has the wrong field count; then each column is converted in bulk.
+    Errors come in file order: the first cell that does not convert, else
+    that row, else the first invariant a row breaks.
+    """
     rows = csv_rows(csv_text)
     header = next(rows, None)
     if header is None:
@@ -167,37 +215,35 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRow(f"{bird_id}: bad header {header!r}")
 
-    cols: list[list] = [[] for _ in CSV_HEADER]
-    lines: list[int] = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise MalformedRow(f"{bird_id}: line {lineno}: expected 8 fields, got {len(row)}")
-        try:
-            cols[0].append(_float(row[0], "longitude"))
-            cols[1].append(_float(row[1], "latitude"))
-            cols[2].append(_float(row[2], "sun_azimuth"))
-            cols[3].append(_float(row[3], "sun_elevation"))
-            cols[4].append(parse_int64(row[4], "daytime"))
-            cols[5].append(_float(row[5], "elapsed_time"))
-            cols[6].append(parse_local_time(row[6]))
-            cols[7].append(parse_int64(row[7], "days"))
-        except PipelineError as exc:
-            raise type(exc)(f"{bird_id}: line {lineno}: {exc}") from None
-        lines.append(lineno)
+    body: list[list[str]] = []
+    problem = None
+    try:
+        body.extend(rows)
+    except MalformedRow as exc:  # the rows before it are read
+        problem = exc
+    widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+    wrong = np.flatnonzero((widths != len(CSV_HEADER)) & (widths != 0))
+    if wrong.size:
+        bad = wrong[0]
+        problem = MalformedRow(f"{bird_id}: line {bad + 2}: expected 8 fields, got {widths[bad]}")
+        widths = widths[:bad]
+    kept = np.flatnonzero(widths)  # blank lines are skipped
+    lines = (kept + 2).tolist()
+    good = body if kept.size == len(body) else [body[i] for i in kept]
+    try:
+        columns = _columns(list(zip(*good)) or [()] * len(CSV_HEADER))
+    except (ValueError, OverflowError):
+        for lineno, row in zip(lines, good):  # the first cell that fails, in file order
+            for parse, cell in zip(_CELL_PARSERS, row):
+                try:
+                    parse(cell)
+                except PipelineError as exc:
+                    raise type(exc)(f"{bird_id}: line {lineno}: {exc}") from None
+        raise
+    if problem is not None:
+        raise problem
 
-    traj = Trajectory(
-        bird_id=bird_id,
-        longitude=np.array(cols[0], dtype=np.float64),
-        latitude=np.array(cols[1], dtype=np.float64),
-        sun_azimuth=np.array(cols[2], dtype=np.float64),
-        sun_elevation=np.array(cols[3], dtype=np.float64),
-        daytime=np.array(cols[4], dtype=np.int64),
-        elapsed=np.array(cols[5], dtype=np.float64),
-        local_time=np.array(cols[6], dtype=np.int64),
-        days=np.array(cols[7], dtype=np.int64),
-    )
+    traj = Trajectory(bird_id, *columns)
     traj.validate(lines)
     return traj
 

@@ -26,6 +26,17 @@ with a lower one and never wins, and skipping it leaves out only exact
 zeros; per-bin sums accumulate in row order, so every gain is the float a
 node-by-node search computes.
 
+Bins belong to a matrix, not to a tree: ``build_bins`` bins a whole matrix
+from one sort of its columns, and every tree of a model fits on that one
+binned matrix. Lossless bins over a superset of the matrix's values (as
+``evalcv.prepare`` shares between a command's fits) give the very trees
+that lossless bins over its own values give: the occupied bins, their order,
+their per-bin sums and the midpoints between a node's neighbouring occupied
+values are the same; only the width of the bin axis, and with it how a
+level's nodes are cut into kernel runs, differs. The same holds for
+histogram bins whenever they are lossless, that is when no feature has more
+than ``max_edges + 1`` distinct values.
+
 ``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
 grows a batch of one on bins (a boosting round). A level's nodes go to the
 kernel in runs of at most ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS``
@@ -52,8 +63,11 @@ leaves'. Fitting assumes finite inputs; prediction tolerates NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .errors import StaleArtifact
 
 # Upper bounds on one kernel call's samples and histogram slots (nodes x
 # columns x bins), so a call's memory does not grow with the batch.
@@ -134,26 +148,47 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "DecisionTree":
-        """Decode a tree; ValueError unless its arrays form one tree over
-        ``n_features`` columns, so ``predict`` ends and reads real columns."""
-        raw = [np.asarray(doc[key]) for key in cls.ARRAYS]
+        """Decode one tree, checked as :meth:`from_dicts` checks trees."""
+        return cls.from_dicts([doc], n_features)[0]
+
+    @classmethod
+    def from_dicts(cls, docs: list[dict], n_features: int) -> list["DecisionTree"]:
+        """Decode trees; ValueError unless the arrays of each form one tree
+        over ``n_features`` columns, so ``predict`` ends and reads real
+        columns. The trees are checked together, on their arrays laid end
+        to end, and StaleArtifact refuses the nested nodes of the format
+        before node arrays."""
+        if not docs:
+            return []
+        if any("root" in doc for doc in docs):
+            raise StaleArtifact("trees in the nested-node format of older versions; re-run train")
+        lists = [[doc[key] for doc in docs] for key in cls.ARRAYS]
+        if not all(type(a) is list for per_tree in lists for a in per_tree):
+            raise ValueError("tree arrays must be lists")
+        sizes = np.array([[len(a) for a in per_tree] for per_tree in lists])
+        raw = [np.asarray(list(chain.from_iterable(per_tree))) for per_tree in lists]
         if any(a.dtype.kind not in kinds for a, kinds in zip(raw, cls.ARRAYS.values())):
             raise ValueError("tree indices must be int64 and thresholds and values numbers")
-        tree = cls(*raw)
-        n = tree.child.size
-        if n == 0 or any(a.shape != (n,) for a in raw):
-            raise ValueError(f"tree arrays of shapes {[a.shape for a in raw]}")
-        index = np.arange(n)
-        if ((tree.child != -1) & (tree.child <= index)).any():
+        n = sizes[0]
+        if (sizes != n).any() or (n == 0).any() or any(a.ndim != 1 for a in raw):
+            raise ValueError(f"tree arrays of sizes {sizes.T.tolist()}, not one size per tree")
+        feature, _, child, _ = raw
+        start = np.repeat(np.cumsum(n) - n, n)  # each node's tree's first node
+        index, size = np.arange(n.sum()) - start, np.repeat(n, n)
+        if ((child != -1) & (child <= index)).any():
             raise ValueError("a tree node's child must come after it")
-        inner = tree.child >= 0
-        slots = np.sort(np.concatenate([tree.child[inner], tree.child[inner] + 1]))
-        if slots.size != n - 1 or (slots != index[1:]).any():
+        inner = child >= 0
+        first = child[inner] + start[inner]
+        slots = np.sort(np.concatenate([first, first + 1]))
+        others = np.delete(np.arange(n.sum()), np.cumsum(n) - n)  # every node but the roots
+        past_end = (child[inner] + 1 >= size[inner]).any()
+        if past_end or slots.size != others.size or (slots != others).any():
             raise ValueError("tree children out of range, or a node with two parents or none")
-        split_on = tree.feature[inner]
+        split_on = feature[inner]
         if split_on.min(initial=0) < 0 or split_on.max(initial=0) >= n_features:
             raise ValueError(f"split feature outside 0..{n_features - 1}")
-        return tree
+        cuts = np.cumsum(n)[:-1]
+        return [cls(*arrays) for arrays in zip(*(np.split(a, cuts) for a in raw))]
 
 
 def newton_gain(gl, hl, gr, hr, reg_lambda):
@@ -408,12 +443,13 @@ def fit_trees(
 
 @dataclass
 class HistogramBins:
-    """Per-feature quantile bin edges plus per-bin training value bounds.
+    """Per-feature bin edges plus per-bin training value bounds.
 
     Edges are strictly increasing; a feature with e edges has e+1 bins and
     the bin index of a value is the count of edges <= value. When every
-    distinct value has its own bin the edges are exactly the midpoints
-    between consecutive distinct values.
+    distinct value has its own bin (lossless bins) the edges are exactly the
+    midpoints between consecutive distinct values, and a bin's bounds are
+    its value.
     """
 
     edges: list[np.ndarray]
@@ -431,38 +467,48 @@ class HistogramBins:
         return out
 
 
-def build_bins(X: np.ndarray, max_edges: int | None = 255) -> HistogramBins:
-    """Quantile bins per feature, lossless whenever distinct values fit.
+def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBins, np.ndarray]:
+    """Bins per feature and X binned by them, from one sort of X's columns.
 
-    ``max_edges=None`` never caps: every distinct value gets its own bin,
-    which is how the exact backend bins.
+    A feature whose distinct values fit (at most ``max_edges + 1``, or any
+    number for ``max_edges=None``, which is how the exact backend bins) is
+    binned losslessly: one bin per distinct value, a cell's bin its dense
+    rank. Any other feature gets quantile bins. A NaN cell holds no value:
+    it counts in no bin and its bin id is -1.
     """
     X = np.asarray(X, dtype=np.float64)
-    edges_list, mins_list, maxs_list = [], [], []
+    order = np.argsort(X, axis=0, kind="stable")  # NaN sorts last
+    s = np.take_along_axis(X, order, axis=0)
+    first = np.zeros(s.shape, dtype=bool)  # the first cell of each distinct value
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    first &= ~np.isnan(s)
+    binned = np.empty(X.shape, dtype=np.int32)
+    np.put_along_axis(binned, order, np.cumsum(first, axis=0, dtype=np.int32) - 1, axis=0)
+    binned[np.isnan(X)] = -1
+    counts = first.sum(axis=0)
+    distinct = np.split(s.T[first.T], np.cumsum(counts)[:-1])
+    # midpoints between each distinct value and the one below it
+    mids = np.split((0.5 * (s[1:] + s[:-1])).T[first[1:].T], np.cumsum(counts - (counts > 0))[:-1])
+    edges_list, mins_list, maxs_list = mids, list(distinct), list(distinct)
     if max_edges is not None:
         probs = np.arange(1, max_edges + 1) / (max_edges + 1)
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        distinct = np.unique(col)
-        if max_edges is None or distinct.size - 1 <= max_edges:
-            edges = 0.5 * (distinct[:-1] + distinct[1:])
-            mins = maxs = distinct
-        else:
-            s = np.sort(col)
-            h = (s.size - 1) * probs
+        for f in np.flatnonzero(counts - 1 > max_edges):
+            valid = ~np.isnan(X[:, f])
+            values, ranked = X[valid, f], s[: valid.sum(), f]
+            h = (ranked.size - 1) * probs
             lo = np.floor(h).astype(np.intp)
-            cand = s[lo] + (h - lo) * (s[np.minimum(lo + 1, s.size - 1)] - s[lo])
-            edges = np.unique(cand)
-            edges = edges[(edges > distinct[0]) & (edges <= distinct[-1])]
-            idx = np.searchsorted(edges, col, side="right")
+            hi = np.minimum(lo + 1, ranked.size - 1)
+            edges = np.unique(ranked[lo] + (h - lo) * (ranked[hi] - ranked[lo]))
+            edges = edges[(edges > ranked[0]) & (edges <= ranked[-1])]
+            idx = np.searchsorted(edges, values, side="right")
             mins = np.full(edges.size + 1, np.inf)
             maxs = np.full(edges.size + 1, -np.inf)
-            np.minimum.at(mins, idx, col)
-            np.maximum.at(maxs, idx, col)
-        edges_list.append(np.asarray(edges, dtype=np.float64))
-        mins_list.append(np.asarray(mins, dtype=np.float64))
-        maxs_list.append(np.asarray(maxs, dtype=np.float64))
-    return HistogramBins(edges_list, mins_list, maxs_list)
+            np.minimum.at(mins, idx, values)
+            np.maximum.at(maxs, idx, values)
+            binned[valid, f] = idx
+            edges_list[f], mins_list[f], maxs_list[f] = edges, mins, maxs
+    return HistogramBins(edges_list, mins_list, maxs_list), binned
 
 
 def fit_tree_hist(

@@ -133,7 +133,7 @@ def test_criterion_04_histogram_equivalence():
             colsample=1.0,
             min_child_weight=0.0,
         )
-        bins = build_bins(X)
+        bins, _ = build_bins(X)
         assert all(e.size <= 255 for e in bins.edges)  # lossless here
         exact = fit_gbdt_logistic(X, y, params, backend="exact")
         hist = fit_gbdt_logistic(X, y, params, backend="hist")

@@ -615,6 +615,24 @@ def _drop_trees(doc):
     del doc["trees"]
 
 
+def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
+    # models written before trees were node arrays held nested nodes
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["sk_rf"])
+    model = tmp_path / "out" / "models" / "together_sk_rf_s11.json"
+    doc = json.loads(model.read_text())
+    stump = {"feature": 0, "threshold": 0.5, "missing_left": True,
+             "left": {"value": 0.25}, "right": {"value": 0.75}}
+    doc["trees"] = [{"n_features": len(doc["feature_names"]), "root": stump}] * 2
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "together_sk_rf_s11.json" in err
+    assert "re-run train" in err
+    assert "KeyError" not in err
+
+
 @pytest.mark.parametrize(
     "model_name, edit",
     [

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import json
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shearwater.boost import GbdtParams, LearnerKind
-from shearwater.datasets import DatasetMode, FeatureMatrix
+from shearwater.boost import GbdtParams, LearnerKind, fit_learner
+from shearwater.datasets import DatasetMode, FeatureMatrix, impute
 from shearwater.errors import (
     BirdSetMismatch,
     LengthMismatch,
@@ -22,6 +24,7 @@ from shearwater.evalcv import (
     folds_to_csv,
     majority_vote,
     make_folds,
+    prepare,
     prevalent_label,
     tune_threshold,
 )
@@ -164,6 +167,38 @@ def test_tune_threshold_single_class():
         tune_threshold([0.1, 0.9], [1, 1])
 
 
+def _tune_threshold_by_candidate(scores, truth) -> float:
+    """The oracle: F1 of every candidate in turn, the first best kept."""
+    scores = np.asarray(scores, dtype=np.float64)
+    distinct = np.unique(scores)
+    candidates = np.concatenate(
+        [[distinct[0] - 1.0], 0.5 * (distinct[:-1] + distinct[1:]), [distinct[-1] + 1.0]]
+    )
+    best_tau, best_f1 = candidates[0], -1.0
+    for tau in candidates:
+        f1 = f1_score((scores > tau).astype(np.int64), truth)
+        if f1 > best_f1:
+            best_f1, best_tau = f1, tau
+    return float(best_tau)
+
+
+# scores drawn often from a few values, so that ties, signed zeros and
+# neighbouring floats (whose midpoint rounds onto one of them) come up
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0**60]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(SCORES, st.integers(0, 1)), min_size=2, max_size=40))
+def test_tune_threshold_equals_the_candidate_loop(pairs):
+    scores, truth = (np.array(column) for column in zip(*pairs))
+    assume(len(np.unique(truth)) == 2)
+    tau, want = tune_threshold(scores, truth), _tune_threshold_by_candidate(scores, truth)
+    assert np.float64(tau).tobytes() == np.float64(want).tobytes()  # the same float
+
+
 # --- cross-validation -------------------------------------------------------------
 
 def balanced_matrix(rng, n=40, d=3, signal=True):
@@ -229,6 +264,44 @@ def test_cv_imputation_refit_per_fold(rng):
     result = cross_validate(setting, matrix, folds, seed=0)
     assert np.isfinite(result.oof_scores).all()
 
+
+
+def _matrix_with_gaps(rng, n=40):
+    """A labeled matrix with missing cells, ties and a column missing in
+    every row but one."""
+    matrix = balanced_matrix(rng, n=n, d=5)
+    matrix.values[:, 3] = rng.integers(0, 4, size=n)
+    matrix.values[rng.random(matrix.values.shape) < 0.15] = np.nan
+    matrix.values[1:, 4] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "kind, max_bin_edges",
+    [(kind.value, 255) for kind in LearnerKind if kind is not LearnerKind.SVC]
+    + [("lgb_gbdt", 4), ("lgb_rf", 4)],  # hist bins each fit by quantiles
+)
+def test_fits_on_shared_bins_equal_fits_on_their_own_bins(rng, kind, max_bin_edges):
+    # each fold's training rows, imputed and binned by prepare, fit the same
+    # model as those rows binned by the learner itself
+    matrix = _matrix_with_gaps(rng)
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=4, seed=1)
+    params = GbdtParams(
+        n_rounds=4, n_trees=4, max_depth=3, learning_rate=0.3, max_bin_edges=max_bin_edges
+    )
+    fold_of = folds.fold_vector(matrix.bird_ids)
+    runs = [(prepare(matrix, folds), k, fold_of != k) for k in range(folds.k)]
+    runs.append((prepare(matrix), 0, np.ones(len(fold_of), dtype=bool)))
+    for prepared, j, train in runs:
+        X = impute(matrix.subset(train), matrix).values[train]
+        np.testing.assert_array_equal(prepared.rows(j, train), X)
+        y = matrix.labels[train]
+        shared = fit_learner(
+            LearnerKind(kind), X, y, params, np.random.default_rng(j),
+            binned=prepared.binned_rows(j, train),
+        )
+        alone = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(j))
+        assert json.dumps(shared.to_dict()) == json.dumps(alone.to_dict())
 
 
 def test_cv_raises_when_a_bird_is_left_unscored(rng):

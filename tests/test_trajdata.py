@@ -264,3 +264,88 @@ def test_filter_daytime_keeps_timestamps():
     day = traj.filter_daytime(1)
     assert list(day.elapsed) == [0.0, 120.0]
     assert len(traj.filter_daytime(0)) == 2
+
+
+# --- the column-wise parser against the per-cell parser ----------------------------
+
+def _parse_per_cell(bird_id, csv_text):
+    """The oracle: each row's cells converted in turn, as they are read."""
+    from shearwater.errors import PipelineError, csv_rows, parse_int64
+    from shearwater.trajdata import CSV_HEADER, Trajectory
+
+    def number(text, column):
+        try:
+            return float(text)
+        except ValueError:
+            raise MalformedRow(f"unparseable {column} {text!r}") from None
+
+    rows = csv_rows(csv_text)
+    header = next(rows, None)
+    if header is None:
+        raise MalformedRow(f"{bird_id}: empty file")
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise MalformedRow(f"{bird_id}: bad header {header!r}")
+    cols, lines = [[] for _ in CSV_HEADER], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise MalformedRow(f"{bird_id}: line {lineno}: expected 8 fields, got {len(row)}")
+        try:
+            cols[0].append(number(row[0], "longitude"))
+            cols[1].append(number(row[1], "latitude"))
+            cols[2].append(number(row[2], "sun_azimuth"))
+            cols[3].append(number(row[3], "sun_elevation"))
+            cols[4].append(parse_int64(row[4], "daytime"))
+            cols[5].append(number(row[5], "elapsed_time"))
+            cols[6].append(parse_local_time(row[6]))
+            cols[7].append(parse_int64(row[7], "days"))
+        except PipelineError as exc:
+            raise type(exc)(f"{bird_id}: line {lineno}: {exc}") from None
+        lines.append(lineno)
+    kinds = [np.float64] * 4 + [np.int64, np.float64, np.int64, np.int64]
+    traj = Trajectory(bird_id, *(np.array(c, dtype=k) for c, k in zip(cols, kinds)))
+    traj.validate(lines)
+    return traj
+
+
+BAD_CELLS = st.one_of(
+    st.sampled_from([
+        "", "x", "nan", "inf", "1e400", " 7 ", "1_0", "-1", "0x1", "1.5", '"2"', "2 ",
+        "99999999999999999999", "-9223372036854775809", "24:00:00", "12:60:00", "12:00",
+        "1:2:3", " 12:00:00", "12:00:00 ", "١٢:00:00", "12:0a:00", "12;00:00",
+    ]),
+    st.text(alphabet=st.sampled_from(list('0123456789:.-e" \r\n,x')), max_size=9),
+)
+TIMES = st.sampled_from(["12:00:00", "00:00:00", "23:59:59", "07:30:15"])
+
+
+@st.composite
+def trajectory_docs(draw):
+    """Trajectory files that are mostly well-formed: some cells corrupt, some
+    rows too short or long, blank lines, and either line ending."""
+    lines, elapsed = [HEADER], 0.0
+    for _ in range(draw(st.integers(0, 6))):
+        elapsed += draw(st.sampled_from([0.5, 60.0, 60.0, 0.0]))
+        row = [
+            repr(draw(st.floats(-200, 200))), repr(draw(st.floats(-90, 90))), "180.0", "45.0",
+            draw(st.sampled_from(["0", "1"])), repr(elapsed), draw(TIMES),
+            draw(st.sampled_from(["1", "3"])),
+        ]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            row[draw(st.integers(0, 7))] = draw(BAD_CELLS)
+        row = (row + ["1"])[: draw(st.sampled_from([8] * 10 + [7, 9]))]
+        lines += [",".join(row)] + [""] * draw(st.integers(0, 1))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trajectory_docs())
+def test_column_parser_equals_the_per_cell_parser(text):
+    def outcome(parse):
+        try:
+            return parse("b7", text)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+
+    assert outcome(parse_trajectory) == outcome(_parse_per_cell)

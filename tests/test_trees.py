@@ -76,8 +76,8 @@ def test_gain_plug_in_value():
 def fit_exact(X, grad, hess, params, **kwargs):
     """A tree on lossless bins of all of X, as the exact backend bins each
     model once: its cuts are the midpoints of consecutive distinct values."""
-    bins = build_bins(X, max_edges=None)
-    return fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params, **kwargs)
+    bins, Xb = build_bins(X, max_edges=None)
+    return fit_tree_hist(Xb, grad, hess, bins, params, **kwargs)
 
 
 def test_exact_degenerate_single_leaf():
@@ -153,17 +153,17 @@ def test_hist_lossless_equals_exact(rng):
         lam = float(rng.choice([0.0, 1.0]))
         params = TreeParams(max_depth=3, reg_lambda=lam, min_child_weight=0.0)
         exact = fit_exact(X, grad, hess, params)
-        bins = build_bins(X)  # every distinct value gets its own bin
-        hist = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
+        bins, Xb = build_bins(X)  # every distinct value gets its own bin
+        hist = fit_tree_hist(Xb, grad, hess, bins, params)
         assert hist.to_dict() == exact.to_dict()
         np.testing.assert_array_equal(hist.predict(X), exact.predict(X))
 
 
 def test_hist_single_bin_single_leaf():
     X = np.full((10, 2), 3.0)
-    bins = build_bins(X)
+    bins, Xb = build_bins(X)
     tree = fit_tree_hist(
-        bins.bin_matrix(X), np.ones(10), np.ones(10), bins, TreeParams(reg_lambda=1.0)
+        Xb, np.ones(10), np.ones(10), bins, TreeParams(reg_lambda=1.0)
     )
     assert tree.root.is_leaf
 
@@ -172,10 +172,10 @@ def test_hist_lossy_bins_route_training_rows_consistently(rng):
     X = rng.normal(size=(300, 2))
     grad = rng.normal(size=300)
     hess = np.ones(300)
-    bins = build_bins(X, max_edges=7)
+    bins, Xb = build_bins(X, max_edges=7)
     assert all(e.size <= 7 for e in bins.edges)
     params = TreeParams(max_depth=3, reg_lambda=1.0)
-    tree = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
+    tree = fit_tree_hist(Xb, grad, hess, bins, params)
     # thresholds must partition training rows exactly where the bin split did:
     # every training value sits strictly outside the recorded threshold
     def walk(node):
@@ -191,15 +191,36 @@ def test_hist_lossy_bins_route_training_rows_consistently(rng):
 def test_bins_quantile_construction(rng):
     col = np.repeat(np.arange(600.0), 1)  # 600 distinct values > 255 edges
     X = col.reshape(-1, 1)
-    bins = build_bins(X, max_edges=255)
+    bins, Xb = build_bins(X, max_edges=255)
     assert bins.edges[0].size <= 255
     assert np.all(np.diff(bins.edges[0]) > 0)
     # bin extrema bracket their edges
     idx = np.searchsorted(bins.edges[0], col, side="right")
+    np.testing.assert_array_equal(Xb[:, 0], idx)
+    np.testing.assert_array_equal(bins.bin_matrix(X), Xb)
     for b in np.unique(idx):
         sel = col[idx == b]
         assert bins.bin_min[0][b] == sel.min()
         assert bins.bin_max[0][b] == sel.max()
+
+
+def test_bins_of_one_sort_equal_each_column_alone(rng):
+    # one sort of the matrix bins each column as np.unique and searchsorted
+    # would; a NaN cell holds no value and gets bin -1
+    X = rng.normal(size=(60, 4))
+    X[:, 1] = rng.integers(0, 5, size=60)
+    X[:, 2] = rng.choice([-0.0, 0.0, 1.5], size=60)
+    X[rng.random(X.shape) < 0.2] = np.nan
+    X[:, 3] = np.nan
+    bins, Xb = build_bins(X, max_edges=None)
+    for f in range(4):
+        col = X[:, f]
+        distinct = np.unique(col[~np.isnan(col)])
+        np.testing.assert_array_equal(bins.bin_min[f], distinct)
+        np.testing.assert_array_equal(bins.edges[f], 0.5 * (distinct[:-1] + distinct[1:]))
+        want = np.where(np.isnan(col), -1, np.searchsorted(distinct, col))
+        np.testing.assert_array_equal(Xb[:, f], want)
+    assert bins.edges[3].size == 0
 
 
 # --- oblivious fitter -------------------------------------------------------
@@ -207,8 +228,8 @@ def test_bins_quantile_construction(rng):
 def fit_oblivious_lossless(X, grad, hess, params, **kwargs):
     """An oblivious tree on lossless bins of all of X, as the cat learner
     bins each model once."""
-    bins = build_bins(X, max_edges=None)
-    return fit_tree_oblivious(bins.bin_matrix(X), grad, hess, bins, params, **kwargs)
+    bins, Xb = build_bins(X, max_edges=None)
+    return fit_tree_oblivious(Xb, grad, hess, bins, params, **kwargs)
 
 
 def test_oblivious_depth1_equals_exact(rng):
@@ -441,8 +462,8 @@ def test_constant_gradient_node_never_splits(rng, backend):
         if backend == "exact":
             tree = fit_exact(X, grad, hess, params)
         elif backend == "hist":
-            bins = build_bins(X, max_edges=7)
-            tree = fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params)
+            bins, Xb = build_bins(X, max_edges=7)
+            tree = fit_tree_hist(Xb, grad, hess, bins, params)
         elif backend == "oblivious":
             tree = fit_oblivious_lossless(X, grad, hess, params)
         else:
@@ -644,6 +665,18 @@ def test_from_dict_refuses_a_node_with_two_parents():
         DecisionTree.from_dict(doc, 1)
 
 
+def test_from_dicts_checks_each_tree_of_a_model():
+    # the trees are checked on their arrays laid end to end; a child past the
+    # end of its own tree must not pass for a node of the next tree
+    docs = [_stump().to_dict(), _stump().to_dict()]
+    assert [t.to_dict() for t in DecisionTree.from_dicts(docs, 3)] == docs
+    docs[0]["child"] = [3, -1, -1]
+    with pytest.raises(ValueError, match="out of range"):
+        DecisionTree.from_dicts(docs, 3)
+    with pytest.raises(ValueError):
+        DecisionTree.from_dicts([_stump().to_dict(), {**_stump().to_dict(), "value": [0.0]}], 3)
+
+
 def test_root_view_walks_to_the_leaves_predict_picks(rng):
     # one tree per backend; the view reaches exactly the leaves, and a walk
     # down it (missing values left) ends where predict does
@@ -651,10 +684,10 @@ def test_root_view_walks_to_the_leaves_predict_picks(rng):
     X[:, 2] = rng.integers(0, 3, size=80)
     grad, hess = rng.normal(size=80), rng.uniform(0.2, 1.0, size=80)
     params = TreeParams(max_depth=3, reg_lambda=0.5, min_child_weight=0.0)
-    bins = build_bins(X, max_edges=7)
+    bins, Xb = build_bins(X, max_edges=7)
     trees = {
         "exact": fit_exact(X, grad, hess, params),
-        "hist": fit_tree_hist(bins.bin_matrix(X), grad, hess, bins, params),
+        "hist": fit_tree_hist(Xb, grad, hess, bins, params),
         "oblivious": fit_oblivious_lossless(X, grad, hess, params),
         "uniform": fit_trees(X, [grad], [hess], [None], params, np.random.default_rng(4))[0],
     }
@@ -685,8 +718,7 @@ def test_batch_without_draws_equals_each_tree_alone(rng):
     # grown level by level holds the trees each grown alone
     X = rng.normal(size=(50, 5))
     X[:, 3] = rng.integers(0, 3, size=50)
-    bins = build_bins(X, max_edges=16)
-    Xb = bins.bin_matrix(X)
+    bins, Xb = build_bins(X, max_edges=16)
     params = TreeParams(max_depth=4, reg_lambda=0.5, min_child_weight=0.2)
     grads = [rng.normal(size=50) for _ in range(4)]
     hesses = [rng.uniform(0.1, 1.0, size=50) for _ in range(4)]
