@@ -7,8 +7,8 @@ consumes.
 
 import numpy as np
 
-from shearwater.datasets import DatasetMode, compute_thresholds
-from shearwater.featex import bird_features, feature_names
+from shearwater.datasets import DatasetMode, build_dataset
+from shearwater.featex import feature_names
 from shearwater.geokin import feature_series
 from shearwater.synthgen import SynthParams, generate_corpus
 
@@ -26,11 +26,12 @@ for series in feature_series(traj):
     mean = series.values.mean() if len(series) else float("nan")
     print(f"  {series.name:18s} n={len(series):3d} mean={mean:10.4f}")
 
-# Exceedance thresholds are pooled over the whole corpus, then each bird
-# reduces to 248 features: 12 series x 18 summary stats, 12 exceedance
-# counts, first-5 coordinates, and PCA of the point matrix.
-thresholds = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
-vector = bird_features(traj, thresholds)
+# Each bird reduces to 248 features: 12 series x 18 summary stats, 12
+# exceedance counts, first-5 coordinates, and PCA of the point matrix. The
+# exceedance thresholds are pooled over the whole corpus, so the matrix
+# build fills those counts in once every bird's speeds are known.
+matrix, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+vector = matrix.values[matrix.bird_ids.index(bird_id)]
 names = feature_names()
 print(f"\nfeature vector width: {len(vector)}")
 for probe in ("velocity_q050", "velocity_mean", "exceed_gt_q095", "first_lon_1", "pca_var_ratio_1"):

@@ -13,8 +13,8 @@ from shearwater.synthgen import SynthParams, generate_corpus
 
 corpus = generate_corpus(SynthParams(n_birds=8, trip_length_min=50, trip_length_max=90, seed=3))
 
-together = build_dataset(corpus, DatasetMode.TOGETHER)
-split = build_dataset(corpus, DatasetMode.SPLIT)
+together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+split, _ = build_dataset(corpus, DatasetMode.SPLIT)
 print(f"together matrix: {together.values.shape[0]} birds x {len(together.columns)} features")
 print(f"split matrix:    {split.values.shape[0]} birds x {len(split.columns)} features")
 print(f"first split columns: {split.columns[0]}, ..., {split.columns[248]}, ...")

@@ -3,21 +3,23 @@ forest, extra trees, and the linear SVM wrapper, the tree learners sharing
 the Newton tree backends from :mod:`shearwater.trees`.
 
 Brand differences reduce to (loss, split-candidate generation, tree shape,
-bagging). ``LearnerKind.backend`` names each learner's split search: the
-xgb variants and sk_rf use exact splits, the lgb variants histogram splits,
-cat oblivious trees and sk_et uniform random thresholds. ``_fit_matrix`` is
-the one place that picks a backend's matrix and bins: exact, hist and
-oblivious fit on one binned matrix per model, either lossless bins a caller
-shares between fits (``evalcv.prepare`` bins each training matrix once for
-every fold, setting and seed; hist takes them only when its own bins would
-be lossless too, which always holds at <= 256 rows) or bins made from the
-model's rows; uniform draws its thresholds from the raw matrix and scores
-them with the same split kernel.
-Both boosting learners run one loop, ``_boost``, over a loss's
-(gradient/hessian, loss) pair and fit one tree a round through
-``_backend_fitter`` on a binned backend (no learner boosts on uniform); the
-forests grow all their trees together through ``trees.fit_trees`` and
-average class-mean leaves instead of boosting.
+bagging). :func:`fit_learner` is the one way to fit a learner: it picks the
+fit matrix once, then branches on ``LearnerKind.family`` (logistic,
+pairwise, forest or svm). ``LearnerKind.backend`` names each learner's
+split search: the xgb variants and sk_rf use exact splits, the lgb variants
+histogram splits, cat oblivious trees and sk_et uniform random thresholds.
+``_fit_matrix`` is the one place that picks a backend's matrix and bins:
+exact, hist and oblivious fit on one binned matrix per model, either
+lossless bins a caller shares between fits (``evalcv.prepare`` bins each
+training matrix once for every fold, setting and seed; hist takes them only
+when its own bins would be lossless too, which always holds at <= 256 rows)
+or bins made from the model's rows; uniform draws its thresholds from the
+raw matrix and scores them with the same split kernel.
+Both boosting families run one loop, ``_boost``, over a loss's
+(gradient/hessian, loss) pair and fit one tree a round on a binned backend
+(no learner boosts on uniform); the forests grow all their trees together
+through ``trees.fit_trees`` and average class-mean leaves instead of
+boosting.
 
 A model file holds each tree's node arrays; ``TrainedModel.from_dict``
 checks every tree against the schema's width (ValueError otherwise).
@@ -248,8 +250,6 @@ def _fit_matrix(backend: str, X, max_bin_edges: int, binned=None):
     """
     if backend == "uniform":
         return X, None
-    if backend not in ("exact", "hist", "oblivious"):
-        raise ValueError(f"unknown backend {backend!r}")
     if binned is not None and (backend != "hist" or _lossless(*binned, max_bin_edges)):
         return binned
     bins, data = build_bins(X, max_bin_edges if backend == "hist" else None)
@@ -265,30 +265,19 @@ def _lossless(binned, bins, max_edges: int) -> bool:
     return bool(occupied.sum(axis=1).max() <= max_edges + 1)
 
 
-def _backend_fitter(backend: str, X, tree_params: TreeParams, max_bin_edges: int, binned=None):
-    """The one map from a binned backend's name to a one-tree fitter;
-    returns fit(grad, hess, rng=, rows=, candidate_features=).
-
-    The fitters are read from this module's globals each time this runs,
-    so a wrapper installed on this module's attributes sees every fit.
-    """
-    if backend == "uniform":
-        raise ValueError("the uniform backend grows forests only")
-    data, bins = _fit_matrix(backend, X, max_bin_edges, binned)
-    fitter = fit_tree_oblivious if backend == "oblivious" else fit_tree_hist
-    return partial(fitter, data, bins=bins, params=tree_params)
-
-
-def _boost(
-    X, y, params: GbdtParams, backend, rng, feature_names, kind, f0, grad_hess, loss, binned
-):
-    """Stagewise Newton boosting from the constant margin f0.
+def _boost(kind, X, y, data, bins, params: GbdtParams, rng, f0, grad_hess, loss):
+    """Stagewise Newton boosting from the constant margin f0; returns the
+    trees and the training loss after each round.
 
     Each round asks ``grad_hess(margins)`` for per-instance gradients and
-    hessians, fits a tree on an optionally row/column-subsampled view, adds
-    learning_rate * tree to the margins and records ``loss(margins, y)``.
+    hessians, fits one tree on ``data`` (X binned by ``kind.backend``) on an
+    optionally row/column-subsampled view, adds learning_rate * tree to the
+    margins and records ``loss(margins, y)``. The tree fitter is read from
+    this module's globals each time this runs, so a wrapper installed on
+    this module's attributes sees every fit.
     """
-    fitter = _backend_fitter(backend, X, params.tree_params(), params.max_bin_edges, binned)
+    fitter = fit_tree_oblivious if kind.backend == "oblivious" else fit_tree_hist
+    tree_params = params.tree_params()
     n, d = X.shape
     margins = np.full(n, f0)
     trees: list[DecisionTree] = []
@@ -297,100 +286,18 @@ def _boost(
         grad, hess = grad_hess(margins)
         rows = _subsample(n, params.subsample, rng)
         feats = _subsample(d, params.colsample, rng)
-        tree = fitter(grad, hess, rng=rng, rows=rows, candidate_features=feats)
+        tree = fitter(
+            data, grad, hess, bins=bins, params=tree_params, rng=rng, rows=rows,
+            candidate_features=feats,
+        )
         tree.scale_leaves(params.learning_rate)
         margins += tree.predict(X)
         trees.append(tree)
         history.append(loss(margins, y))
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        feature_names=feature_names or [f"f{i}" for i in range(d)],
-        f0=f0,
-        trees=trees,
-        loss_history=history,
-    )
+    return trees, history
 
 
-def fit_gbdt_logistic(
-    X,
-    y,
-    params: GbdtParams,
-    backend: str = "exact",
-    rng: np.random.Generator | None = None,
-    feature_names: list[str] | None = None,
-    kind: LearnerKind = LearnerKind.XGB_BINARY,
-    binned=None,
-) -> TrainedModel:
-    """Logistic-loss boosting with Newton trees.
-
-    F0 is the clamped log-odds of the training prevalence; each round fits
-    a tree to (p - y, p(1 - p)). ``binned`` is as for :func:`fit_learner`.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DegenerateLabels("cannot fit on an empty label vector")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
-    f0 = float(np.log(p_bar / (1.0 - p_bar)))
-
-    return _boost(
-        X, y, params, backend, rng, feature_names, kind, f0,
-        partial(logistic_grad_hess, y=y), logistic_loss, binned,
-    )
-
-
-def fit_gbdt_pairwise(
-    X,
-    y,
-    params: GbdtParams,
-    backend: str = "exact",
-    rng: np.random.Generator | None = None,
-    feature_names: list[str] | None = None,
-    binned=None,
-) -> TrainedModel:
-    """RankNet-style pairwise boosting; scores are raw margins from F0 = 0.
-
-    Per-instance gradients aggregate over that instance's sampled pairs;
-    pairs are drawn uniformly without replacement up to
-    pair_cap_factor * n per round (all pairs when they fit). ``binned`` is
-    as for :func:`fit_learner`.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y == 0)
-    if pos.size == 0 or neg.size == 0:
-        raise SingleClass("pairwise loss needs both classes")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    cap = params.pair_cap_factor * len(y)
-    total_pairs = pos.size * neg.size
-
-    def grad_hess(margins):
-        pairs = None
-        if total_pairs > cap:
-            pair_ids = rng.choice(total_pairs, size=cap, replace=False)
-            pairs = (pos[pair_ids // neg.size], neg[pair_ids % neg.size])
-        return pairwise_grad_hess(margins, y, pairs)
-
-    return _boost(
-        X, y, params, backend, rng, feature_names, LearnerKind.XGB_RANK, 0.0, grad_hess,
-        pairwise_loss, binned,
-    )
-
-
-def fit_forest(
-    X,
-    y,
-    params: GbdtParams,
-    kind: LearnerKind = LearnerKind.SK_RF,
-    rng: np.random.Generator | None = None,
-    feature_names: list[str] | None = None,
-    binned=None,
-) -> TrainedModel:
+def _forest(kind, data, bins, y, params: GbdtParams, rng) -> list[DecisionTree]:
     """Random forest / extra trees with class-mean leaves.
 
     Trees fit residual gradients g = p_bar - y with unit hessians and no
@@ -404,23 +311,15 @@ def fit_forest(
     Every tree's bootstrap rows are drawn first; then ``trees.fit_trees``
     grows all the trees together, level by level, each level's nodes
     drawing their features (and sk_et's thresholds) in (tree, then
-    left-to-right) order. ``binned`` is as for :func:`fit_learner`.
+    left-to-right) order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DegenerateLabels("cannot fit on an empty label vector")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, d = X.shape
-    per_node = max(1, int(np.ceil(np.sqrt(d))))
+    n, d = data.shape
     tree_params = TreeParams(
         max_depth=params.max_depth,
         min_child_weight=params.min_child_weight,
         reg_lambda=0.0,
-        features_per_node=per_node,
+        features_per_node=max(1, int(np.ceil(np.sqrt(d)))),
     )
-    data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges, binned)
     if kind is LearnerKind.SK_ET:
         rows = [np.arange(n)] * params.n_trees
     else:
@@ -434,13 +333,7 @@ def fit_forest(
         tree.shift_leaves(p_bar)
         # leaves are class means; clamp away shift rounding like -1e-17
         np.clip(tree.value, 0.0, 1.0, out=tree.value)
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        feature_names=feature_names or [f"f{i}" for i in range(d)],
-        f0=0.0,
-        trees=trees,
-    )
+    return trees
 
 
 def fit_learner(
@@ -452,26 +345,55 @@ def fit_learner(
     feature_names: list[str] | None = None,
     binned: tuple[np.ndarray, HistogramBins] | None = None,
 ) -> TrainedModel:
-    """Dispatch one of the eight learners by family and backend.
+    """Fit one of the eight learners: ``kind.family`` picks the loss (or the
+    forest or the SVM) and ``kind.backend`` the split search.
+
+    * logistic: F0 is the clamped log-odds of the training prevalence, and
+      each round fits a tree to (p - y, p(1 - p)).
+    * pairwise: RankNet-style boosting; scores are raw margins from F0 = 0,
+      and per-instance gradients aggregate over that instance's pairs, at
+      most pair_cap_factor * n of them per round.
+    * forest: see :func:`_forest`; svm: :func:`linsvm.fit_pegasos`.
 
     ``binned`` optionally gives X binned losslessly and its bins, which
     may hold more values than X (see :func:`_fit_matrix`); a fit on them
     equals the fit that bins X itself.
     """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    model = TrainedModel(kind, params, feature_names or [f"f{i}" for i in range(X.shape[1])])
     family = kind.family
     if family == "svm":
-        svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)
-        return TrainedModel(
-            kind=kind,
-            params=params,
-            feature_names=feature_names or [f"f{i}" for i in range(np.asarray(X).shape[1])],
-            svm=svm,
-        )
+        model.svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)
+        return model
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    if family == "pairwise" and (pos.size == 0 or neg.size == 0):
+        raise SingleClass("pairwise loss needs both classes")
+    if y.size == 0:
+        raise DegenerateLabels("cannot fit on an empty label vector")
+    data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges, binned)
     if family == "forest":
-        return fit_forest(X, y, params, kind, rng, feature_names, binned)
+        model.trees = _forest(kind, data, bins, y, params, rng)
+        return model
     if family == "pairwise":
-        return fit_gbdt_pairwise(X, y, params, kind.backend, rng, feature_names, binned)
-    return fit_gbdt_logistic(X, y, params, kind.backend, rng, feature_names, kind, binned)
+        cap = params.pair_cap_factor * len(y)
+
+        def grad_hess(margins):
+            pairs = None
+            if pos.size * neg.size > cap:  # draw cap pairs without replacement
+                pair_ids = rng.choice(pos.size * neg.size, size=cap, replace=False)
+                pairs = (pos[pair_ids // neg.size], neg[pair_ids % neg.size])
+            return pairwise_grad_hess(margins, y, pairs)
+
+        loss = pairwise_loss
+    else:
+        p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
+        model.f0 = float(np.log(p_bar / (1.0 - p_bar)))
+        grad_hess, loss = partial(logistic_grad_hess, y=y), logistic_loss
+    model.trees, model.loss_history = _boost(
+        kind, X, y, data, bins, params, rng, model.f0, grad_hess, loss
+    )
+    return model
 
 
 def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> np.ndarray:

@@ -30,8 +30,7 @@ from .boost import GbdtParams, LearnerKind, TrainedModel, predict_scores
 from .datasets import (
     DatasetMode,
     FeatureMatrix,
-    build_dataset_with_thresholds,
-    compute_thresholds,
+    build_dataset,
     impute,
     write_manifest,
 )
@@ -324,15 +323,14 @@ def cmd_extract(cfg: RunConfig) -> None:
         test_corpus = load_corpus(cfg.test_dir, None)
     cfg.features_path("train", cfg.modes[0]).parent.mkdir(parents=True, exist_ok=True)
     for mode in cfg.modes:
-        thresholds = compute_thresholds(train_corpus, mode)
-        train_matrix = build_dataset_with_thresholds(train_corpus, mode, thresholds)
+        train_matrix, thresholds = build_dataset(train_corpus, mode)
         atomic_write_text(cfg.features_path("train", mode), train_matrix.to_csv())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
         atomic_write_text(cfg.thresholds_path(mode), _thresholds_json(thresholds))
         rows = [f"train {mode.value}: {len(train_matrix.bird_ids)}x{len(train_matrix.columns)}"]
         if test_corpus is not None:
             # test matrices reuse training thresholds (leakage-safe)
-            test_matrix = build_dataset_with_thresholds(test_corpus, mode, thresholds)
+            test_matrix, _ = build_dataset(test_corpus, mode, thresholds)
             atomic_write_text(cfg.features_path("test", mode), test_matrix.to_csv())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
         print("; ".join(rows))
@@ -357,13 +355,13 @@ def _init_worker(prepared, folds):
 def _cv_task(item):
     setting, seed = item
     prepared = _WORKER["prepared"][setting.mode]
-    return cross_validate(setting, prepared.matrix, _WORKER["folds"], seed, prepared)
+    return cross_validate(setting, prepared, _WORKER["folds"], seed)
 
 
 def _train_task(item):
     setting, seed, threshold = item
     prepared = _WORKER["prepared"][setting.mode]
-    model = fit_final_model(setting, prepared.matrix, _WORKER["folds"], seed, threshold, prepared)
+    model = fit_final_model(setting, prepared, _WORKER["folds"], seed, threshold)
     return model.to_dict()
 
 

@@ -4,9 +4,11 @@
 ``split`` filters each trajectory to its day and night subsequences,
 extracts the full battery independently on each, and prefixes the columns
 ``day_`` / ``night_`` (496 columns). :attr:`DatasetMode.subsets` is the one
-place that says which subsets a mode has; the column schema, the pooled
-thresholds and the matrix build all iterate it. Exceedance thresholds
-always come from the matching pooled subset of the *training* corpus.
+place that says which subsets a mode has; the column schema and the matrix
+build iterate it. :func:`build_dataset` filters each bird's subset and
+derives its series once, keeping only the speeds, then pools the exceedance
+thresholds from them and fills in the counts. Exceedance thresholds always
+come from the matching pooled subset of the *training* corpus.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import MalformedRow, MissingLabel, OutOfRange, SchemaMismatch, csv_rows
-from .featex import VelocityThresholds, bird_features, feature_names, velocity_thresholds
-from .geokin import velocities
+from .errors import MalformedRow, OutOfRange, SchemaMismatch, csv_rows
+from .featex import (
+    EXCEEDANCE,
+    VelocityThresholds,
+    bird_features,
+    exceedance_counts,
+    feature_names,
+    velocity_thresholds,
+)
 from .trajdata import Corpus, Trajectory, atomic_write_text
 
 
@@ -137,53 +145,43 @@ class FeatureMatrix:
         )
 
 
-def build_dataset(corpus: Corpus, mode: DatasetMode) -> FeatureMatrix:
-    """Assemble the feature matrix for a corpus under the given mode.
-
-    Thresholds are pooled from this corpus; to reuse training thresholds on
-    a test corpus, call :func:`build_dataset_with_thresholds` instead.
-    """
-    return build_dataset_with_thresholds(corpus, mode, compute_thresholds(corpus, mode))
-
-
-def compute_thresholds(corpus: Corpus, mode: DatasetMode) -> dict[str, VelocityThresholds | None]:
-    """Thresholds from each subset's velocities pooled over the corpus in
-    bird_id order; a subset with no velocity samples maps to None.
-    """
-    out: dict[str, VelocityThresholds | None] = {}
-    for name, daytime, _ in mode.subsets:
-        pooled = np.concatenate(
-            [np.empty(0)] + [velocities(_track(traj, daytime)).values for traj in corpus]
-        )
-        out[name] = velocity_thresholds(pooled) if pooled.size else None
-    return out
-
-
-def build_dataset_with_thresholds(
+def build_dataset(
     corpus: Corpus,
     mode: DatasetMode,
-    thresholds: dict[str, VelocityThresholds | None],
-) -> FeatureMatrix:
-    rows = [
-        np.concatenate([
-            bird_features(_track(traj, daytime), thresholds[name])
-            for name, daytime, _ in mode.subsets
-        ])
-        for traj in corpus
-    ]
-    values = np.array(rows, dtype=np.float64).reshape(len(corpus), -1)
-    labels = None
-    if corpus.labels is not None:
-        missing = [b for b in corpus.bird_ids if b not in corpus.labels]
-        if missing:
-            raise MissingLabel(f"birds without labels: {missing[:5]}")
-        labels = np.array([corpus.labels[b] for b in corpus.bird_ids], dtype=np.int64)
-    return FeatureMatrix(
+    thresholds: dict[str, VelocityThresholds | None] | None = None,
+) -> tuple[FeatureMatrix, dict[str, VelocityThresholds | None]]:
+    """The feature matrix of a corpus under a mode, and the thresholds of
+    its exceedance counts.
+
+    Each bird's subset is filtered and its series derived once. Without
+    ``thresholds`` they are pooled from this corpus: each subset's speeds
+    over the corpus in bird_id order, None for a subset with no speed
+    samples (its exceedance counts stay missing). A test corpus takes the
+    training corpus's thresholds instead.
+    """
+    values = np.empty((len(corpus), len(mode.subsets), len(feature_names())))
+    speeds: dict[str, list[np.ndarray | None]] = {name: [] for name, _, _ in mode.subsets}
+    for i, traj in enumerate(corpus):
+        for j, (name, daytime, _) in enumerate(mode.subsets):
+            values[i, j], track_speeds = bird_features(_track(traj, daytime))
+            speeds[name].append(track_speeds)
+    if thresholds is None:
+        thresholds = {}
+        for name, per_bird in speeds.items():
+            pooled = np.concatenate([np.empty(0)] + [v for v in per_bird if v is not None])
+            thresholds[name] = velocity_thresholds(pooled) if pooled.size else None
+    for j, (name, _, _) in enumerate(mode.subsets):
+        for i, track_speeds in enumerate(speeds[name]):
+            if thresholds[name] is not None and track_speeds is not None:
+                values[i, j, EXCEEDANCE] = exceedance_counts(track_speeds, thresholds[name])
+    labels = None if corpus.labels is None else [corpus.labels[b] for b in corpus.bird_ids]
+    matrix = FeatureMatrix(
         bird_ids=corpus.bird_ids,
         columns=schema_columns(mode),
-        values=values,
+        values=values.reshape(len(corpus), -1),
         labels=labels,
     )
+    return matrix, thresholds
 
 
 def _column_medians(values: np.ndarray) -> np.ndarray:

@@ -139,9 +139,12 @@ def tune_threshold(scores, truth) -> float:
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     distinct = ranked[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
-    candidates = np.concatenate(
-        [[distinct[0] - 1.0], 0.5 * (distinct[:-1] + distinct[1:]), [distinct[-1] + 1.0]]
-    )
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    # where lo + hi overflows, halving first is exact
+    mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+    candidates = np.concatenate([[distinct[0] - 1.0], mid, [distinct[-1] + 1.0]])
     below = np.searchsorted(ranked, candidates, side="right")  # scores <= each candidate
 
     def above(cls):  # how many of class ``cls`` score above each candidate
@@ -232,23 +235,21 @@ def prepare(matrix: FeatureMatrix, folds: FoldAssignment | None = None) -> Prepa
 
 def cross_validate(
     setting: ModelSetting,
-    matrix: FeatureMatrix,
+    prepared: PreparedMatrix,
     folds: FoldAssignment,
     seed: int = 0,
-    prepared: PreparedMatrix | None = None,
 ) -> CvResult:
-    """Out-of-fold evaluation of one setting under the shared folds.
+    """Out-of-fold evaluation of one setting under the shared folds;
+    ``prepared`` is ``prepare(matrix, folds)``.
 
     Each fold imputes every row with the medians of its training rows, fits
     the learner on its training rows, and scores the held-out birds; the
     decision threshold is tuned once on the pooled out-of-fold scores and
-    the per-fold F1 values are reported at that threshold. ``prepared`` is
-    ``prepare(matrix, folds)``, made here when not given.
+    the per-fold F1 values are reported at that threshold.
     """
+    matrix = prepared.matrix
     if matrix.labels is None:
         raise MissingLabel("cross-validation needs a labeled matrix")
-    if prepared is None:
-        prepared = prepare(matrix, folds)
     fold_of = folds.fold_vector(matrix.bird_ids)
     y = matrix.labels
     oof = np.zeros(len(y))
@@ -285,19 +286,17 @@ def cross_validate(
 
 def fit_final_model(
     setting: ModelSetting,
-    matrix: FeatureMatrix,
+    prepared: PreparedMatrix,
     folds: FoldAssignment,
     seed: int,
     threshold: float,
-    prepared: PreparedMatrix | None = None,
 ) -> TrainedModel:
-    """Fit on all rows; ``threshold`` is the one :func:`cross_validate`
-    tuned on the out-of-fold scores of the same (setting, seed). The fit
-    draws from the stream after the k fold streams. ``prepared`` is
-    ``prepare(matrix)``, made here when not given.
+    """Fit on all rows of ``prepared``, which is ``prepare(matrix)``;
+    ``threshold`` is the one :func:`cross_validate` tuned on the
+    out-of-fold scores of the same (setting, seed). The fit draws from the
+    stream after the k fold streams.
     """
-    if prepared is None:
-        prepared = prepare(matrix)
+    matrix = prepared.matrix
     every = np.ones(len(matrix.bird_ids), dtype=bool)
     rng = setting_rng(setting.name, seed, folds.k)
     model = fit_learner(

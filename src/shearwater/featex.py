@@ -3,8 +3,10 @@ counts, leading coordinates, and PCA of the point-aligned kinematics.
 
 One bird reduces to a fixed-width vector of 248 named features; missing
 values are NaN and get imputed downstream. :func:`bird_features` derives
-the track's kinematic series once and hands its velocity array to the
-exceedance counts and the PCA; the summaries take plain arrays.
+the track's kinematic series once, hands its velocity array to the PCA and
+returns it with the vector, whose exceedance counts need thresholds pooled
+over a whole corpus (``datasets.build_dataset`` fills them in); the
+summaries take plain arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ SUMMARY_SUFFIXES = tuple(f"q{int(round(p * 100)):03d}" for p in SUMMARY_PROBS) +
 # Pooled-velocity threshold levels: corpus mean plus these quantiles.
 THRESHOLD_PROBS = (0.05, 0.10, 0.15, 0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 THRESHOLD_NAMES = ("mean",) + tuple(f"q{int(round(p * 100)):03d}" for p in THRESHOLD_PROBS)
+
+# Where the exceedance counts sit in a feature vector: after the summaries.
+_N_SUMMARIES = len(SERIES_NAMES) * len(SUMMARY_SUFFIXES)
+EXCEEDANCE = slice(_N_SUMMARIES, _N_SUMMARIES + len(THRESHOLD_NAMES))
 
 PCA_COLUMNS = ("lon", "lat", "azimuth", "elevation", "velocity")
 FIRST_K = 5
@@ -158,23 +164,23 @@ def feature_names() -> list[str]:
     return names
 
 
-def bird_features(traj: Trajectory, thresholds: VelocityThresholds | None) -> np.ndarray:
-    """The full per-bird feature vector, aligned with :func:`feature_names`.
+def bird_features(traj: Trajectory) -> tuple[np.ndarray, np.ndarray | None]:
+    """The per-bird feature vector, aligned with :func:`feature_names`, with
+    its exceedance block (at :data:`EXCEEDANCE`) missing, and the track's
+    speeds, from which the exceedance counts are taken once the pooled
+    thresholds are known.
 
-    ``thresholds`` of None (no velocity pool available) marks the
-    exceedance block missing. The trajectory may be arbitrarily short;
-    statistics that cannot be computed come back as NaN, and an empty
-    trajectory (a day or night subset without points) is all NaN.
+    The trajectory may be arbitrarily short; statistics that cannot be
+    computed come back as NaN. An empty trajectory (a day or night subset
+    without points) is all NaN and has no speeds (None), so its exceedance
+    block stays missing.
     """
     if len(traj) == 0:
-        return np.full(len(feature_names()), MISSING)
+        return np.full(len(feature_names()), MISSING), None
     series = feature_series(traj)
     velocity = series[0].values  # SERIES_NAMES starts with velocity
     parts = [summarize(s.values) for s in series]
-    if thresholds is None:
-        parts.append(np.full(len(THRESHOLD_NAMES), MISSING))
-    else:
-        parts.append(exceedance_counts(velocity, thresholds).astype(np.float64))
+    parts.append(np.full(len(THRESHOLD_NAMES), MISSING))
     parts.append(first_k_coords(traj))
     parts.append(pca_features(traj, velocity))
-    return np.concatenate(parts)
+    return np.concatenate(parts), velocity

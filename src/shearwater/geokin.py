@@ -2,8 +2,7 @@
 
 One haversine pass per track gives its per-step distance, speed and
 acceleration series (:func:`_steps`); :func:`feature_series` returns them
-with the point-aligned series and their deltas, and :func:`velocities`
-returns the speeds alone, for threshold pooling. All functions are pure.
+with the point-aligned series and their deltas. All functions are pure.
 Degenerate inputs (too few points for a difference) yield empty series
 rather than errors; series never contain NaN or infinities.
 """
@@ -81,11 +80,6 @@ def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dt = np.diff(traj.elapsed)
     velocity = distance / dt
     return distance, velocity, np.diff(velocity) / dt[1:]
-
-
-def velocities(traj: Trajectory) -> Series:
-    """Per-step speed in m/s: step distance over the elapsed gap."""
-    return Series("velocity", _steps(traj)[1])
 
 
 def wrap_degrees(delta):

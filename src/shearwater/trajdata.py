@@ -309,7 +309,9 @@ class Corpus:
     """Immutable collection of trajectories keyed by bird id.
 
     Iteration order is always lexicographic in bird_id regardless of how
-    the corpus was assembled.
+    the corpus was assembled. Labels, when given, cover exactly the birds
+    with a trajectory: MissingLabel names unlabeled birds first, then
+    UnknownBirdInLabels labels of birds with no trajectory.
     """
 
     trajectories: dict[str, Trajectory]
@@ -318,6 +320,9 @@ class Corpus:
     def __post_init__(self) -> None:
         self.trajectories = dict(sorted(self.trajectories.items()))
         if self.labels is not None:
+            unlabeled = sorted(set(self.trajectories) - set(self.labels))
+            if unlabeled:
+                raise MissingLabel(f"birds without labels: {unlabeled[:5]}")
             unknown = sorted(set(self.labels) - set(self.trajectories))
             if unknown:
                 raise UnknownBirdInLabels(
@@ -359,10 +364,7 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
         return Corpus(trajectories=trajectories)
     try:
         labels = parse_labels(Path(labels_path).read_text())
-        unlabeled = sorted(set(trajectories) - set(labels))
-        if unlabeled:
-            raise MissingLabel(f"birds without labels: {unlabeled[:5]}")
-        return Corpus(trajectories=trajectories, labels=labels)  # raises UnknownBirdInLabels
+        return Corpus(trajectories=trajectories, labels=labels)  # checks both directions
     except PipelineError as exc:
         raise type(exc)(f"{labels_path}: {exc}") from None
 

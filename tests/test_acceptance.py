@@ -17,7 +17,7 @@ from shearwater.boost import (
     GbdtParams,
     LearnerKind,
     _fit_matrix,
-    fit_gbdt_logistic,
+    fit_learner,
     logistic_grad_hess,
     pairwise_grad_hess,
     pairwise_loss,
@@ -135,8 +135,8 @@ def test_criterion_04_histogram_equivalence():
         )
         bins, _ = build_bins(X)
         assert all(e.size <= 255 for e in bins.edges)  # lossless here
-        exact = fit_gbdt_logistic(X, y, params, backend="exact")
-        hist = fit_gbdt_logistic(X, y, params, backend="hist")
+        exact = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
+        hist = fit_learner(LearnerKind.LGB_GBDT, X, y, params, np.random.default_rng(0))
         np.testing.assert_array_equal(predict_scores(exact, X), predict_scores(hist, X))
     log("criterion 4: lossless-bin histogram models reproduce exact-backend predictions, 50 datasets")
 
@@ -187,7 +187,7 @@ def test_criterion_06_monotone_training_loss():
         params = GbdtParams(
             n_rounds=100, learning_rate=0.1, max_depth=3, subsample=1.0, colsample=1.0
         )
-        model = fit_gbdt_logistic(X, y, params)
+        model = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
         assert len(model.loss_history) == 100
         assert np.all(np.diff(model.loss_history) <= 1e-12)
     log("criterion 6: logistic GBDT training loss nonincreasing over 100 rounds, 5 datasets")

@@ -7,9 +7,6 @@ from shearwater.boost import (
     GbdtParams,
     LearnerKind,
     TrainedModel,
-    fit_forest,
-    fit_gbdt_logistic,
-    fit_gbdt_pairwise,
     fit_learner,
     logistic_grad_hess,
     logistic_loss,
@@ -41,21 +38,28 @@ def small_params(**overrides):
 def test_f0_balanced_labels_zero():
     X = np.arange(8.0).reshape(-1, 1)
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    model = fit_gbdt_logistic(X, y, small_params(n_rounds=1))
+    model = fit_learner(
+        LearnerKind.XGB_BINARY, X, y, small_params(n_rounds=1), np.random.default_rng(0)
+    )
     assert model.f0 == 0.0
 
 
 def test_f0_single_class_clamped():
     X = np.arange(4.0).reshape(-1, 1)
     y = np.ones(4)
-    model = fit_gbdt_logistic(X, y, small_params(n_rounds=1))
+    model = fit_learner(
+        LearnerKind.XGB_BINARY, X, y, small_params(n_rounds=1), np.random.default_rng(0)
+    )
     assert model.f0 == pytest.approx(math.log((1 - 1e-6) / 1e-6), rel=1e-9)
     assert model.f0 == pytest.approx(13.8155, abs=1e-4)
 
 
 def test_empty_labels_raise():
     with pytest.raises(DegenerateLabels):
-        fit_gbdt_logistic(np.empty((0, 1)), np.empty(0), small_params())
+        fit_learner(
+            LearnerKind.XGB_BINARY, np.empty((0, 1)), np.empty(0), small_params(),
+            np.random.default_rng(0),
+        )
 
 
 # --- logistic GBDT ------------------------------------------------------------
@@ -65,7 +69,9 @@ def test_separable_1d_reaches_perfect_training_accuracy():
     x = rng.uniform(-1, 1, 80)
     y = (x >= 0).astype(float)
     params = small_params(n_rounds=50, learning_rate=0.3, max_depth=1)
-    model = fit_gbdt_logistic(x.reshape(-1, 1), y, params)
+    model = fit_learner(
+        LearnerKind.XGB_BINARY, x.reshape(-1, 1), y, params, np.random.default_rng(0)
+    )
     scores = predict_scores(model, x.reshape(-1, 1))
     assert np.mean((scores > 0.5) == y) == 1.0
 
@@ -91,7 +97,7 @@ def test_training_loss_monotone_without_sampling(rng):
         X = rng.normal(size=(n, 4))
         y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
         params = small_params(n_rounds=100, learning_rate=0.1, max_depth=3)
-        model = fit_gbdt_logistic(X, y, params)
+        model = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
         diffs = np.diff(model.loss_history)
         assert np.all(diffs <= 1e-12)
 
@@ -99,7 +105,7 @@ def test_training_loss_monotone_without_sampling(rng):
 def test_scores_in_open_unit_interval(rng):
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 2, 30).astype(float)
-    model = fit_gbdt_logistic(X, y, small_params())
+    model = fit_learner(LearnerKind.XGB_BINARY, X, y, small_params(), np.random.default_rng(0))
     scores = predict_scores(model, X)
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
@@ -108,7 +114,7 @@ def test_constant_features_constant_score(rng):
     X = np.full((20, 2), 3.0)
     y = rng.integers(0, 2, 20).astype(float)
     params = small_params(n_rounds=5)
-    model = fit_gbdt_logistic(X, y, params)
+    model = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
     scores = predict_scores(model, X)
     leaf_sum = sum(t.root.value for t in model.trees)
     assert np.all(scores == scores[0])
@@ -127,19 +133,12 @@ def test_empty_tree_list_constant_sigmoid_f0():
     np.testing.assert_allclose(scores, sigmoid(0.37))
 
 
-def test_boosting_refuses_the_uniform_backend(rng):
-    # uniform cuts are the extra-trees forest's; no boosting learner draws them
-    X = rng.normal(size=(10, 2))
-    with pytest.raises(ValueError, match="uniform"):
-        fit_gbdt_logistic(X, np.arange(10) % 2, small_params(), backend="uniform")
-
-
 def test_hist_and_exact_backends_identical_without_sampling(rng):
     X = rng.normal(size=(40, 5))
     y = (X[:, 1] > 0).astype(float)
     params = small_params(n_rounds=10, learning_rate=0.2, max_depth=3)
-    xgb = fit_gbdt_logistic(X, y, params, backend="exact", kind=LearnerKind.XGB_BINARY)
-    lgb = fit_gbdt_logistic(X, y, params, backend="hist", kind=LearnerKind.LGB_GBDT)
+    xgb = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
+    lgb = fit_learner(LearnerKind.LGB_GBDT, X, y, params, np.random.default_rng(0))
     assert [t.to_dict() for t in xgb.trees] == [t.to_dict() for t in lgb.trees]
     np.testing.assert_array_equal(predict_scores(xgb, X), predict_scores(lgb, X))
 
@@ -215,7 +214,7 @@ def test_pairwise_records_loss_history(rng):
     y = (X[:, 0] > 0).astype(int)
     for cap in (100, 1):  # all pairs, then a sampled subset per round
         params = small_params(n_rounds=12, pair_cap_factor=cap, subsample=0.8, colsample=0.8)
-        model = fit_gbdt_pairwise(X, y, params)
+        model = fit_learner(LearnerKind.XGB_RANK, X, y, params, np.random.default_rng(0))
         assert len(model.loss_history) == 12
         assert np.all(np.isfinite(model.loss_history))
         assert model.loss_history[-1] < pairwise_loss(np.zeros(40), y)
@@ -223,14 +222,17 @@ def test_pairwise_records_loss_history(rng):
 
 def test_pairwise_single_class_raises():
     with pytest.raises(SingleClass):
-        fit_gbdt_pairwise(np.zeros((3, 1)), np.ones(3), small_params())
+        fit_learner(
+            LearnerKind.XGB_RANK, np.zeros((3, 1)), np.ones(3), small_params(),
+            np.random.default_rng(0),
+        )
 
 
 def test_pairwise_learns_ranking(rng):
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] > 0).astype(int)
     params = small_params(n_rounds=30, learning_rate=0.2, max_depth=2)
-    model = fit_gbdt_pairwise(X, y, params)
+    model = fit_learner(LearnerKind.XGB_RANK, X, y, params, np.random.default_rng(0))
     scores = predict_scores(model, X)
     assert scores[y == 1].min() > scores[y == 0].mean()
 
@@ -241,7 +243,7 @@ def test_forest_single_stump_is_prevalence(rng):
     X = rng.normal(size=(40, 3))
     y = np.array([1] * 10 + [0] * 30, dtype=float)
     params = small_params(n_trees=1, max_depth=0)
-    model = fit_forest(X, y, params, kind=LearnerKind.SK_ET)
+    model = fit_learner(LearnerKind.SK_ET, X, y, params, np.random.default_rng(0))
     scores = predict_scores(model, X)
     assert np.all(scores == scores[0])
     assert scores[0] == pytest.approx(0.25)
@@ -251,7 +253,9 @@ def test_forest_pure_class_constant_score(rng):
     X = rng.normal(size=(20, 3))
     y = np.ones(20)
     for kind in (LearnerKind.SK_RF, LearnerKind.SK_ET, LearnerKind.LGB_RF):
-        model = fit_forest(X, y, small_params(n_trees=3, max_depth=3), kind=kind)
+        model = fit_learner(
+            kind, X, y, small_params(n_trees=3, max_depth=3), np.random.default_rng(0)
+        )
         for tree in model.trees:
             assert tree.root.is_leaf
             assert tree.root.value == 1.0
@@ -261,7 +265,9 @@ def test_forest_pure_class_constant_score(rng):
 def test_forest_scores_are_tree_means(rng):
     X = rng.normal(size=(50, 4))
     y = (X[:, 0] > 0).astype(float)
-    model = fit_forest(X, y, small_params(n_trees=7, max_depth=4), kind=LearnerKind.SK_RF)
+    model = fit_learner(
+        LearnerKind.SK_RF, X, y, small_params(n_trees=7, max_depth=4), np.random.default_rng(0)
+    )
     scores = predict_scores(model, X)
     manual = np.mean([t.predict(X) for t in model.trees], axis=0)
     np.testing.assert_allclose(scores, manual, rtol=1e-12)
@@ -273,7 +279,9 @@ def test_forest_scores_are_tree_means(rng):
 def test_forest_learns_signal(rng):
     X = rng.normal(size=(120, 4))
     y = (X[:, 2] > 0).astype(float)
-    model = fit_forest(X, y, small_params(n_trees=30, max_depth=6), kind=LearnerKind.SK_RF)
+    model = fit_learner(
+        LearnerKind.SK_RF, X, y, small_params(n_trees=30, max_depth=6), np.random.default_rng(0)
+    )
     scores = predict_scores(model, X)
     assert np.mean((scores > 0.5) == y) > 0.95
 
@@ -427,9 +435,9 @@ def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):
 
     X, y = _pinned_data()
     params = small_params(n_trees=6, max_depth=4, max_bin_edges=15, min_child_weight=1.0)
-    default = fit_forest(X, y, params, LearnerKind(kind), np.random.default_rng(5))
+    default = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(5))
     monkeypatch.setattr(shearwater.trees, "_KERNEL_ROWS", rows)
     monkeypatch.setattr(shearwater.trees, "_KERNEL_SLOTS", slots)
-    bounded = fit_forest(X, y, params, LearnerKind(kind), np.random.default_rng(5))
+    bounded = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(5))
     assert bounded.to_dict() == default.to_dict()
     assert max(t.depth() for t in default.trees) >= 3

@@ -659,3 +659,66 @@ def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     capsys.readouterr()
     assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
     assert model_name in capsys.readouterr().err
+
+
+# --- extraction -----------------------------------------------------------------
+
+EXTRACT_SYNTH = {"n_birds": 12, "seed": 8, "trip_length_min": 40, "trip_length_max": 90}
+
+# sha256 of every file extract writes on the corpora of EXTRACT_SYNTH, in
+# both modes; a change to how features are derived must keep each byte
+EXTRACT_DIGESTS = {
+    "manifest_split.txt": "e81b740dfec7e07b9f4fd4e21678385ad52ce322c77492ff2437e63e82b9d0d8",
+    "manifest_together.txt": "883be27b292488d597fa86aacf2bf932b52cf6fd4eccae688716ae94077dcc4d",
+    "test_split.csv": "4cbef9e20502c732af6b7c6fe5566dbd27ded16bddbc15e013a2d7c0d77e6561",
+    "test_together.csv": "3c4b0b9b69c3c4504015e083cb63594fb6c8ff1295ecbe8e4326b95c7b049e18",
+    "thresholds_split.json": "fd354788261c4a48d873e88477220b3080523a26a0ab29c3ef58988355605b09",
+    "thresholds_together.json": "6c7180642b42e82284b1231e2be766c9c9b87f5b00f43ddcf5f86b76b48cc435",
+    "train_split.csv": "7bbe70520dfead25b1f288dd34098c0765fbd8efd921bdf1a0dc53a8a4e5a74f",
+    "train_together.csv": "83c89cbdad012ade0ca1f09dd7e4b2ed1e72848901fdfaf1aefc8fdc4b885784",
+}
+
+
+def _extract(tmp_path):
+    cfg = write_config(tmp_path, modes=["together", "split"], synth=EXTRACT_SYNTH)
+    for command in ("synth", "synth --role test", "extract"):
+        assert main(command.split() + ["--config", str(cfg)]) == EXIT_OK
+    return tmp_path / "out" / "features"
+
+
+def test_extract_outputs_are_pinned(tmp_path):
+    import hashlib
+
+    features = _extract(tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(features.iterdir())
+    }
+    thresholds = json.loads((features / "thresholds_split.json").read_text())
+    assert thresholds["day"] is not None and thresholds["night"] is not None
+    assert digests == EXTRACT_DIGESTS
+
+
+def test_extract_derives_each_track_once(tmp_path, monkeypatch):
+    # one filter by daytime and one kinematics pass per bird and subset: the
+    # thresholds pool the speeds the feature rows were derived from
+    from shearwater import geokin
+    from shearwater.trajdata import Trajectory
+
+    calls = {"steps": 0, "filter": 0}
+    steps, filter_daytime = geokin._steps, Trajectory.filter_daytime
+
+    def counted_steps(traj):
+        calls["steps"] += 1
+        return steps(traj)
+
+    def counted_filter(self, flag):
+        calls["filter"] += 1
+        return filter_daytime(self, flag)
+
+    monkeypatch.setattr(geokin, "_steps", counted_steps)
+    monkeypatch.setattr(Trajectory, "filter_daytime", counted_filter)
+    _extract(tmp_path)
+    birds = 2 * EXTRACT_SYNTH["n_birds"]  # train and test
+    assert 0 < calls["filter"] <= birds * 2  # split mode's day and night
+    assert 0 < calls["steps"] <= birds * 3  # and together mode's whole track

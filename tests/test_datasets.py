@@ -8,14 +8,13 @@ from shearwater.datasets import (
     DatasetMode,
     FeatureMatrix,
     build_dataset,
-    compute_thresholds,
     impute,
     schema_columns,
 )
 from shearwater.errors import OutOfRange, SchemaMismatch
-from shearwater.geokin import velocities
 from shearwater.trajdata import Corpus
 from tests.conftest import make_traj
+from tests.test_geokin import series_named
 
 
 def small_corpus(rng, n_birds=3, n_points=10, labeled=True, daytime=None):
@@ -36,14 +35,14 @@ def small_corpus(rng, n_birds=3, n_points=10, labeled=True, daytime=None):
 def test_thresholds_stationary_corpus():
     traj = make_traj(longitude=[5.0] * 6, latitude=[5.0] * 6)
     corpus = Corpus(trajectories={"b0": traj})
-    th = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
+    th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
     assert th.values[0] == 0.0  # pooled mean velocity
 
 
 def test_thresholds_match_bruteforce_pool(rng):
     corpus = small_corpus(rng, n_birds=3, n_points=7)
-    pooled = np.concatenate([velocities(corpus[b]).values for b in corpus.bird_ids])
-    th = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
+    pooled = np.concatenate([series_named(corpus[b], "velocity").values for b in corpus.bird_ids])
+    th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
     # oracle: sort and interpolate by hand
     s = np.sort(pooled)
     for k, p in zip(range(1, 12), (0.05, 0.10, 0.15, 0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)):
@@ -57,19 +56,19 @@ def test_thresholds_match_bruteforce_pool(rng):
 
 def test_day_subset_of_all_day_corpus_equals_all(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    th_all = compute_thresholds(corpus, DatasetMode.TOGETHER)["all"]
-    th_day = compute_thresholds(corpus, DatasetMode.SPLIT)["day"]
+    th_all = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
+    th_day = build_dataset(corpus, DatasetMode.SPLIT)[1]["day"]
     np.testing.assert_array_equal(th_all.values, th_day.values)
 
 
 def test_empty_pool_raises(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    assert compute_thresholds(corpus, DatasetMode.SPLIT)["night"] is None
+    assert build_dataset(corpus, DatasetMode.SPLIT)[1]["night"] is None
 
 
 def test_build_together_shape(rng):
     corpus = small_corpus(rng, n_birds=3)
-    matrix = build_dataset(corpus, DatasetMode.TOGETHER)
+    matrix, _ = build_dataset(corpus, DatasetMode.TOGETHER)
     assert matrix.values.shape == (3, 248)
     assert matrix.bird_ids == ["b0", "b1", "b2"]
     assert matrix.labels is not None
@@ -77,8 +76,8 @@ def test_build_together_shape(rng):
 
 def test_split_doubles_columns(rng):
     corpus = small_corpus(rng)
-    together = build_dataset(corpus, DatasetMode.TOGETHER)
-    split = build_dataset(corpus, DatasetMode.SPLIT)
+    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
     assert len(split.columns) == 2 * len(together.columns) == 496
     assert split.columns[0] == "day_" + together.columns[0]
     assert split.columns[248] == "night_" + together.columns[0]
@@ -87,23 +86,24 @@ def test_split_doubles_columns(rng):
 def test_schema_pure_function_of_mode(rng):
     c1 = small_corpus(rng, n_birds=2)
     c2 = small_corpus(rng, n_birds=4)
-    assert build_dataset(c1, DatasetMode.SPLIT).columns == build_dataset(
-        c2, DatasetMode.SPLIT
-    ).columns
-    assert schema_columns(DatasetMode.TOGETHER) == build_dataset(c1, DatasetMode.TOGETHER).columns
+    split1, _ = build_dataset(c1, DatasetMode.SPLIT)
+    split2, _ = build_dataset(c2, DatasetMode.SPLIT)
+    assert split1.columns == split2.columns
+    together, _ = build_dataset(c1, DatasetMode.TOGETHER)
+    assert schema_columns(DatasetMode.TOGETHER) == together.columns
 
 
 def test_all_day_bird_has_missing_night_columns(rng):
     corpus = small_corpus(rng, n_birds=2, daytime=np.ones(10, dtype=np.int64))
-    matrix = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
     night_cols = [i for i, c in enumerate(matrix.columns) if c.startswith("night_")]
     assert np.isnan(matrix.values[:, night_cols]).all()
 
 
 def test_all_day_bird_day_features_equal_together(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    together = build_dataset(corpus, DatasetMode.TOGETHER)
-    split = build_dataset(corpus, DatasetMode.SPLIT)
+    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
     day_block = split.values[:, :248]
     np.testing.assert_array_equal(day_block, together.values)
 
@@ -170,7 +170,7 @@ def test_impute_schema_mismatch():
 
 def test_matrix_csv_round_trip(rng):
     corpus = small_corpus(rng)
-    matrix = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
     again = FeatureMatrix.from_csv(matrix.to_csv())
     assert again.bird_ids == matrix.bird_ids
     assert again.columns == matrix.columns
@@ -180,7 +180,7 @@ def test_matrix_csv_round_trip(rng):
 
 def test_matrix_csv_missing_serialized_empty(rng):
     corpus = small_corpus(rng, n_birds=2, daytime=np.ones(10, dtype=np.int64))
-    matrix = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
     first_row = matrix.to_csv().splitlines()[1]
     assert ",," in first_row  # consecutive empties from the night block
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import json
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind, fit_learner
@@ -171,9 +171,12 @@ def _tune_threshold_by_candidate(scores, truth) -> float:
     """The oracle: F1 of every candidate in turn, the first best kept."""
     scores = np.asarray(scores, dtype=np.float64)
     distinct = np.unique(scores)
-    candidates = np.concatenate(
-        [[distinct[0] - 1.0], 0.5 * (distinct[:-1] + distinct[1:]), [distinct[-1] + 1.0]]
-    )
+    mids = []
+    for lo, hi in zip(distinct[:-1], distinct[1:]):
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        mids.append(mid if np.isfinite(mid) else 0.5 * lo + 0.5 * hi)
+    candidates = np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
     best_tau, best_f1 = candidates[0], -1.0
     for tau in candidates:
         f1 = f1_score((scores > tau).astype(np.int64), truth)
@@ -192,6 +195,7 @@ SCORES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(SCORES, st.integers(0, 1)), min_size=2, max_size=40))
+@example(pairs=[(-7.284817129801727e293, 0), (-1.7976931348623085e308, 1)])  # the sum overflows
 def test_tune_threshold_equals_the_candidate_loop(pairs):
     scores, truth = (np.array(column) for column in zip(*pairs))
     assume(len(np.unique(truth)) == 2)
@@ -218,7 +222,7 @@ def test_cv_constant_learner_hits_all_positive_baseline(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_trees=1, max_depth=0),
     )
-    result = cross_validate(setting, matrix, folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
     # stump score = training-fold prevalence = 0.5 everywhere: the tuned
     # threshold can only pick all-positive (F1 2/3) or all-negative (0)
     assert result.mean_f1 == pytest.approx(2 / 3)
@@ -233,7 +237,7 @@ def test_cv_learns_planted_signal(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_rounds=20, learning_rate=0.3, max_depth=2, subsample=1.0, colsample=1.0),
     )
-    result = cross_validate(setting, matrix, folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
     assert result.mean_f1 > 0.9
     assert result.oof_scores.shape == (60,)
 
@@ -246,8 +250,8 @@ def test_cv_deterministic(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_trees=5, max_depth=3),
     )
-    a = cross_validate(setting, matrix, folds, seed=4)
-    b = cross_validate(setting, matrix, folds, seed=4)
+    a = cross_validate(setting, prepare(matrix, folds), folds, seed=4)
+    b = cross_validate(setting, prepare(matrix, folds), folds, seed=4)
     np.testing.assert_array_equal(a.oof_scores, b.oof_scores)
     assert a.threshold == b.threshold
 
@@ -261,7 +265,7 @@ def test_cv_imputation_refit_per_fold(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_rounds=5, max_depth=2),
     )
-    result = cross_validate(setting, matrix, folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
     assert np.isfinite(result.oof_scores).all()
 
 
@@ -310,7 +314,7 @@ def test_cv_raises_when_a_bird_is_left_unscored(rng):
     folds.k = 4  # fold 4's birds are never held out
     setting = ModelSetting(kind=LearnerKind.SVC, mode=DatasetMode.TOGETHER)
     with pytest.raises(BirdSetMismatch):
-        cross_validate(setting, matrix, folds, seed=0)
+        cross_validate(setting, prepare(matrix, folds), folds, seed=0)
 
 
 def test_folds_csv_rejects_gapped_fold_ids():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shearwater import geokin
 from shearwater.errors import EmptySeries
 from shearwater.featex import (
+    EXCEEDANCE,
     SUMMARY_PROBS,
     SUMMARY_SUFFIXES,
     THRESHOLD_NAMES,
@@ -21,8 +22,8 @@ from shearwater.featex import (
     summarize,
     velocity_thresholds,
 )
-from shearwater.geokin import velocities
 from tests.conftest import make_traj
+from tests.test_geokin import series_named
 
 
 def quantile_oracle(values, p):
@@ -166,7 +167,7 @@ def test_pca_rank_one_data():
     n = 10
     lat = np.linspace(0.0, 0.009, n)
     traj = make_traj(longitude=np.full(n, 5.0), latitude=lat)
-    out = pca_features(traj, velocities(traj).values)
+    out = pca_features(traj, series_named(traj, "velocity").values)
     ratios = out[:5]
     np.testing.assert_allclose(ratios, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-9)
 
@@ -179,7 +180,7 @@ def test_pca_ratios_sum_to_one(rng):
         sun_azimuth=rng.uniform(0, 359, n),
         sun_elevation=rng.uniform(-50, 50, n),
     )
-    out = pca_features(traj, velocities(traj).values)
+    out = pca_features(traj, series_named(traj, "velocity").values)
     ratios, axis = out[:5], out[5:]
     assert ratios.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.all(ratios >= 0)
@@ -190,7 +191,7 @@ def test_pca_ratios_sum_to_one(rng):
 
 def test_pca_too_short_missing():
     traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0])
-    assert np.isnan(pca_features(traj, velocities(traj).values)).all()
+    assert np.isnan(pca_features(traj, series_named(traj, "velocity").values)).all()
 
 
 def test_feature_names_width_and_uniqueness():
@@ -202,8 +203,9 @@ def test_feature_names_width_and_uniqueness():
 def test_bird_features_width(rng):
     n = 15
     traj = make_traj(longitude=rng.uniform(0, 1, n), latitude=rng.uniform(0, 1, n))
-    th = VelocityThresholds(np.linspace(0, 11, 12))
-    assert bird_features(traj, th).shape == (248,)
+    row, velocity = bird_features(traj)
+    assert row.shape == (248,)
+    np.testing.assert_array_equal(velocity, series_named(traj, "velocity").values)
 
 
 def test_bird_features_deterministic(rng):
@@ -213,27 +215,30 @@ def test_bird_features_deterministic(rng):
         latitude=rng.uniform(0, 1, n),
         sun_azimuth=rng.uniform(0, 359, n),
     )
-    th = VelocityThresholds(np.linspace(0, 11, 12))
-    a = bird_features(traj, th)
-    b = bird_features(traj, th)
-    np.testing.assert_array_equal(a, b)
+    a = bird_features(traj)
+    b = bird_features(traj)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_bird_features_stationary_velocity_blocks():
     traj = make_traj(longitude=[3.0] * 8, latitude=[4.0] * 8)
-    th = VelocityThresholds(np.zeros(12))
-    feats = dict(zip(feature_names(), bird_features(traj, th)))
+    row, velocity = bird_features(traj)
+    feats = dict(zip(feature_names(), row))
     for suffix in SUMMARY_SUFFIXES:
         assert feats[f"velocity_{suffix}"] == 0.0
-    for level in THRESHOLD_NAMES:
-        assert feats[f"exceed_gt_{level}"] == 0.0
+    assert np.all(exceedance_counts(velocity, VelocityThresholds(np.zeros(12))) == 0)
 
 
 def test_bird_features_no_thresholds_marks_exceedance_missing():
+    # the counts need thresholds pooled over a corpus; the matrix build fills them
     traj = make_traj(longitude=[0.0, 1.0, 2.0], latitude=[0.0, 0.0, 0.0])
-    feats = dict(zip(feature_names(), bird_features(traj, None)))
+    row, _ = bird_features(traj)
+    feats = dict(zip(feature_names(), row))
     for level in THRESHOLD_NAMES:
         assert np.isnan(feats[f"exceed_gt_{level}"])
+    assert np.isnan(row[EXCEEDANCE]).all()
+    assert np.isfinite(np.delete(row, np.r_[EXCEEDANCE])).all()
 
 
 def test_bird_features_makes_one_haversine_pass(rng, monkeypatch):
@@ -241,12 +246,13 @@ def test_bird_features_makes_one_haversine_pass(rng, monkeypatch):
     monkeypatch.setattr(geokin, "haversine", lambda *args: calls.append(args) or real(*args))
     n = 12
     traj = make_traj(longitude=rng.uniform(0, 1, n), latitude=rng.uniform(0, 1, n))
-    bird_features(traj, VelocityThresholds(np.linspace(0, 11, 12)))
+    bird_features(traj)
     assert len(calls) == 1
 
 
 def test_bird_features_empty_track_all_missing():
     traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0], daytime=[1, 1]).filter_daytime(0)
-    out = bird_features(traj, VelocityThresholds(np.linspace(0, 11, 12)))
+    out, velocity = bird_features(traj)
     assert out.shape == (248,)
     assert np.isnan(out).all()
+    assert velocity is None

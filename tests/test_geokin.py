@@ -9,7 +9,6 @@ from shearwater.geokin import (
     delta_series,
     feature_series,
     haversine,
-    velocities,
     wrap_degrees,
 )
 from tests.conftest import make_traj
@@ -85,20 +84,20 @@ def test_step_distances_three_points_one_degree():
 
 def test_velocity_one_degree_per_hour():
     traj = make_traj(longitude=[0.0, 0.0], latitude=[0.0, 1.0], elapsed=[0.0, 3600.0])
-    assert velocities(traj).values[0] == pytest.approx(30.887, abs=1e-3)
+    assert series_named(traj, "velocity").values[0] == pytest.approx(30.887, abs=1e-3)
 
 
 def test_velocity_stationary_zero():
     traj = make_traj(longitude=[5.0] * 3, latitude=[5.0] * 3)
-    assert np.all(velocities(traj).values == 0.0)
+    assert np.all(series_named(traj, "velocity").values == 0.0)
 
 
 def test_velocity_halves_when_gaps_double(rng):
     lon = rng.uniform(10, 11, 5)
     lat = rng.uniform(40, 41, 5)
     t = np.cumsum(rng.uniform(30, 90, 5))
-    v1 = velocities(make_traj(longitude=lon, latitude=lat, elapsed=t)).values
-    v2 = velocities(make_traj(longitude=lon, latitude=lat, elapsed=2 * t)).values
+    v1 = series_named(make_traj(longitude=lon, latitude=lat, elapsed=t), "velocity").values
+    v2 = series_named(make_traj(longitude=lon, latitude=lat, elapsed=2 * t), "velocity").values
     np.testing.assert_allclose(v2, v1 / 2)
 
 
@@ -106,8 +105,9 @@ def test_velocity_invariant_to_elapsed_shift(rng):
     lon = rng.uniform(10, 11, 6)
     lat = rng.uniform(40, 41, 6)
     t = np.cumsum(rng.uniform(30, 90, 6))
-    v1 = velocities(make_traj(longitude=lon, latitude=lat, elapsed=t)).values
-    v2 = velocities(make_traj(longitude=lon, latitude=lat, elapsed=t + 12345.0)).values
+    v1 = series_named(make_traj(longitude=lon, latitude=lat, elapsed=t), "velocity").values
+    shifted = make_traj(longitude=lon, latitude=lat, elapsed=t + 12345.0)
+    v2 = series_named(shifted, "velocity").values
     np.testing.assert_allclose(v1, v2, rtol=1e-12)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from shearwater.datasets import DatasetMode, build_dataset
-from shearwater.geokin import velocities
 from shearwater.synthgen import SynthParams, _clipped_walk, generate_corpus, null_signal_params
 from shearwater.trajdata import labels_to_csv, load_corpus, save_corpus, trajectory_to_csv
+from tests.test_geokin import series_named
 
 
 def tiny_params(**overrides):
@@ -115,7 +115,7 @@ def test_planted_velocity_signal_is_measurable():
     corpus = generate_corpus(tiny_params(n_birds=60))
     means = {0: [], 1: []}
     for bird in corpus.bird_ids:
-        means[corpus.labels[bird]].append(velocities(corpus[bird]).values.mean())
+        means[corpus.labels[bird]].append(series_named(corpus[bird], "velocity").values.mean())
     assert np.mean(means[1]) > np.mean(means[0]) + 1.0
 
 
@@ -126,7 +126,7 @@ def test_null_signal_params_equalize_genders():
     corpus = generate_corpus(params)
     means = {0: [], 1: []}
     for bird in corpus.bird_ids:
-        means[corpus.labels[bird]].append(velocities(corpus[bird]).values.mean())
+        means[corpus.labels[bird]].append(series_named(corpus[bird], "velocity").values.mean())
     assert abs(np.mean(means[1]) - np.mean(means[0])) < 1.0
 
 
@@ -154,8 +154,8 @@ def test_day_and_night_both_present():
 
 def test_corpus_feeds_both_dataset_modes():
     corpus = generate_corpus(tiny_params(n_birds=8, trip_length_min=40, trip_length_max=60))
-    together = build_dataset(corpus, DatasetMode.TOGETHER)
-    split = build_dataset(corpus, DatasetMode.SPLIT)
+    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
     assert together.values.shape == (8, 248)
     assert split.values.shape == (8, 496)
 

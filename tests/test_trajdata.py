@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from shearwater.errors import (
     MalformedRow,
+    MissingLabel,
     NonMonotonicTime,
     OutOfRange,
     TooShort,
@@ -222,6 +223,12 @@ def test_labels_unknown_bird(tmp_path):
     labels.write_text("bird_id,label\nb1,1\nghost,0\n")
     with pytest.raises(UnknownBirdInLabels):
         load_corpus(trips, labels)
+
+
+def test_corpus_refuses_an_unlabeled_trajectory():
+    t = parse_trajectory("x", TWO_ROWS)
+    with pytest.raises(MissingLabel, match="b2"):
+        Corpus(trajectories={"b1": t, "b2": t}, labels={"b1": 1})
 
 
 def test_labels_value_validation():
