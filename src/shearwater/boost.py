@@ -145,9 +145,11 @@ class TrainedModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
         """Decode a model; ValueError unless it holds either trees or an svm,
-        as wide as the feature schema."""
+        as wide as the feature schema, and a finite threshold or none."""
         if ("trees" in doc) == ("svm" in doc):
             raise ValueError("a model holds either trees or an svm")
+        if doc["threshold"] is not None and not np.isfinite(doc["threshold"]):
+            raise ValueError(f"threshold {doc['threshold']} is not finite")
         width = len(doc["feature_names"])
         trees = DecisionTree.from_dicts(doc["trees"], width) if "trees" in doc else None
         model = cls(

@@ -84,6 +84,34 @@ def _check_numbers(values: dict, types: dict, prefix: str) -> None:
             raise UsageError(f"{prefix}{name}: expected {expected}, got {value!r}")
 
 
+_REQUIRED = object()
+
+
+def _member(doc: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""):
+    """``doc[key]``, or ``default`` when absent; UsageError naming the field
+    when it is missing and required, or not a ``kind``."""
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise UsageError(f"bad config: {prefix}{key} is missing")
+    if not isinstance(value, kind):
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise UsageError(f"bad config: {prefix}{key}: expected {expected}, got {value!r}")
+    return value
+
+
+def _choices(doc: dict, key: str, enum: type, default: list) -> list:
+    """The ``enum`` members a list field names, each once."""
+    names = _member(doc, key, list, default)
+    try:
+        chosen = [enum(name) for name in names]
+    except ValueError as exc:
+        raise UsageError(f"bad config: {key}: {exc}") from None
+    repeated = sorted({m.value for m in chosen if chosen.count(m) > 1})
+    if repeated:
+        raise UsageError(f"bad config: {key} lists {repeated} more than once")
+    return chosen
+
+
 # the values each hyperparameter may take
 PARAM_DOMAINS = {
     **dict.fromkeys(
@@ -124,26 +152,27 @@ class RunConfig:
             raise UsageError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
-        try:
-            paths = doc["paths"]
-            params = doc.get("params", {})
-            cfg = cls(
-                train_dir=Path(paths["train_dir"]),
-                train_labels=Path(paths["train_labels"]),
-                out_dir=Path(paths["out_dir"]),
-                test_dir=Path(paths["test_dir"]) if "test_dir" in paths else None,
-                test_labels=Path(paths["test_labels"]) if "test_labels" in paths else None,
-                modes=[DatasetMode(m) for m in doc.get("modes", ["together", "split"])],
-                learners=[LearnerKind(k) for k in doc.get("learners", ALL_LEARNERS)],
-                default_params=params.get("default", {}),
-                learner_params={k: v for k, v in params.items() if k != "default"},
-                n_seeds=doc.get("n_seeds", 10),
-                base_seed=doc.get("base_seed", 2018),
-                k_folds=doc.get("k_folds", 5),
-                synth=doc.get("synth", {}),
-            )
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad config: {exc}") from None
+        if not isinstance(doc, dict):
+            raise UsageError(f"bad config: expected an object, got {doc!r}")
+        paths = _member(doc, "paths", dict)
+        params = _member(doc, "params", dict, {})
+        for name in params:
+            _member(params, name, dict, prefix="params.")
+        located = [name for name in ("test_dir", "test_labels") if name in paths]
+        cfg = cls(
+            **{
+                name: Path(_member(paths, name, str, prefix="paths."))
+                for name in ["train_dir", "train_labels", "out_dir", *located]
+            },
+            modes=_choices(doc, "modes", DatasetMode, ["together", "split"]),
+            learners=_choices(doc, "learners", LearnerKind, ALL_LEARNERS),
+            default_params=params.get("default", {}),
+            learner_params={k: v for k, v in params.items() if k != "default"},
+            n_seeds=doc.get("n_seeds", 10),
+            base_seed=doc.get("base_seed", 2018),
+            k_folds=doc.get("k_folds", 5),
+            synth=_member(doc, "synth", dict, {}),
+        )
         counts = {"n_seeds": cfg.n_seeds, "base_seed": cfg.base_seed, "k_folds": cfg.k_folds}
         _check_numbers(counts, dict.fromkeys(counts, int), "")
         if cfg.n_seeds < 1:
@@ -246,7 +275,8 @@ def _require(path: Path, hint: str) -> Path:
 
 @contextmanager
 def _naming(path: Path):
-    """Prefix the file name to a data error raised while reading the file."""
+    """Prefix ``path``, a file or a corpus directory, to a data error raised
+    while reading it."""
     try:
         yield
     except PipelineError as exc:
@@ -323,14 +353,16 @@ def cmd_extract(cfg: RunConfig) -> None:
         test_corpus = load_corpus(cfg.test_dir, None)
     cfg.features_path("train", cfg.modes[0]).parent.mkdir(parents=True, exist_ok=True)
     for mode in cfg.modes:
-        train_matrix, thresholds = build_dataset(train_corpus, mode)
+        with _naming(cfg.train_dir):
+            train_matrix, thresholds = build_dataset(train_corpus, mode)
         atomic_write_text(cfg.features_path("train", mode), train_matrix.to_csv())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
         atomic_write_text(cfg.thresholds_path(mode), _thresholds_json(thresholds))
         rows = [f"train {mode.value}: {len(train_matrix.bird_ids)}x{len(train_matrix.columns)}"]
         if test_corpus is not None:
             # test matrices reuse training thresholds (leakage-safe)
-            test_matrix, _ = build_dataset(test_corpus, mode, thresholds)
+            with _naming(cfg.test_dir):
+                test_matrix, _ = build_dataset(test_corpus, mode, thresholds)
             atomic_write_text(cfg.features_path("test", mode), test_matrix.to_csv())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
         print("; ".join(rows))
@@ -438,6 +470,8 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
             entry = doc.get(name) if isinstance(doc, dict) else None
             if not isinstance(entry, dict) or type(entry.get("threshold")) is not float:
                 raise MalformedRow(f"no threshold for {name} (run cv first)")
+            if not np.isfinite(entry["threshold"]):  # json reads NaN and Infinity
+                raise MalformedRow(f"threshold of {name} is {entry['threshold']}, not finite")
             if entry.get("fingerprint") != _cv_fingerprint(inputs_crc, setting, seed):
                 raise StaleArtifact(f"{name} is stale: its inputs changed since cv; re-run cv")
             items.append((setting, seed, entry["threshold"]))

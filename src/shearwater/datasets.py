@@ -104,22 +104,25 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":
-        """Read a ``to_csv`` document: an empty cell is missing, and an
-        infinite one (``inf``, ``1e400``) is OutOfRange naming its line."""
+        """Read a ``to_csv`` document: each bird once, an empty cell is
+        missing, and an infinite one (``inf``, ``1e400``) is OutOfRange
+        naming its line."""
         rows = csv_rows(text)
         header = next(rows, [])
         if not header or header[0] != "bird_id":
             raise SchemaMismatch("feature CSV must start with a bird_id column")
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
-        bird_ids, labels, values, linenos = [], [], [], []
+        lines: dict[str, int] = {}  # each bird's line, in file order
+        labels, values = [], []
         for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            bird_ids.append(row[0])
-            linenos.append(lineno)
+            if row[0] in lines:
+                raise MalformedRow(f"line {lineno}: bird {row[0]!r} is listed twice")
+            lines[row[0]] = lineno
             body = row[1:]
             if has_label:
                 if body[0] not in ("0", "1"):
@@ -130,15 +133,14 @@ class FeatureMatrix:
                 values.append([np.nan if cell == "" else float(cell) for cell in body])
             except ValueError as exc:
                 raise MalformedRow(f"line {lineno}: {exc}") from None
-        matrix = np.array(values, dtype=np.float64).reshape(len(bird_ids), len(columns))
+        matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(columns))
         infinite = np.argwhere(np.isinf(matrix))
         if infinite.size:
             row, col = infinite[0]
-            raise OutOfRange(
-                f"line {linenos[row]}: {columns[col]} is {matrix[row, col]}, not a finite number"
-            )
+            where = f"line {list(lines.values())[row]}: {columns[col]}"
+            raise OutOfRange(f"{where} is {matrix[row, col]}, not a finite number")
         return cls(
-            bird_ids=bird_ids,
+            bird_ids=list(lines),
             columns=columns,
             values=matrix,
             labels=np.array(labels, dtype=np.int64) if has_label else None,

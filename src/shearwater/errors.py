@@ -1,5 +1,8 @@
-"""Exception types raised across the pipeline, and the one CSV row reader
-and integer field parser that every text reader shares.
+"""Exception types raised across the pipeline, and the CSV helpers the
+readers and writers share: the row reader and int64 field parser of every
+text reader, the one reader of the ``bird_id,<column>`` tables (labels,
+``folds.csv``, prediction sets), which name each bird once, and the one
+``csv.writer`` set-up of those tables and the CV reports.
 
 Everything inherits from :class:`PipelineError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs with a single except clause.
@@ -7,7 +10,7 @@ can distinguish data problems from genuine bugs with a single except clause.
 
 import csv
 import io
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class PipelineError(ValueError):
@@ -82,7 +85,7 @@ class StaleArtifact(PipelineError):
     """An artifact was computed from inputs that have changed since."""
 
 
-# --- reading -------------------------------------------------------------
+# --- reading and writing -------------------------------------------------
 
 def csv_rows(text: str) -> Iterator[list[str]]:
     """The rows of a CSV document, read lazily. A parse error of the csv
@@ -105,3 +108,41 @@ def parse_int64(text: str, what: str) -> int:
     if not -(2**63) <= value < 2**63:
         raise OutOfRange(f"{what} {text!r} does not fit in 64 bits")
     return value
+
+
+def read_bird_table(text: str, column: str, values: tuple | None = None) -> dict[str, int]:
+    """The ``bird_id,<column>`` table of a CSV document, in file order.
+
+    The header holds those two names (whitespace around each is allowed).
+    Blank lines are skipped; every other row has two fields, a bird that no
+    earlier row names and an int64 value, one of ``values`` when given. An
+    error names its line.
+    """
+    rows = csv_rows(text)
+    header = next(rows, [])  # an empty file has an empty header
+    if [name.strip() for name in header] != ["bird_id", column]:
+        raise MalformedRow(f"bad header {header!r}, expected bird_id,{column}")
+    table: dict[str, int] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            value = parse_int64(row[1], column)
+        except PipelineError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        if values is not None and value not in values:
+            raise OutOfRange(f"line {lineno}: {column} {value} is not one of {values}")
+        if row[0] in table:
+            raise MalformedRow(f"line {lineno}: bird {row[0]!r} is listed twice")
+        table[row[0]] = value
+    return table
+
+
+def csv_document(rows: Iterable[Sequence]) -> str:
+    """``rows`` as a CSV document, each line ended by a newline;
+    ``csv.writer`` quotes a field when it needs it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()

@@ -8,8 +8,6 @@ decision threshold tuned on pooled out-of-fold scores.
 
 from __future__ import annotations
 
-import csv
-import io
 import zlib
 from dataclasses import dataclass, field
 
@@ -20,15 +18,13 @@ from .datasets import DatasetMode, FeatureMatrix, impute
 from .errors import (
     BirdSetMismatch,
     LengthMismatch,
-    MalformedRow,
     MissingLabel,
     NonFiniteScore,
     OutOfRange,
-    PipelineError,
     SingleClass,
     TooFewPerClass,
-    csv_rows,
-    parse_int64,
+    csv_document,
+    read_bird_table,
 )
 from .trees import HistogramBins, build_bins
 
@@ -124,6 +120,8 @@ def accuracy(pred, truth) -> float:
 def tune_threshold(scores, truth) -> float:
     """Threshold maximizing F1 of (score > tau) over the distinct-score
     midpoints plus below-min / above-max sentinels; ties take the smallest.
+    The below-min sentinel is the minimum less 1, or the next float down
+    where that rounds back to it (the minimum itself at the lowest float).
 
     One sort of the scores: a candidate's predicted positives are the
     scores above it, so TP and FP are counts past its place in the sort.
@@ -144,7 +142,10 @@ def tune_threshold(scores, truth) -> float:
         mid = 0.5 * (lo + hi)
     # where lo + hi overflows, halving first is exact
     mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
-    candidates = np.concatenate([[distinct[0] - 1.0], mid, [distinct[-1] + 1.0]])
+    lowest = distinct[0] - 1.0
+    if lowest == distinct[0] and lowest != -np.finfo(np.float64).max:
+        lowest = np.nextafter(lowest, -np.inf)
+    candidates = np.concatenate([[lowest], mid, [distinct[-1] + 1.0]])
     below = np.searchsorted(ranked, candidates, side="right")  # scores <= each candidate
 
     def above(cls):  # how many of class ``cls`` score above each candidate
@@ -329,17 +330,13 @@ class PredictionSet:
         )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["bird_id", "label"])
-        for bird_id, label in zip(self.bird_ids, self.labels):
-            writer.writerow([bird_id, int(label)])
-        return out.getvalue()
+        return csv_document([("bird_id", "label"), *zip(self.bird_ids, self.labels.tolist())])
 
     @classmethod
     def from_csv(cls, text: str, source: str = "") -> "PredictionSet":
-        ids, labels = _read_int_column(text, "label")
-        return cls(bird_ids=ids, labels=np.array(labels, dtype=np.int64), source=source)
+        """Read a ``bird_id,label`` file: each bird once, labelled 0 or 1."""
+        table = read_bird_table(text, "label", values=(0, 1))
+        return cls(bird_ids=list(table), labels=list(table.values()), source=source)
 
 
 def prevalent_label(labels: np.ndarray | list[int]) -> int:
@@ -376,55 +373,28 @@ def majority_vote(sets: list[PredictionSet], tie_label: int = 1) -> PredictionSe
 # --- file formats ---------------------------------------------------------
 
 def folds_to_csv(folds: FoldAssignment) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bird_id", "fold"])
-    for bird_id in sorted(folds.assignment):
-        writer.writerow([bird_id, folds.assignment[bird_id]])
-    return out.getvalue()
-
-
-def _read_int_column(text: str, column: str) -> tuple[list[str], list[int]]:
-    """Bird ids and integer values of a ``bird_id,<column>`` CSV."""
-    rows = csv_rows(text)
-    header = next(rows, None)
-    if header != ["bird_id", column]:
-        raise BirdSetMismatch(f"bad header {header!r}, expected bird_id,{column}")
-    ids, values = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            values.append(parse_int64(row[1], column))
-        except PipelineError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        ids.append(row[0])
-    return ids, values
+    ids = sorted(folds.assignment)
+    return csv_document([("bird_id", "fold"), *((b, folds.assignment[b]) for b in ids)])
 
 
 def folds_from_csv(text: str) -> FoldAssignment:
-    """Read a ``bird_id,fold`` file; k is the fold count it holds, and its
-    fold ids must be exactly 0..k-1.
+    """Read a ``bird_id,fold`` file, each bird once; k is the fold count it
+    holds, and its fold ids must be exactly 0..k-1.
     """
-    ids, fold_ids = _read_int_column(text, "fold")
-    distinct = set(fold_ids)
+    assignment = read_bird_table(text, "fold")
+    distinct = set(assignment.values())
     k = max(distinct, default=-1) + 1
     if min(distinct, default=0) < 0 or len(distinct) != k:
         raise OutOfRange(f"fold ids {sorted(distinct)} are not 0..{k - 1}")
-    return FoldAssignment(assignment=dict(zip(ids, fold_ids)), k=k)
+    return FoldAssignment(assignment=assignment, k=k)
 
 
 def cv_report_csv(results: list[tuple[str, CvResult]]) -> str:
     """Per-fold F1 rows: setting,fold,f1."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["setting", "fold", "f1"])
+    rows = [("setting", "fold", "f1")]
     for name, result in results:
-        for fold, f1 in enumerate(result.fold_f1):
-            writer.writerow([name, fold, repr(float(f1))])
-    return out.getvalue()
+        rows += [(name, fold, repr(float(f1))) for fold, f1 in enumerate(result.fold_f1)]
+    return csv_document(rows)
 
 
 def cv_summary_csv(
@@ -432,11 +402,9 @@ def cv_summary_csv(
     ensemble_f1: float | None = None,
 ) -> str:
     """Summary rows: setting,mean_f1,threshold, plus an ensemble row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["setting", "mean_f1", "threshold"])
+    rows = [("setting", "mean_f1", "threshold")]
     for name, result in results:
-        writer.writerow([name, repr(float(result.mean_f1)), repr(float(result.threshold))])
+        rows.append((name, repr(float(result.mean_f1)), repr(float(result.threshold))))
     if ensemble_f1 is not None:
-        writer.writerow(["ensemble", repr(float(ensemble_f1)), ""])
-    return out.getvalue()
+        rows.append(("ensemble", repr(float(ensemble_f1)), ""))
+    return csv_document(rows)

@@ -4,7 +4,9 @@ One haversine pass per track gives its per-step distance, speed and
 acceleration series (:func:`_steps`); :func:`feature_series` returns them
 with the point-aligned series and their deltas. All functions are pure.
 Degenerate inputs (too few points for a difference) yield empty series
-rather than errors; series never contain NaN or infinities.
+rather than errors; series never contain NaN or infinities. A track whose
+elapsed_time steps are so small that a speed or acceleration passes
+:data:`KINEMATIC_LIMIT` is OutOfRange.
 """
 
 from __future__ import annotations
@@ -13,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .trajdata import Trajectory
 
 # Mean Earth radius, meters (IUGG mean radius R1).
 EARTH_RADIUS_M = 6371008.8
+
+# The largest speed (m/s) or acceleration (m/s^2) a track may have: far past
+# any bird, and small enough that the squares and sums of a track's
+# summaries and PCA stay finite.
+KINEMATIC_LIMIT = 1e150
 
 # The twelve per-point feature series, in canonical order: seven base
 # series plus the five deltas.
@@ -70,7 +78,8 @@ def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Speed is step distance over the elapsed gap. Acceleration element t is
     (v[t+1] - v[t]) / (elapsed[t+2] - elapsed[t+1]), the forward difference
-    of speed over the following gap.
+    of speed over the following gap. OutOfRange names the bird and the
+    series when one passes KINEMATIC_LIMIT.
     """
     if len(traj) < 2:
         return np.empty(0), np.empty(0), np.empty(0)
@@ -78,8 +87,16 @@ def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         traj.latitude[:-1], traj.longitude[:-1], traj.latitude[1:], traj.longitude[1:]
     )
     dt = np.diff(traj.elapsed)
-    velocity = distance / dt
-    return distance, velocity, np.diff(velocity) / dt[1:]
+    with np.errstate(all="ignore"):  # an overflow or NaN is refused below
+        velocity = distance / dt
+        acceleration = np.diff(velocity) / dt[1:]
+    for name, values in (("velocity", velocity), ("acceleration", acceleration)):
+        if not np.abs(values).max(initial=0.0) <= KINEMATIC_LIMIT:  # False for NaN
+            raise OutOfRange(
+                f"{traj.bird_id}: {name} passes {KINEMATIC_LIMIT:g}; "
+                "its elapsed_time steps are too small"
+            )
+    return distance, velocity, acceleration
 
 
 def wrap_degrees(delta):

@@ -13,7 +13,7 @@ quantity downstream is consistent with it).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -27,8 +27,10 @@ from .errors import (
     PipelineError,
     TooShort,
     UnknownBirdInLabels,
+    csv_document,
     csv_rows,
     parse_int64,
+    read_bird_table,
 )
 
 CSV_HEADER = (
@@ -41,7 +43,6 @@ CSV_HEADER = (
     "local_time",
     "days",
 )
-LABELS_HEADER = ("bird_id", "label")
 
 SECONDS_PER_DAY = 86400
 
@@ -72,17 +73,7 @@ class Trajectory:
         if not isinstance(other, Trajectory):
             return NotImplemented
         return self.bird_id == other.bird_id and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "longitude",
-                "latitude",
-                "sun_azimuth",
-                "sun_elevation",
-                "daytime",
-                "elapsed",
-                "local_time",
-                "days",
-            )
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
     def filter_daytime(self, flag: int) -> "Trajectory":
@@ -92,17 +83,7 @@ class Trajectory:
         short (down to empty); it is not re-validated.
         """
         mask = self.daytime == flag
-        return Trajectory(
-            bird_id=self.bird_id,
-            longitude=self.longitude[mask],
-            latitude=self.latitude[mask],
-            sun_azimuth=self.sun_azimuth[mask],
-            sun_elevation=self.sun_elevation[mask],
-            daytime=self.daytime[mask],
-            elapsed=self.elapsed[mask],
-            local_time=self.local_time[mask],
-            days=self.days[mask],
-        )
+        return Trajectory(self.bird_id, *(getattr(self, name)[mask] for name in _COLUMNS))
 
     def validate(self, lines: list[int] | None = None) -> None:
         """Check every invariant; ``lines`` holds each row's line in its file
@@ -130,6 +111,9 @@ class Trajectory:
             raise NonMonotonicTime(
                 f"{self.bird_id}: {_where(row, lines)}: elapsed_time not strictly increasing"
             )
+
+
+_COLUMNS = tuple(f.name for f in fields(Trajectory))[1:]  # the arrays, in file order
 
 
 def _where(row: int, lines: list[int] | None) -> str:
@@ -275,33 +259,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def parse_labels(csv_text: str) -> dict[str, int]:
-    """Parse a ``bird_id,label`` CSV (label must be 0 or 1)."""
-    rows = csv_rows(csv_text)
-    header = next(rows, None)
-    if header is None:
-        raise MalformedRow("labels: empty file")
-    if tuple(h.strip() for h in header) != LABELS_HEADER:
-        raise MalformedRow(f"labels: bad header {header!r}")
-    labels: dict[str, int] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRow(f"labels: line {lineno}: expected 2 fields")
-        try:
-            value = parse_int64(row[1], "label")
-        except PipelineError as exc:
-            raise type(exc)(f"labels: line {lineno}: {exc}") from None
-        if value not in (0, 1):
-            raise OutOfRange(f"labels: line {lineno}: label must be 0 or 1, got {value}")
-        labels[row[0]] = value
-    return labels
+    """Parse a ``bird_id,label`` CSV: each bird once, labelled 0 or 1."""
+    return read_bird_table(csv_text, "label", values=(0, 1))
 
 
 def labels_to_csv(labels: dict[str, int]) -> str:
-    lines = [",".join(LABELS_HEADER)]
-    lines += [f"{bird_id},{labels[bird_id]}" for bird_id in sorted(labels)]
-    return "\n".join(lines) + "\n"
+    return csv_document([("bird_id", "label"), *((b, labels[b]) for b in sorted(labels))])
 
 
 @dataclass

@@ -154,8 +154,8 @@ class DecisionTree:
     @classmethod
     def from_dicts(cls, docs: list[dict], n_features: int) -> list["DecisionTree"]:
         """Decode trees; ValueError unless the arrays of each form one tree
-        over ``n_features`` columns, so ``predict`` ends and reads real
-        columns. The trees are checked together, on their arrays laid end
+        over ``n_features`` columns with no NaN threshold, so ``predict``
+        ends and reads real columns. The trees are checked together, on their arrays laid end
         to end, and StaleArtifact refuses the nested nodes of the format
         before node arrays."""
         if not docs:
@@ -172,7 +172,9 @@ class DecisionTree:
         n = sizes[0]
         if (sizes != n).any() or (n == 0).any() or any(a.ndim != 1 for a in raw):
             raise ValueError(f"tree arrays of sizes {sizes.T.tolist()}, not one size per tree")
-        feature, _, child, _ = raw
+        feature, threshold, child, _ = raw
+        if np.isnan(threshold).any():  # such a node would send every row left
+            raise ValueError("a tree threshold is NaN")
         start = np.repeat(np.cumsum(n) - n, n)  # each node's tree's first node
         index, size = np.arange(n.sum()) - start, np.repeat(n, n)
         if ((child != -1) & (child <= index)).any():

@@ -226,6 +226,11 @@ def _set_field(path, line, field, value):
         ("cv", "out/features/train_together.csv", 5, "inf"),
         ("cv", "out/features/train_together.csv", 5, "-inf"),
         ("cv", "out/features/train_together.csv", 5, "1e400"),
+        # a bird repeated from line 2: folds.csv kept its last row, the others both
+        ("cv", "out/features/train_together.csv", 0, "bird_0000"),
+        ("cv", "out/folds.csv", 0, "bird_0000"),
+        ("ensemble", "out/predictions/together_svc_s11.csv", 0, "b0"),
+        ("ensemble", "out/predictions/together_svc_s11.csv", 1, "7"),  # counted as 7 votes
     ],
 )
 def test_malformed_internal_csv_is_data_error(tmp_path, capsys, command, relpath, field, value):
@@ -294,11 +299,32 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("cv", {"params": {"svc": {"colsample": -0.2}}}, [], "params.svc.colsample"),
         ("cv", {"params": {"svc": {"reg_lambda": -1}}}, [], "params.svc.reg_lambda"),
         ("cv", {"params": {"svc": {"min_child_weight": -0.5}}}, [], "params.svc.min_child_weight"),
+        # each config shape below exited 3 with a traceback
+        *(
+            (command, overrides, [], field)
+            for command in ("folds", "synth")
+            for overrides, field in [
+                (None, "expected an object, got []"),  # the document is a list
+                ({"paths": []}, "paths"),
+                ({"learners": 5}, "learners"),
+                ({"params": []}, "params"),
+                ({"params": {"svc": 3}}, "params.svc"),
+                ({"paths": {"train_dir": 5, "train_labels": "l.csv", "out_dir": "out"}},
+                 "paths.train_dir"),
+            ]
+        ),
+        ("synth", {"synth": []}, [], "synth"),
+        # a repeated learner exited 0: svc voted twice and cv_summary.csv listed it twice
+        ("folds", {"learners": ["svc", "svc", "sk_et"]}, [], "learners lists ['svc']"),
+        ("synth", {"learners": ["svc", "svc", "sk_et"]}, [], "learners lists ['svc']"),
+        ("folds", {"modes": ["split", "together", "split"]}, [], "modes lists ['split']"),
     ],
 )
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
     prepare_folds(tmp_path, learners=["svc"])
-    cfg = write_config(tmp_path, learners=["svc"], **overrides)
+    cfg = write_config(tmp_path, **{"learners": ["svc"], **(overrides or {})})
+    if overrides is None:
+        cfg.write_text("[]")
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
     assert field in capsys.readouterr().err
@@ -413,6 +439,13 @@ def _refold_with_other_seed(tmp_path, cfg):
     assert folds.read_bytes() != before
 
 
+def _nan_threshold(tmp_path, cfg):
+    path = tmp_path / "out" / "cv_thresholds.json"
+    doc = json.loads(path.read_text())
+    doc["together_svc#s11"]["threshold"] = float("nan")
+    path.write_text(json.dumps(doc))  # json writes and reads it as NaN
+
+
 def _delete_entry(tmp_path, cfg):
     path = tmp_path / "out" / "cv_thresholds.json"
     doc = json.loads(path.read_text())
@@ -428,8 +461,9 @@ def _delete_entry(tmp_path, cfg):
         (_change_hyperparameter, "together_svc#s11 is stale"),
         (_refold_with_other_seed, "together_svc#s11 is stale"),
         (_delete_entry, "together_svc#s12"),
+        (_nan_threshold, "threshold of together_svc#s11 is nan"),  # was accepted
     ],
-    ids=["missing", "truncated", "hyperparameter", "folds-seed", "entry-deleted"],
+    ids=["missing", "truncated", "hyperparameter", "folds-seed", "entry-deleted", "nan"],
 )
 def test_train_needs_current_cv_thresholds(tmp_path, capsys, edit, named):
     cfg = prepare_folds(tmp_path, learners=["svc"], n_seeds=2)
@@ -489,14 +523,23 @@ def test_predict_names_a_missing_model(tmp_path, capsys):
     assert "together_svc_s12.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["folds", "extract", "ensemble", "evaluate"])
-def test_bad_label_names_the_file_and_line(tmp_path, capsys, command):
+LABEL_READERS = ["folds", "extract", "ensemble", "evaluate"]
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [pytest.param(command, 1, "x", id=command) for command in LABEL_READERS]
+    # a repeated bird: its last row was kept
+    + [pytest.param(command, 0, "bird_0000", id=f"{command}-repeated-bird")
+       for command in LABEL_READERS],
+)
+def test_bad_label_names_the_file_and_line(tmp_path, capsys, command, field, value):
     cfg = prepare_folds(tmp_path, learners=["svc"])
     predictions = tmp_path / "out" / "predictions"
     predictions.mkdir()
     (predictions / "together_svc_s11.csv").write_text("bird_id,label\nb0,1\nb1,0\n")
     labels = tmp_path / "train_labels.csv"
-    _set_field(labels, 2, 1, "x")
+    _set_field(labels, 2, field, value)
     capsys.readouterr()
     if command == "evaluate":
         argv = ["evaluate", "--predictions", str(predictions / "together_svc_s11.csv"),
@@ -594,6 +637,16 @@ def _set_tree_feature(feature):
     return edit
 
 
+def _set_threshold(value):
+    def edit(doc):  # NaN and inf labelled every bird 0, -inf every bird 1
+        doc["threshold"] = value
+    return edit
+
+
+def _nan_tree_threshold(doc):
+    _first_tree(doc)["threshold"][0] = float("nan")  # the root sent every row left
+
+
 def _point_child_back(doc):
     _first_tree(doc)["child"][0] = 0  # a cycle: the root sends rows left to itself
 
@@ -643,9 +696,14 @@ def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
         ("together_sk_rf_s11.json", _point_child_back),
         ("together_sk_rf_s11.json", _point_child_past_the_end),
         ("together_sk_rf_s11.json", _cut_tree_values),
+        ("together_sk_rf_s11.json", _nan_tree_threshold),
+        ("together_svc_s11.json", _set_threshold(float("nan"))),
+        ("together_svc_s11.json", _set_threshold(float("inf"))),
+        ("together_sk_rf_s11.json", _set_threshold(float("-inf"))),
     ],
     ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees",
-         "child-cycle", "child-out-of-range", "unequal-arrays"],
+         "child-cycle", "child-out-of-range", "unequal-arrays", "nan-split-threshold",
+         "nan-threshold", "inf-threshold", "minus-inf-threshold"],
 )
 def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     tmp_path, capsys, model_name, edit
@@ -659,6 +717,26 @@ def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     capsys.readouterr()
     assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
     assert model_name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step, series", [(1e-300, "velocity"), (1e-100, "acceleration")])
+def test_overflowing_kinematics_name_the_bird_and_the_series(tmp_path, capsys, step, series):
+    # elapsed_time i * step increases strictly, so the track parses; at
+    # 1e-300 the acceleration overflowed, and extract exited 3 on a RuntimeWarning;
+    # the error names the corpus directory, the bird and the series
+    cfg = write_config(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    path = sorted((tmp_path / "train").glob("*.csv"))[0]
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[5] = repr((i - 1) * step)
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path.parent}: {path.stem}: {series} passes" in err
 
 
 # --- extraction -----------------------------------------------------------------

@@ -10,6 +10,7 @@ from shearwater.datasets import DatasetMode, FeatureMatrix, impute
 from shearwater.errors import (
     BirdSetMismatch,
     LengthMismatch,
+    MalformedRow,
     OutOfRange,
     SingleClass,
     TooFewPerClass,
@@ -28,6 +29,7 @@ from shearwater.evalcv import (
     prevalent_label,
     tune_threshold,
 )
+from shearwater.trajdata import parse_labels
 
 
 def paper_scale_labels():
@@ -143,6 +145,15 @@ def test_tune_threshold_degenerate_all_positive():
     assert f1_score((np.array([0.5, 0.5, 0.5]) > tau).astype(int), [1, 0, 1]) == pytest.approx(0.8)
 
 
+def test_tune_threshold_all_positive_at_large_magnitudes():
+    # the minimum less 1.0 rounds back to 1e17, so all-positive was never a
+    # candidate: the tuned 1e17 labels the first bird 0 (F1 0.5, not 0.8)
+    scores, truth = np.array([1e17, 2e17, 3e17]), np.array([1, 1, 0])
+    tau = tune_threshold(scores, truth)
+    assert tau < 1e17
+    assert f1_score((scores > tau).astype(int), truth) == pytest.approx(0.8)
+
+
 def test_tune_threshold_tie_takes_smallest():
     scores = np.array([1.0, 2.0, 3.0, 4.0])
     truth = np.array([1, 0, 0, 1])
@@ -176,7 +187,10 @@ def _tune_threshold_by_candidate(scores, truth) -> float:
         with np.errstate(over="ignore"):
             mid = 0.5 * (lo + hi)
         mids.append(mid if np.isfinite(mid) else 0.5 * lo + 0.5 * hi)
-    candidates = np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
+    lowest = distinct[0] - 1.0
+    if lowest == distinct[0] and lowest != -np.finfo(np.float64).max:
+        lowest = np.nextafter(lowest, -np.inf)  # below the minimum, as 1.0 less is not
+    candidates = np.concatenate([[lowest], mids, [distinct[-1] + 1.0]])
     best_tau, best_f1 = candidates[0], -1.0
     for tau in candidates:
         f1 = f1_score((scores > tau).astype(np.int64), truth)
@@ -196,6 +210,8 @@ SCORES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(SCORES, st.integers(0, 1)), min_size=2, max_size=40))
 @example(pairs=[(-7.284817129801727e293, 0), (-1.7976931348623085e308, 1)])  # the sum overflows
+@example(pairs=[(1e17, 1), (2e17, 1), (3e17, 0)])  # the minimum less 1.0 is the minimum
+@example(pairs=[(-1.7976931348623157e308, 1), (0.0, 0)])  # no float below the minimum
 def test_tune_threshold_equals_the_candidate_loop(pairs):
     scores, truth = (np.array(column) for column in zip(*pairs))
     assume(len(np.unique(truth)) == 2)
@@ -384,3 +400,16 @@ def test_prediction_set_csv_round_trip():
     again = PredictionSet.from_csv(original.to_csv())
     assert again.bird_ids == original.bird_ids
     np.testing.assert_array_equal(again.labels, original.labels)
+
+
+# --- bird tables ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "column, read",
+    [("label", parse_labels), ("fold", folds_from_csv), ("label", PredictionSet.from_csv)],
+)
+def test_bird_table_header_allows_whitespace_and_nothing_else(column, read):
+    read(f" bird_id , {column}\na,0\n")
+    for header in ("", f"bird,{column}\n", f"bird_id,{column},x\n"):
+        with pytest.raises(MalformedRow):  # folds and predictions raised BirdSetMismatch
+            read(header + "a,0\n")
