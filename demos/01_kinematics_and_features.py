@@ -22,9 +22,9 @@ print(f"first fix: lon={traj.longitude[0]:.4f} lat={traj.latitude[0]:.4f} "
 # Twelve per-point series: velocity/acceleration/distance, the four raw
 # point-aligned attributes, and five deltas.
 print("\nderived series (name, length, mean):")
-for series in feature_series(traj):
-    mean = series.values.mean() if len(series) else float("nan")
-    print(f"  {series.name:18s} n={len(series):3d} mean={mean:10.4f}")
+for name, values in feature_series(traj).items():
+    mean = values.mean() if len(values) else float("nan")
+    print(f"  {name:18s} n={len(values):3d} mean={mean:10.4f}")
 
 # Each bird reduces to 248 features: 12 series x 18 summary stats, 12
 # exceedance counts, first-5 coordinates, and PCA of the point matrix. The

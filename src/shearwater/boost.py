@@ -16,7 +16,7 @@ when its own bins would be lossless too, which always holds at <= 256 rows)
 or bins made from the model's rows; uniform draws its thresholds from the
 raw matrix and scores them with the same split kernel.
 Both boosting families run one loop, ``_boost``, over a loss's
-(gradient/hessian, loss) pair and fit one tree a round on a binned backend
+gradient/hessian and fit one tree a round on a binned backend
 (no learner boosts on uniform); the forests grow all their trees together
 through ``trees.fit_trees`` and average class-mean leaves instead of
 boosting.
@@ -126,7 +126,6 @@ class TrainedModel:
     trees: list[DecisionTree] | None = None
     svm: SvmModel | None = None
     threshold: float | None = None
-    loss_history: list[float] | None = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -267,23 +266,23 @@ def _lossless(binned, bins, max_edges: int) -> bool:
     return bool(occupied.sum(axis=1).max() <= max_edges + 1)
 
 
-def _boost(kind, X, y, data, bins, params: GbdtParams, rng, f0, grad_hess, loss):
+def _boost(kind, X, data, bins, params: GbdtParams, rng, f0, grad_hess) -> list[DecisionTree]:
     """Stagewise Newton boosting from the constant margin f0; returns the
-    trees and the training loss after each round.
+    trees.
 
     Each round asks ``grad_hess(margins)`` for per-instance gradients and
     hessians, fits one tree on ``data`` (X binned by ``kind.backend``) on an
-    optionally row/column-subsampled view, adds learning_rate * tree to the
-    margins and records ``loss(margins, y)``. The tree fitter is read from
-    this module's globals each time this runs, so a wrapper installed on
-    this module's attributes sees every fit.
+    optionally row/column-subsampled view and adds learning_rate * tree to
+    the margins. No loss curve is kept: summing the trees' predictions from
+    f0 rebuilds each round's margins bit for bit, and so its training loss.
+    The tree fitter is read from this module's globals each time this runs,
+    so a wrapper installed on this module's attributes sees every fit.
     """
     fitter = fit_tree_oblivious if kind.backend == "oblivious" else fit_tree_hist
     tree_params = params.tree_params()
     n, d = X.shape
     margins = np.full(n, f0)
     trees: list[DecisionTree] = []
-    history: list[float] = []
     for _ in range(params.n_rounds):
         grad, hess = grad_hess(margins)
         rows = _subsample(n, params.subsample, rng)
@@ -295,8 +294,7 @@ def _boost(kind, X, y, data, bins, params: GbdtParams, rng, f0, grad_hess, loss)
         tree.scale_leaves(params.learning_rate)
         margins += tree.predict(X)
         trees.append(tree)
-        history.append(loss(margins, y))
-    return trees, history
+    return trees
 
 
 def _forest(kind, data, bins, y, params: GbdtParams, rng) -> list[DecisionTree]:
@@ -386,15 +384,11 @@ def fit_learner(
                 pair_ids = rng.choice(pos.size * neg.size, size=cap, replace=False)
                 pairs = (pos[pair_ids // neg.size], neg[pair_ids % neg.size])
             return pairwise_grad_hess(margins, y, pairs)
-
-        loss = pairwise_loss
     else:
         p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
         model.f0 = float(np.log(p_bar / (1.0 - p_bar)))
-        grad_hess, loss = partial(logistic_grad_hess, y=y), logistic_loss
-    model.trees, model.loss_history = _boost(
-        kind, X, y, data, bins, params, rng, model.f0, grad_hess, loss
-    )
+        grad_hess = partial(logistic_grad_hess, y=y)
+    model.trees = _boost(kind, X, data, bins, params, rng, model.f0, grad_hess)
     return model
 
 

@@ -96,6 +96,8 @@ def _member(doc: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""
     if not isinstance(value, kind):
         expected = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise UsageError(f"bad config: {prefix}{key}: expected {expected}, got {value!r}")
+    if kind is str and "\0" in value:  # no file system takes it in a path
+        raise UsageError(f"bad config: {prefix}{key}: {value!r} holds a NUL byte")
     return value
 
 
@@ -337,7 +339,7 @@ def cmd_synth(cfg: RunConfig, role: str, seed: int | None, out: str | None) -> N
 
 def _thresholds_json(thresholds: dict) -> str:
     doc = {
-        subset: None if th is None else dict(zip(THRESHOLD_NAMES, th.values.tolist()))
+        subset: None if th is None else dict(zip(THRESHOLD_NAMES, th.tolist()))
         for subset, th in thresholds.items()
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

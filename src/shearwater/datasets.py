@@ -24,7 +24,6 @@ import numpy as np
 from .errors import MalformedRow, OutOfRange, SchemaMismatch, csv_rows
 from .featex import (
     EXCEEDANCE,
-    VelocityThresholds,
     bird_features,
     exceedance_counts,
     feature_names,
@@ -108,14 +107,14 @@ class FeatureMatrix:
         missing, and an infinite one (``inf``, ``1e400``) is OutOfRange
         naming its line."""
         rows = csv_rows(text)
-        header = next(rows, [])
+        _, header = next(rows, (1, []))
         if not header or header[0] != "bird_id":
             raise SchemaMismatch("feature CSV must start with a bird_id column")
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
         lines: dict[str, int] = {}  # each bird's line, in file order
         labels, values = [], []
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != len(header):
@@ -150,10 +149,11 @@ class FeatureMatrix:
 def build_dataset(
     corpus: Corpus,
     mode: DatasetMode,
-    thresholds: dict[str, VelocityThresholds | None] | None = None,
-) -> tuple[FeatureMatrix, dict[str, VelocityThresholds | None]]:
+    thresholds: dict[str, np.ndarray | None] | None = None,
+) -> tuple[FeatureMatrix, dict[str, np.ndarray | None]]:
     """The feature matrix of a corpus under a mode, and the thresholds of
-    its exceedance counts.
+    its exceedance counts (a :func:`featex.velocity_thresholds` vector per
+    subset).
 
     Each bird's subset is filtered and its series derived once. Without
     ``thresholds`` they are pooled from this corpus: each subset's speeds

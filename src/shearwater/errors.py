@@ -87,14 +87,19 @@ class StaleArtifact(PipelineError):
 
 # --- reading and writing -------------------------------------------------
 
-def csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of a CSV document, read lazily. A parse error of the csv
-    module (a stray quote, a bare carriage return, an overlong field)
+def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each record of a CSV document with the line it starts on, read
+    lazily; a quoted field may span lines, so a record starts on the line
+    after the one that ended the record before it. A parse error of the
+    csv module (a stray quote, a bare carriage return, an overlong field)
     becomes MalformedRow.
     """
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None
 
@@ -119,11 +124,11 @@ def read_bird_table(text: str, column: str, values: tuple | None = None) -> dict
     error names its line.
     """
     rows = csv_rows(text)
-    header = next(rows, [])  # an empty file has an empty header
+    _, header = next(rows, (1, []))  # an empty file has an empty header
     if [name.strip() for name in header] != ["bird_id", column]:
         raise MalformedRow(f"bad header {header!r}, expected bird_id,{column}")
     table: dict[str, int] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 2:

@@ -3,15 +3,14 @@ counts, leading coordinates, and PCA of the point-aligned kinematics.
 
 One bird reduces to a fixed-width vector of 248 named features; missing
 values are NaN and get imputed downstream. :func:`bird_features` derives
-the track's kinematic series once, hands its velocity array to the PCA and
-returns it with the vector, whose exceedance counts need thresholds pooled
-over a whole corpus (``datasets.build_dataset`` fills them in); the
-summaries take plain arrays.
+the track's kinematic series once, reads its velocity array by name for the
+PCA and returns it with the vector, whose exceedance counts need thresholds
+pooled over a whole corpus (``datasets.build_dataset`` fills them in). Every
+function here takes and returns plain arrays; the thresholds are a 12-vector
+aligned with :data:`THRESHOLD_NAMES`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,33 +77,22 @@ def summarize(values: np.ndarray) -> np.ndarray:
     return np.concatenate([q, [s.mean(), s[0], s[-1]]])
 
 
-@dataclass
-class VelocityThresholds:
-    """Pooled-corpus velocity reference levels: mean plus 11 quantiles."""
-
-    values: np.ndarray  # aligned with THRESHOLD_NAMES
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(THRESHOLD_NAMES),):
-            raise ValueError(f"expected {len(THRESHOLD_NAMES)} thresholds")
-
-
-def velocity_thresholds(pooled: np.ndarray) -> VelocityThresholds:
-    """Thresholds from a nonempty pooled velocity sample."""
+def velocity_thresholds(pooled: np.ndarray) -> np.ndarray:
+    """The 12 thresholds, aligned with THRESHOLD_NAMES, of a nonempty pooled
+    velocity sample: its mean, then its THRESHOLD_PROBS quantiles."""
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.size == 0:
         raise EmptySeries("cannot compute thresholds from an empty pool")
     s = np.sort(pooled)
     q = _quantiles(s, np.array(THRESHOLD_PROBS))
-    return VelocityThresholds(np.concatenate([[pooled.mean()], q]))
+    return np.concatenate([[pooled.mean()], q])
 
 
-def exceedance_counts(velocity: np.ndarray, thresholds: VelocityThresholds) -> np.ndarray:
+def exceedance_counts(velocity: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """How many velocity samples strictly exceed each threshold."""
     if velocity.size == 0:
         return np.zeros(len(THRESHOLD_NAMES), dtype=np.int64)
-    return (velocity[:, None] > thresholds.values[None, :]).sum(axis=0)
+    return (velocity[:, None] > thresholds[None, :]).sum(axis=0)
 
 
 def first_k_coords(traj: Trajectory, k: int = FIRST_K) -> np.ndarray:
@@ -178,8 +166,8 @@ def bird_features(traj: Trajectory) -> tuple[np.ndarray, np.ndarray | None]:
     if len(traj) == 0:
         return np.full(len(feature_names()), MISSING), None
     series = feature_series(traj)
-    velocity = series[0].values  # SERIES_NAMES starts with velocity
-    parts = [summarize(s.values) for s in series]
+    velocity = series["velocity"]
+    parts = [summarize(values) for values in series.values()]
     parts.append(np.full(len(THRESHOLD_NAMES), MISSING))
     parts.append(first_k_coords(traj))
     parts.append(pca_features(traj, velocity))

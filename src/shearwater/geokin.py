@@ -1,17 +1,16 @@
 """Geodesic distances and kinematic series derived from a trajectory.
 
 One haversine pass per track gives its per-step distance, speed and
-acceleration series (:func:`_steps`); :func:`feature_series` returns them
-with the point-aligned series and their deltas. All functions are pure.
-Degenerate inputs (too few points for a difference) yield empty series
-rather than errors; series never contain NaN or infinities. A track whose
-elapsed_time steps are so small that a speed or acceleration passes
-:data:`KINEMATIC_LIMIT` is OutOfRange.
+acceleration (:func:`_steps`); :func:`feature_series` returns them with the
+point-aligned series and their deltas, as float64 arrays keyed by
+:data:`SERIES_NAMES`. All functions are pure. Degenerate inputs (too few
+points for a difference) yield empty series rather than errors. Every
+series of a parsed track is finite: parsing range-checks each coordinate
+and sun angle, and a track whose elapsed_time steps are so small that a
+speed or acceleration passes :data:`KINEMATIC_LIMIT` is OutOfRange.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +41,6 @@ SERIES_NAMES = (
     "azimuth_delta",
     "elevation_delta",
 )
-
-
-@dataclass
-class Series:
-    """A named, finite-valued sequence of reals (possibly empty)."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.size and not np.isfinite(self.values).all():
-            raise ValueError(f"series {self.name!r} contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def haversine(lat1, lon1, lat2, lon2):
@@ -104,41 +87,20 @@ def wrap_degrees(delta):
     return 180.0 - np.mod(180.0 - np.asarray(delta, dtype=np.float64), 360.0)
 
 
-def delta_series(s: Series, angular: bool = False) -> Series:
-    """Consecutive differences s[t+1] - s[t]; angular mode wraps into (-180, 180]."""
-    if len(s) < 2:
-        return Series(f"{s.name}_delta", np.empty(0))
-    d = np.diff(s.values)
-    if angular:
-        d = wrap_degrees(d)
-    return Series(f"{s.name}_delta", d)
-
-
-def feature_series(traj: Trajectory) -> list[Series]:
-    """The twelve per-point series of a trajectory, in SERIES_NAMES order.
+def feature_series(traj: Trajectory) -> dict[str, np.ndarray]:
+    """The twelve per-point series of a trajectory, keyed and ordered by
+    SERIES_NAMES.
 
     Point-aligned series (longitude, latitude, azimuth, elevation) keep full
-    length n; step series have length n-1 and acceleration n-2. Azimuth
-    deltas wrap; the remaining deltas are plain differences (the breeding
-    range never crosses the antimeridian, so longitude is treated as linear).
+    length n; step series have length n-1 and acceleration n-2. A delta is
+    the consecutive difference s[t+1] - s[t] of its series; azimuth deltas
+    wrap into (-180, 180], the remaining deltas are plain differences (the
+    breeding range never crosses the antimeridian, so longitude is treated
+    as linear).
     """
     distance, velocity, acceleration = _steps(traj)
-    vel = Series("velocity", velocity)
-    lon = Series("longitude", traj.longitude)
-    lat = Series("latitude", traj.latitude)
-    azi = Series("azimuth", traj.sun_azimuth)
-    ele = Series("elevation", traj.sun_elevation)
-    return [
-        vel,
-        Series("acceleration", acceleration),
-        Series("distance", distance),
-        lon,
-        lat,
-        azi,
-        ele,
-        delta_series(vel),
-        delta_series(lon),
-        delta_series(lat),
-        delta_series(azi, angular=True),
-        delta_series(ele),
-    ]
+    lon, lat, azi, ele = traj.longitude, traj.latitude, traj.sun_azimuth, traj.sun_elevation
+    return dict(zip(SERIES_NAMES, (
+        velocity, acceleration, distance, lon, lat, azi, ele,
+        np.diff(velocity), np.diff(lon), np.diff(lat), wrap_degrees(np.diff(azi)), np.diff(ele),
+    )))

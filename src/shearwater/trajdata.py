@@ -13,6 +13,7 @@ quantity downstream is consistent with it).
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -85,7 +86,7 @@ class Trajectory:
         mask = self.daytime == flag
         return Trajectory(self.bird_id, *(getattr(self, name)[mask] for name in _COLUMNS))
 
-    def validate(self, lines: list[int] | None = None) -> None:
+    def validate(self, lines: Sequence[int] | None = None) -> None:
         """Check every invariant; ``lines`` holds each row's line in its file
         so that messages name the line, else rows are counted from 0.
         """
@@ -116,7 +117,7 @@ class Trajectory:
 _COLUMNS = tuple(f.name for f in fields(Trajectory))[1:]  # the arrays, in file order
 
 
-def _where(row: int, lines: list[int] | None) -> str:
+def _where(row: int, lines: Sequence[int] | None) -> str:
     return f"row {row}" if lines is None else f"line {lines[row]}"
 
 
@@ -193,31 +194,32 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     that row, else the first invariant a row breaks.
     """
     rows = csv_rows(csv_text)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None:
         raise MalformedRow(f"{bird_id}: empty file")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRow(f"{bird_id}: bad header {header!r}")
 
-    body: list[list[str]] = []
+    records: list[tuple[int, list[str]]] = []
     problem = None
     try:
-        body.extend(rows)
-    except MalformedRow as exc:  # the rows before it are read
+        records.extend(rows)
+    except MalformedRow as exc:  # the records before it are read
         problem = exc
+    lines, body = zip(*records) if records else ((), ())
     widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
     wrong = np.flatnonzero((widths != len(CSV_HEADER)) & (widths != 0))
     if wrong.size:
         bad = wrong[0]
-        problem = MalformedRow(f"{bird_id}: line {bad + 2}: expected 8 fields, got {widths[bad]}")
+        problem = MalformedRow(f"{bird_id}: line {lines[bad]}: expected 8 fields, got {widths[bad]}")
         widths = widths[:bad]
     kept = np.flatnonzero(widths)  # blank lines are skipped
-    lines = (kept + 2).tolist()
-    good = body if kept.size == len(body) else [body[i] for i in kept]
+    if kept.size < len(body):
+        lines, body = [lines[i] for i in kept], [body[i] for i in kept]
     try:
-        columns = _columns(list(zip(*good)) or [()] * len(CSV_HEADER))
+        columns = _columns(list(zip(*body)) or [()] * len(CSV_HEADER))
     except (ValueError, OverflowError):
-        for lineno, row in zip(lines, good):  # the first cell that fails, in file order
+        for lineno, row in zip(lines, body):  # the first cell that fails, in file order
             for parse, cell in zip(_CELL_PARSERS, row):
                 try:
                     parse(cell)
@@ -311,8 +313,10 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     """Load every ``<bird_id>.csv`` under a directory plus optional labels.
 
     Files are processed in lexicographic bird_id order so corpus iteration
-    order is a pure function of the file names. Labels must cover exactly
-    the birds with a trajectory; a mismatch either way names the labels file.
+    order is a pure function of the file names. A trajectory error names
+    the file's path, so that it tells corpora with the same bird ids apart.
+    Labels must cover exactly the birds with a trajectory; a mismatch
+    either way names the labels file.
     """
     trajectory_dir = Path(trajectory_dir)
     if not trajectory_dir.is_dir():
@@ -322,7 +326,7 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
         try:
             trajectories[path.stem] = parse_trajectory(path.stem, path.read_text())
         except (MalformedRow, NonMonotonicTime, OutOfRange, TooShort) as exc:
-            raise type(exc)(f"{path.name}: {exc}") from None
+            raise type(exc)(f"{path}: {exc}") from None
     if labels_path is None:
         return Corpus(trajectories=trajectories)
     try:

@@ -38,6 +38,18 @@ def make_traj(
     )
 
 
+def loss_curve(model, X, y, loss):
+    """The training loss after each boosting round, rebuilt from a fitted
+    model: a round's margins are f0 plus its trees' predictions so far,
+    summed in fit order as the boosting loop sums them."""
+    margins = np.full(len(X), model.f0)
+    curve = []
+    for tree in model.trees:
+        margins += tree.predict(X)
+        curve.append(loss(margins, y))
+    return curve
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

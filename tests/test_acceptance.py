@@ -19,6 +19,7 @@ from shearwater.boost import (
     _fit_matrix,
     fit_learner,
     logistic_grad_hess,
+    logistic_loss,
     pairwise_grad_hess,
     pairwise_loss,
     predict_scores,
@@ -30,6 +31,7 @@ from shearwater.featex import SUMMARY_PROBS, quantile
 from shearwater.geokin import EARTH_RADIUS_M, haversine
 from shearwater.synthgen import SynthParams, generate_corpus
 from shearwater.trees import TreeParams, build_bins, fit_tree_hist
+from tests.conftest import loss_curve
 from tests.test_trees import assert_root_matches_oracle
 
 ACCEPTANCE_PARAMS = {
@@ -188,8 +190,9 @@ def test_criterion_06_monotone_training_loss():
             n_rounds=100, learning_rate=0.1, max_depth=3, subsample=1.0, colsample=1.0
         )
         model = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
-        assert len(model.loss_history) == 100
-        assert np.all(np.diff(model.loss_history) <= 1e-12)
+        curve = loss_curve(model, X, y, logistic_loss)
+        assert len(curve) == 100
+        assert np.all(np.diff(curve) <= 1e-12)
     log("criterion 6: logistic GBDT training loss nonincreasing over 100 rounds, 5 datasets")
 
 

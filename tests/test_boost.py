@@ -16,6 +16,7 @@ from shearwater.boost import (
     sigmoid,
 )
 from shearwater.errors import DegenerateLabels, SchemaMismatch, SingleClass
+from tests.conftest import loss_curve
 
 
 def small_params(**overrides):
@@ -98,7 +99,7 @@ def test_training_loss_monotone_without_sampling(rng):
         y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
         params = small_params(n_rounds=100, learning_rate=0.1, max_depth=3)
         model = fit_learner(LearnerKind.XGB_BINARY, X, y, params, np.random.default_rng(0))
-        diffs = np.diff(model.loss_history)
+        diffs = np.diff(loss_curve(model, X, y, logistic_loss))
         assert np.all(diffs <= 1e-12)
 
 
@@ -215,9 +216,10 @@ def test_pairwise_records_loss_history(rng):
     for cap in (100, 1):  # all pairs, then a sampled subset per round
         params = small_params(n_rounds=12, pair_cap_factor=cap, subsample=0.8, colsample=0.8)
         model = fit_learner(LearnerKind.XGB_RANK, X, y, params, np.random.default_rng(0))
-        assert len(model.loss_history) == 12
-        assert np.all(np.isfinite(model.loss_history))
-        assert model.loss_history[-1] < pairwise_loss(np.zeros(40), y)
+        curve = loss_curve(model, X, y, pairwise_loss)
+        assert len(curve) == 12
+        assert np.all(np.isfinite(curve))
+        assert curve[-1] < pairwise_loss(np.zeros(40), y)
 
 
 def test_pairwise_single_class_raises():

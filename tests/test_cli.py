@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -115,6 +116,16 @@ def test_evaluate_perfect_predictions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy=1.000000" in out
     assert "f1=1.000000" in out
+
+
+def test_evaluate_names_the_physical_line(tmp_path, capsys):
+    # a quoted bird id spans lines 2 and 3, so the bad label is on line 4
+    preds = tmp_path / "preds.csv"
+    truth = tmp_path / "truth.csv"
+    preds.write_text("bird_id,label\nc,1\n")
+    truth.write_text('bird_id,label\n"a\nb",1\nc,x\n')
+    assert main(["evaluate", "--predictions", str(preds), "--truth", str(truth)]) == EXIT_DATA
+    assert "line 4: label 'x' is not an integer" in capsys.readouterr().err
 
 
 def test_full_pipeline_end_to_end(tmp_path):
@@ -318,10 +329,16 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("folds", {"learners": ["svc", "svc", "sk_et"]}, [], "learners lists ['svc']"),
         ("synth", {"learners": ["svc", "svc", "sk_et"]}, [], "learners lists ['svc']"),
         ("folds", {"modes": ["split", "together", "split"]}, [], "modes lists ['split']"),
+        # ValueError: embedded null byte, exit 3 (relative paths are under tmp_path)
+        ("folds", {"paths": {"train_dir": "train", "train_labels": "train_labels.csv",
+                             "out_dir": "o\0ut"}}, [], "paths.out_dir"),
     ],
 )
-def test_bad_run_setting_is_usage_error(tmp_path, capsys, command, overrides, flags, field):
+def test_bad_run_setting_is_usage_error(
+    tmp_path, capsys, monkeypatch, command, overrides, flags, field
+):
     prepare_folds(tmp_path, learners=["svc"])
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **{"learners": ["svc"], **(overrides or {})})
     if overrides is None:
         cfg.write_text("[]")
@@ -515,6 +532,40 @@ def test_predict_and_ensemble_read_only_the_configured_runs(tmp_path):
     ).read_bytes()
 
 
+def _files(out, directory):
+    return {path.name: path.read_bytes() for path in sorted((out / directory).glob("*"))}
+
+
+def test_settings_do_not_leak_into_each_other(tmp_path):
+    chain = ["synth", "synth --role test", "extract", "folds", "cv", "train", "predict"]
+    settings = {"learners": ["xgb_binary", "sk_et", "svc"], "modes": ["together", "split"]}
+    for run in ("all", "fewer"):
+        (tmp_path / run).mkdir()
+    _run_chain(tmp_path / "all", chain, **settings)
+    _run_chain(tmp_path / "fewer", chain, **{**settings, "learners": ["xgb_binary", "svc"]})
+    out, fewer = tmp_path / "all" / "out", tmp_path / "fewer" / "out"
+
+    # dropping sk_et leaves every other setting's outputs as they were
+    tuned = json.loads((out / "cv_thresholds.json").read_text())
+    kept = {name: entry for name, entry in tuned.items() if "sk_et" not in name}
+    assert (fewer / "cv_thresholds.json").read_text() == json.dumps(kept, indent=1) + "\n"
+    for directory in ("models", "predictions"):
+        everything = _files(out, directory)
+        assert len(everything) == 6
+        assert _files(fewer, directory) == {
+            name: data for name, data in everything.items() if "sk_et" not in name
+        }
+
+    # a test bird more changes no model, nor any other bird's label
+    models, predictions = _files(out, "models"), _files(out, "predictions")
+    extra = sorted((tmp_path / "all" / "train").glob("*.csv"))[0]
+    shutil.copy(extra, tmp_path / "all" / "test" / "zz_extra.csv")  # sorts last
+    _run_chain(tmp_path / "all", chain[2:], **settings)
+    assert _files(out, "models") == models
+    for name, data in _files(out, "predictions").items():
+        assert data.startswith(predictions[name]) and data != predictions[name]
+
+
 def test_predict_names_a_missing_model(tmp_path, capsys):
     _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
                learners=["svc"])
@@ -567,13 +618,17 @@ def test_bad_label_names_the_file_and_line(tmp_path, capsys, command, field, val
 def test_bad_trajectory_field_names_the_file_and_line(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, learners=["svc"])
     assert main(["synth", "--config", str(cfg)]) == EXIT_OK
-    path = sorted((tmp_path / "train").glob("*.csv"))[0]
-    _set_field(path, 2, field, value)
-    capsys.readouterr()
-    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert path.name in err
-    assert "line 3" in err
+    assert main(["synth", "--config", str(cfg), "--role", "test"]) == EXIT_OK
+    for corpus in ("train", "test"):  # both corpora hold the same bird ids
+        path = sorted((tmp_path / corpus).glob("*.csv"))[0]
+        text = path.read_text()
+        _set_field(path, 2, field, value)
+        capsys.readouterr()
+        assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}: " in err  # the file with its corpus directory
+        assert "line 3" in err
+        path.write_text(text)
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,10 @@ from shearwater.datasets import (
     impute,
     schema_columns,
 )
-from shearwater.errors import OutOfRange, SchemaMismatch
+from shearwater.errors import MalformedRow, OutOfRange, SchemaMismatch
+from shearwater.geokin import feature_series
 from shearwater.trajdata import Corpus
 from tests.conftest import make_traj
-from tests.test_geokin import series_named
 
 
 def small_corpus(rng, n_birds=3, n_points=10, labeled=True, daytime=None):
@@ -36,12 +36,12 @@ def test_thresholds_stationary_corpus():
     traj = make_traj(longitude=[5.0] * 6, latitude=[5.0] * 6)
     corpus = Corpus(trajectories={"b0": traj})
     th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
-    assert th.values[0] == 0.0  # pooled mean velocity
+    assert th[0] == 0.0  # pooled mean velocity
 
 
 def test_thresholds_match_bruteforce_pool(rng):
     corpus = small_corpus(rng, n_birds=3, n_points=7)
-    pooled = np.concatenate([series_named(corpus[b], "velocity").values for b in corpus.bird_ids])
+    pooled = np.concatenate([feature_series(corpus[b])["velocity"] for b in corpus.bird_ids])
     th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
     # oracle: sort and interpolate by hand
     s = np.sort(pooled)
@@ -50,15 +50,15 @@ def test_thresholds_match_bruteforce_pool(rng):
         lo = int(np.floor(h))
         hi = min(lo + 1, len(s) - 1)
         want = s[lo] + (h - lo) * (s[hi] - s[lo])
-        assert th.values[k] == pytest.approx(want, rel=1e-12)
-    assert th.values[0] == pytest.approx(pooled.mean())
+        assert th[k] == pytest.approx(want, rel=1e-12)
+    assert th[0] == pytest.approx(pooled.mean())
 
 
 def test_day_subset_of_all_day_corpus_equals_all(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
     th_all = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
     th_day = build_dataset(corpus, DatasetMode.SPLIT)[1]["day"]
-    np.testing.assert_array_equal(th_all.values, th_day.values)
+    np.testing.assert_array_equal(th_all, th_day)
 
 
 def test_empty_pool_raises(rng):
@@ -229,6 +229,18 @@ def test_matrix_writer_matches_per_cell_oracle_on_edge_values(n_columns, labels)
     assert again.columns == matrix.columns
     np.testing.assert_array_equal(again.values, matrix.values)
     np.testing.assert_array_equal(again.labels, matrix.labels)
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [("c,1,x", MalformedRow), ("c,1,inf", OutOfRange), ("c,2,1.0", MalformedRow)],
+    ids=["cell", "infinite", "label"],
+)
+def test_matrix_reader_names_the_physical_line(last, error):
+    # the first bird id is quoted and spans lines 2 and 3
+    text = f'bird_id,label,a\n"b\n0",1,1.0\n{last}\n'
+    with pytest.raises(error, match="line 4:"):
+        FeatureMatrix.from_csv(text)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from shearwater.featex import (
     SUMMARY_PROBS,
     SUMMARY_SUFFIXES,
     THRESHOLD_NAMES,
-    VelocityThresholds,
     bird_features,
     exceedance_counts,
     feature_names,
@@ -22,8 +21,8 @@ from shearwater.featex import (
     summarize,
     velocity_thresholds,
 )
+from shearwater.geokin import feature_series
 from tests.conftest import make_traj
-from tests.test_geokin import series_named
 
 
 def quantile_oracle(values, p):
@@ -119,24 +118,24 @@ def test_summarize_quantiles_nondecreasing(rng):
 def test_velocity_thresholds_layout(rng):
     pooled = rng.uniform(0, 20, 500)
     th = velocity_thresholds(pooled)
-    assert th.values.shape == (12,)
-    assert th.values[0] == pytest.approx(pooled.mean())
-    assert np.all(np.diff(th.values[1:]) >= 0)  # quantiles nondecreasing
+    assert th.shape == (12,)
+    assert th[0] == pytest.approx(pooled.mean())
+    assert np.all(np.diff(th[1:]) >= 0)  # quantiles nondecreasing
 
 
 def test_exceedance_strict_inequality():
-    th = VelocityThresholds(np.full(12, 2.0))
+    th = np.full(12, 2.0)
     counts = exceedance_counts(np.array([1.0, 2.0, 3.0]), th)
     np.testing.assert_array_equal(counts, np.full(12, 1))
 
 
 def test_exceedance_empty_series_is_zeros():
-    th = VelocityThresholds(np.arange(12.0))
+    th = np.arange(12.0)
     np.testing.assert_array_equal(exceedance_counts(np.empty(0), th), np.zeros(12))
 
 
 def test_exceedance_all_below():
-    th = VelocityThresholds(np.full(12, 100.0))
+    th = np.full(12, 100.0)
     counts = exceedance_counts(np.array([1.0, 2.0]), th)
     assert counts.sum() == 0
 
@@ -167,7 +166,7 @@ def test_pca_rank_one_data():
     n = 10
     lat = np.linspace(0.0, 0.009, n)
     traj = make_traj(longitude=np.full(n, 5.0), latitude=lat)
-    out = pca_features(traj, series_named(traj, "velocity").values)
+    out = pca_features(traj, feature_series(traj)["velocity"])
     ratios = out[:5]
     np.testing.assert_allclose(ratios, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-9)
 
@@ -180,7 +179,7 @@ def test_pca_ratios_sum_to_one(rng):
         sun_azimuth=rng.uniform(0, 359, n),
         sun_elevation=rng.uniform(-50, 50, n),
     )
-    out = pca_features(traj, series_named(traj, "velocity").values)
+    out = pca_features(traj, feature_series(traj)["velocity"])
     ratios, axis = out[:5], out[5:]
     assert ratios.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.all(ratios >= 0)
@@ -191,7 +190,7 @@ def test_pca_ratios_sum_to_one(rng):
 
 def test_pca_too_short_missing():
     traj = make_traj(longitude=[0.0, 1.0], latitude=[0.0, 0.0])
-    assert np.isnan(pca_features(traj, series_named(traj, "velocity").values)).all()
+    assert np.isnan(pca_features(traj, feature_series(traj)["velocity"])).all()
 
 
 def test_feature_names_width_and_uniqueness():
@@ -205,7 +204,7 @@ def test_bird_features_width(rng):
     traj = make_traj(longitude=rng.uniform(0, 1, n), latitude=rng.uniform(0, 1, n))
     row, velocity = bird_features(traj)
     assert row.shape == (248,)
-    np.testing.assert_array_equal(velocity, series_named(traj, "velocity").values)
+    np.testing.assert_array_equal(velocity, feature_series(traj)["velocity"])
 
 
 def test_bird_features_deterministic(rng):
@@ -227,7 +226,7 @@ def test_bird_features_stationary_velocity_blocks():
     feats = dict(zip(feature_names(), row))
     for suffix in SUMMARY_SUFFIXES:
         assert feats[f"velocity_{suffix}"] == 0.0
-    assert np.all(exceedance_counts(velocity, VelocityThresholds(np.zeros(12))) == 0)
+    assert np.all(exceedance_counts(velocity, np.zeros(12)) == 0)
 
 
 def test_bird_features_no_thresholds_marks_exceedance_missing():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from shearwater.datasets import DatasetMode, build_dataset
+from shearwater.geokin import feature_series
 from shearwater.synthgen import SynthParams, _clipped_walk, generate_corpus, null_signal_params
 from shearwater.trajdata import labels_to_csv, load_corpus, save_corpus, trajectory_to_csv
-from tests.test_geokin import series_named
 
 
 def tiny_params(**overrides):
@@ -115,7 +115,7 @@ def test_planted_velocity_signal_is_measurable():
     corpus = generate_corpus(tiny_params(n_birds=60))
     means = {0: [], 1: []}
     for bird in corpus.bird_ids:
-        means[corpus.labels[bird]].append(series_named(corpus[bird], "velocity").values.mean())
+        means[corpus.labels[bird]].append(feature_series(corpus[bird])["velocity"].mean())
     assert np.mean(means[1]) > np.mean(means[0]) + 1.0
 
 
@@ -126,7 +126,7 @@ def test_null_signal_params_equalize_genders():
     corpus = generate_corpus(params)
     means = {0: [], 1: []}
     for bird in corpus.bird_ids:
-        means[corpus.labels[bird]].append(series_named(corpus[bird], "velocity").values.mean())
+        means[corpus.labels[bird]].append(feature_series(corpus[bird])["velocity"].mean())
     assert abs(np.mean(means[1]) - np.mean(means[0])) < 1.0
 
 

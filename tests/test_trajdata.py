@@ -101,6 +101,22 @@ def test_out_of_range_fields(row):
         parse_trajectory("b1", doc(row, "139.1,38.6,181.0,44.0,1,60,12:01:00,1"))
 
 
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        ("139.1,95.0,181.0,44.0,1,60,12:01:00,1", OutOfRange),  # a range check
+        ("139.1,38.6,181.0,44.0,1,0,12:01:00,1", NonMonotonicTime),  # an invariant
+        ("139.1,x,181.0,44.0,1,60,12:01:00,1", MalformedRow),  # a cell
+        ("139.1,38.6", MalformedRow),  # the field count
+    ],
+)
+def test_errors_name_the_physical_line(last, error):
+    # the first record's quoted longitude spans lines 2 and 3
+    text = doc('"139.0\n",38.5,180.0,45.0,1,0,12:00:00,1', last)
+    with pytest.raises(error, match="line 4"):
+        parse_trajectory("b1", text)
+
+
 def test_bad_header():
     with pytest.raises(MalformedRow):
         parse_trajectory("b1", "lon,lat\n1,2\n")
@@ -287,13 +303,13 @@ def _parse_per_cell(bird_id, csv_text):
             raise MalformedRow(f"unparseable {column} {text!r}") from None
 
     rows = csv_rows(csv_text)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None:
         raise MalformedRow(f"{bird_id}: empty file")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedRow(f"{bird_id}: bad header {header!r}")
     cols, lines = [[] for _ in CSV_HEADER], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
