@@ -69,6 +69,12 @@ class LearnerKind(str, Enum):
         return "exact"
 
     @property
+    def reads_bins(self) -> bool:
+        """Whether a fit reads the lossless bins a caller shares (see
+        :func:`_fit_matrix`): svc and uniform's sk_et never do."""
+        return self is not LearnerKind.SVC and self.backend != "uniform"
+
+    @property
     def family(self) -> str:
         if self is LearnerKind.XGB_RANK:
             return "pairwise"

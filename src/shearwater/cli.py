@@ -34,7 +34,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact
+from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact, decode_text
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -149,9 +149,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(decode_text(Path(path).read_bytes()))
         except FileNotFoundError:
             raise UsageError(f"config file not found: {path}") from None
+        except MalformedRow as exc:
+            raise UsageError(f"config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
@@ -287,14 +289,15 @@ def _naming(path: Path):
 
 def _load_matrix(path: Path, hint: str) -> FeatureMatrix:
     with _naming(_require(path, hint)):
-        return FeatureMatrix.from_csv(path.read_text())
+        return FeatureMatrix.from_csv(decode_text(path.read_bytes()))
 
 
 def _load_model(path: Path, fingerprint: str) -> TrainedModel:
     """A model file, refused unless ``train`` fitted it under ``fingerprint``."""
     with _naming(path):
+        text = decode_text(path.read_bytes())
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
             model = TrainedModel.from_dict(doc)
         except StaleArtifact:  # a model file in an older format
             raise
@@ -307,12 +310,12 @@ def _load_model(path: Path, fingerprint: str) -> TrainedModel:
 
 def _load_predictions(path: Path) -> PredictionSet:
     with _naming(path):
-        return PredictionSet.from_csv(path.read_text(), source=path.stem)
+        return PredictionSet.from_csv(decode_text(path.read_bytes()), source=path.stem)
 
 
 def _load_labels(path: Path, hint: str) -> dict[str, int]:
     with _naming(_require(path, hint)):
-        return parse_labels(path.read_text())
+        return parse_labels(decode_text(path.read_bytes()))
 
 
 # --- commands --------------------------------------------------------------
@@ -346,25 +349,31 @@ def _thresholds_json(thresholds: dict) -> str:
 
 
 def cmd_extract(cfg: RunConfig) -> None:
-    train_corpus = load_corpus(
+    """Build every mode's matrices from one corpus at a time: the training
+    corpus is dropped before the test corpus loads. Nothing is written until
+    both have parsed and built."""
+    corpus = load_corpus(
         _require(cfg.train_dir, "training trajectory directory"),
         _require(cfg.train_labels, "training labels file"),
     )
-    test_corpus = None
+    with _naming(cfg.train_dir):
+        train = {mode: build_dataset(corpus, mode) for mode in cfg.modes}
+    del corpus  # before the test corpus loads, not after
+    test = {}
     if cfg.test_dir is not None and cfg.test_dir.is_dir():
-        test_corpus = load_corpus(cfg.test_dir, None)
+        corpus = load_corpus(cfg.test_dir, None)
+        # test matrices reuse training thresholds (leakage-safe)
+        with _naming(cfg.test_dir):
+            test = {mode: build_dataset(corpus, mode, train[mode][1])[0] for mode in cfg.modes}
+        del corpus
     cfg.features_path("train", cfg.modes[0]).parent.mkdir(parents=True, exist_ok=True)
-    for mode in cfg.modes:
-        with _naming(cfg.train_dir):
-            train_matrix, thresholds = build_dataset(train_corpus, mode)
+    for mode, (train_matrix, thresholds) in train.items():
         atomic_write_text(cfg.features_path("train", mode), train_matrix.to_csv())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
         atomic_write_text(cfg.thresholds_path(mode), _thresholds_json(thresholds))
         rows = [f"train {mode.value}: {len(train_matrix.bird_ids)}x{len(train_matrix.columns)}"]
-        if test_corpus is not None:
-            # test matrices reuse training thresholds (leakage-safe)
-            with _naming(cfg.test_dir):
-                test_matrix, _ = build_dataset(test_corpus, mode, thresholds)
+        if mode in test:
+            test_matrix = test[mode]
             atomic_write_text(cfg.features_path("test", mode), test_matrix.to_csv())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
         print("; ".join(rows))
@@ -416,7 +425,7 @@ def _parallel_map(task_fn, items, jobs, prepared, folds):
 def _read_with_crc(path: Path, crc: int) -> tuple[str, int]:
     """The text of a file, and ``crc`` carried on over its bytes."""
     data = path.read_bytes()
-    return data.decode(), zlib.crc32(data, crc)
+    return decode_text(data), zlib.crc32(data, crc)
 
 
 def _load_cv_inputs(cfg: RunConfig):
@@ -427,12 +436,12 @@ def _load_cv_inputs(cfg: RunConfig):
     matrices = {}
     for mode in cfg.modes:
         path = _require(cfg.features_path("train", mode), f"{mode.value} feature matrix")
-        text, crc = _read_with_crc(path, crc)
         with _naming(path):
+            text, crc = _read_with_crc(path, crc)
             matrices[mode] = FeatureMatrix.from_csv(text)
     folds_path = _require(cfg.folds_path(), "fold assignment")
-    text, crc = _read_with_crc(folds_path, crc)
     with _naming(folds_path):
+        text, crc = _read_with_crc(folds_path, crc)
         folds = folds_from_csv(text)
         for matrix in matrices.values():
             unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
@@ -463,9 +472,10 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
         raise PipelineError(f"{path}: not found (run cv first)")
     items = []
     with _naming(path):
+        text = decode_text(path.read_bytes())
         try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:  # JSONDecodeError, or undecodable text
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError
             raise MalformedRow(f"not a thresholds file: {exc}") from None
         for setting, seed in cfg.runs():
             name = _run_name(setting, seed)
@@ -483,7 +493,8 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
 def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     items = cfg.runs()
-    prepared = {mode: prepare(matrix, folds) for mode, matrix in matrices.items()}
+    bins = any(kind.reads_bins for kind in cfg.learners)
+    prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
     results: list[CvResult] = _parallel_map(_cv_task, items, jobs, prepared, folds)
     tuned = {
         _run_name(s, seed): {
@@ -520,7 +531,8 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
     matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     items = _train_items(cfg, inputs_crc)
-    prepared = {mode: prepare(matrix) for mode, matrix in matrices.items()}
+    bins = any(kind.reads_bins for kind in cfg.learners)
+    prepared = {mode: prepare(matrix, None, bins) for mode, matrix in matrices.items()}
     docs = _parallel_map(_train_task, items, jobs, prepared, folds)
     cfg.models_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed, _), doc in zip(items, docs):

@@ -105,7 +105,8 @@ class FeatureMatrix:
     def from_csv(cls, text: str) -> "FeatureMatrix":
         """Read a ``to_csv`` document: each bird once, an empty cell is
         missing, and an infinite one (``inf``, ``1e400``) is OutOfRange
-        naming its line."""
+        naming its line. Each row is converted as it is read, to a float64
+        array, so the reader holds little more than the matrix."""
         rows = csv_rows(text)
         _, header = next(rows, (1, []))
         if not header or header[0] != "bird_id":
@@ -129,7 +130,7 @@ class FeatureMatrix:
                 labels.append(int(body[0]))
                 body = body[1:]
             try:
-                values.append([np.nan if cell == "" else float(cell) for cell in body])
+                values.append(np.array([np.nan if cell == "" else float(cell) for cell in body]))
             except ValueError as exc:
                 raise MalformedRow(f"line {lineno}: {exc}") from None
         matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(columns))

@@ -1,8 +1,9 @@
-"""Exception types raised across the pipeline, and the CSV helpers the
-readers and writers share: the row reader and int64 field parser of every
-text reader, the one reader of the ``bird_id,<column>`` tables (labels,
-``folds.csv``, prediction sets), which name each bird once, and the one
-``csv.writer`` set-up of those tables and the CV reports.
+"""Exception types raised across the pipeline, and the helpers the
+readers and writers share: the UTF-8 decoder of every file the CLI reads,
+the line-wise row reader and int64 field parser of every text reader, the
+one reader of the ``bird_id,<column>`` tables (labels, ``folds.csv``,
+prediction sets), which name each bird once, and the one ``csv.writer``
+set-up of those tables and the CV reports.
 
 Everything inherits from :class:`PipelineError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs with a single except clause.
@@ -87,14 +88,40 @@ class StaleArtifact(PipelineError):
 
 # --- reading and writing -------------------------------------------------
 
+def decode_text(data: bytes) -> str:
+    """The text of a UTF-8 file's bytes, line ends read as
+    ``Path.read_text`` reads them (``\\r\\n`` and a lone ``\\r`` become
+    ``\\n``). Bytes that are not UTF-8 are MalformedRow naming the line of
+    the first."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        raise MalformedRow(f"line {line}: byte {data[at]:#04x} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # no copy when there is no \r
+
+
+def _lines(text: str) -> Iterator[str]:
+    """Each line of ``text`` with its ``\\n``, split where ``io.StringIO``
+    splits it: at ``\\n`` only, so a ``\\r`` stays inside its line."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """Each record of a CSV document with the line it starts on, read
-    lazily; a quoted field may span lines, so a record starts on the line
-    after the one that ended the record before it. A parse error of the
-    csv module (a stray quote, a bare carriage return, an overlong field)
-    becomes MalformedRow.
+    lazily, one line at a time, so the reader holds no copy of the text; a
+    quoted field may span lines, so a record starts on the line after the
+    one that ended the record before it. A parse error of the csv module (a
+    stray quote, a bare carriage return, an overlong field) becomes
+    MalformedRow.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     start = 1
     try:
         for row in reader:

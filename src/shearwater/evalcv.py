@@ -192,14 +192,15 @@ class PreparedMatrix:
     columns with a missing cell, the only ones a fill reaches. ``bins`` is
     one lossless binning over every value set j's imputed rows can hold:
     the observed values and every fill. ``binned`` holds each observed
-    cell's bin (-1 where missing) and ``fill_bins`` each fill's.
+    cell's bin (-1 where missing) and ``fill_bins`` each fill's. The three
+    are None when no learner that is fitted on the matrix reads bins.
     """
 
     matrix: FeatureMatrix
     fills: np.ndarray
-    binned: np.ndarray
-    fill_bins: np.ndarray
-    bins: HistogramBins
+    binned: np.ndarray | None = None
+    fill_bins: np.ndarray | None = None
+    bins: HistogramBins | None = None
 
     def rows(self, j: int, mask) -> np.ndarray:
         """The rows under ``mask``, imputed by fill j."""
@@ -208,18 +209,24 @@ class PreparedMatrix:
         values[nan_rows, nan_cols] = self.fills[j, nan_cols]
         return values
 
-    def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins]:
-        """The bins of ``rows(j, mask)``, and the bins."""
+    def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins] | None:
+        """The bins of ``rows(j, mask)``, and the bins; None unbinned."""
+        if self.bins is None:
+            return None
         binned = self.binned[mask]
         nan_rows, nan_cols = np.nonzero(binned < 0)
         binned[nan_rows, nan_cols] = self.fill_bins[j, nan_cols]
         return binned, self.bins
 
 
-def prepare(matrix: FeatureMatrix, folds: FoldAssignment | None = None) -> PreparedMatrix:
+def prepare(
+    matrix: FeatureMatrix, folds: FoldAssignment | None = None, bins: bool = True
+) -> PreparedMatrix:
     """``matrix`` ready for the fits of :func:`cross_validate` under
     ``folds`` (fill j from the rows outside fold j), or without folds for
-    :func:`fit_final_model` (one fill from every row)."""
+    :func:`fit_final_model` (one fill from every row); binned only with
+    ``bins``, which a caller sets when some learner it fits reads bins
+    (``LearnerKind.reads_bins``)."""
     if folds is None:
         train_masks = [np.ones(len(matrix.bird_ids), dtype=bool)]
     else:
@@ -229,9 +236,11 @@ def prepare(matrix: FeatureMatrix, folds: FoldAssignment | None = None) -> Prepa
     blank = FeatureMatrix(["fill"], list(matrix.columns), np.full((1, len(matrix.columns)), np.nan))
     fills = np.array([impute(matrix.subset(mask), blank).values[0] for mask in train_masks])
     fills[:, ~np.isnan(matrix.values).any(axis=0)] = np.nan
-    bins, binned = build_bins(np.concatenate([matrix.values, fills]), None)
+    if not bins:
+        return PreparedMatrix(matrix, fills)
+    shared, binned = build_bins(np.concatenate([matrix.values, fills]), None)
     n = len(matrix.bird_ids)
-    return PreparedMatrix(matrix, fills, binned[:n], binned[n:], bins)
+    return PreparedMatrix(matrix, fills, binned[:n], binned[n:], shared)
 
 
 def cross_validate(
@@ -259,9 +268,10 @@ def cross_validate(
         test_mask = fold_of == k
         train_mask = ~test_mask
         rng = setting_rng(setting.name, seed, k)
+        binned = prepared.binned_rows(k, train_mask) if setting.kind.reads_bins else None
         model = fit_learner(
             setting.kind, prepared.rows(k, train_mask), y[train_mask], setting.params, rng,
-            matrix.columns, prepared.binned_rows(k, train_mask),
+            matrix.columns, binned,
         )
         scores = predict_scores(model, prepared.rows(k, test_mask), matrix.columns)
         held_out = [matrix.bird_ids[i] for i in np.flatnonzero(test_mask)]
@@ -300,9 +310,10 @@ def fit_final_model(
     matrix = prepared.matrix
     every = np.ones(len(matrix.bird_ids), dtype=bool)
     rng = setting_rng(setting.name, seed, folds.k)
+    binned = prepared.binned_rows(0, every) if setting.kind.reads_bins else None
     model = fit_learner(
         setting.kind, prepared.rows(0, every), matrix.labels, setting.params, rng,
-        matrix.columns, prepared.binned_rows(0, every),
+        matrix.columns, binned,
     )
     model.threshold = threshold
     return model

@@ -30,6 +30,7 @@ from .errors import (
     UnknownBirdInLabels,
     csv_document,
     csv_rows,
+    decode_text,
     parse_int64,
     read_bird_table,
 )
@@ -324,13 +325,13 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     trajectories: dict[str, Trajectory] = {}
     for path in sorted(trajectory_dir.glob("*.csv"), key=lambda p: p.stem):
         try:
-            trajectories[path.stem] = parse_trajectory(path.stem, path.read_text())
+            trajectories[path.stem] = parse_trajectory(path.stem, decode_text(path.read_bytes()))
         except (MalformedRow, NonMonotonicTime, OutOfRange, TooShort) as exc:
             raise type(exc)(f"{path}: {exc}") from None
     if labels_path is None:
         return Corpus(trajectories=trajectories)
     try:
-        labels = parse_labels(Path(labels_path).read_text())
+        labels = parse_labels(decode_text(Path(labels_path).read_bytes()))
         return Corpus(trajectories=trajectories, labels=labels)  # checks both directions
     except PipelineError as exc:
         raise type(exc)(f"{labels_path}: {exc}") from None

@@ -1,9 +1,12 @@
 import json
 import shutil
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind
 from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PARAM_DOMAINS, RunConfig, main
@@ -855,3 +858,166 @@ def test_extract_derives_each_track_once(tmp_path, monkeypatch):
     birds = 2 * EXTRACT_SYNTH["n_birds"]  # train and test
     assert 0 < calls["filter"] <= birds * 2  # split mode's day and night
     assert 0 < calls["steps"] <= birds * 3  # and together mode's whole track
+
+
+# --- memory: one corpus at a time, no bins that no learner reads -----------------
+
+def test_extract_holds_one_corpus_at_a_time(tmp_path, monkeypatch):
+    # the training corpus is gone before the test corpus starts to load
+    import weakref
+
+    from shearwater import cli
+
+    load_corpus, loaded, alive_at_start = cli.load_corpus, [], []
+
+    def tracked(*args):
+        alive_at_start.append(sum(ref() is not None for ref in loaded))
+        corpus = load_corpus(*args)
+        loaded.append(weakref.ref(corpus))
+        return corpus
+
+    monkeypatch.setattr(cli, "load_corpus", tracked)
+    _extract(tmp_path)
+    assert alive_at_start == [0, 0]
+
+
+@pytest.mark.parametrize("learners, binnings", [(["svc", "sk_et"], 0), (["svc", "sk_rf"], 2)])
+def test_cv_and_train_bin_only_for_learners_that_read_bins(tmp_path, monkeypatch, learners,
+                                                           binnings):
+    from shearwater import boost, evalcv
+
+    calls = []
+    for module in (evalcv, boost):
+        def counted(*args, build_bins=module.build_bins):
+            calls.append(args)
+            return build_bins(*args)
+
+        monkeypatch.setattr(module, "build_bins", counted)
+    cfg = prepare_folds(tmp_path, modes=["together", "split"], learners=learners)
+    for command in ("cv", "train"):
+        calls.clear()
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert len(calls) == binnings  # one shared binning per mode
+
+
+# --- damaged input: not UTF-8, and the exit-code property ---------------------
+
+FINISHED_CONFIG = {
+    "modes": ["together", "split"],
+    "learners": ["svc", "sk_et"],
+    "k_folds": 3,
+    "synth": {"n_birds": 12, "seed": 5, "trip_length_min": 20, "trip_length_max": 30},
+}
+DOWNSTREAM = ["extract", "folds", "cv", "train", "predict", "ensemble", "evaluate"]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A tiny finished run, copied by each test that damages one of its files."""
+    root = tmp_path_factory.mktemp("finished_run")
+    _run_chain(root, ["synth", "synth --role test", *DOWNSTREAM[:-1]], **FINISHED_CONFIG)
+    return root
+
+
+def _copy_run(run, tmp_path):
+    """A copy of ``run`` in ``tmp_path``, its config pointing at the copy."""
+    shutil.copytree(run, tmp_path, dirs_exist_ok=True)
+    return write_config(tmp_path, **FINISHED_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "command, relpath",
+    [
+        ("folds", "train_labels.csv"),
+        ("extract", "train_labels.csv"),
+        ("extract", "train/bird_0003.csv"),
+        ("extract", "test/bird_0003.csv"),
+        ("cv", "out/features/train_together.csv"),
+        ("cv", "out/folds.csv"),
+        ("train", "out/cv_thresholds.json"),
+        ("predict", "out/features/test_together.csv"),
+        ("predict", "out/models/together_svc_s11.json"),
+        ("ensemble", "out/predictions/together_svc_s11.csv"),
+        ("evaluate", "out/ensemble.csv"),
+        ("evaluate", "test_labels.csv"),
+    ],
+)
+def test_input_that_is_not_utf8_names_the_file_and_line(finished_run, tmp_path, capsys, command,
+                                                          relpath):
+    cfg = _copy_run(finished_run, tmp_path)
+    path = tmp_path / relpath
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff")
+    if command == "evaluate":
+        argv = ["evaluate", "--predictions", str(tmp_path / "out" / "ensemble.csv"),
+                "--truth", str(tmp_path / "test_labels.csv")]
+    else:
+        argv = [command, "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    line = data.count(b"\n") + 1  # the byte ends the file
+    assert f"{path}: " in err
+    assert f"line {line}: byte 0xff is not UTF-8 text" in err
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"\xff")
+    assert main(["folds", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"config {cfg}: line 1: byte 0xff" in capsys.readouterr().err
+
+
+# each artifact of a finished run, and the first command that reads it
+ARTIFACTS = {
+    "train/bird_0004.csv": "extract",
+    "test/bird_0007.csv": "extract",
+    "train_labels.csv": "extract",
+    "out/features/train_split.csv": "cv",
+    "out/features/test_together.csv": "predict",
+    "out/folds.csv": "cv",
+    "out/cv_thresholds.json": "train",
+    "out/models/split_sk_et_s11.json": "predict",
+    "out/predictions/together_svc_s11.csv": "ensemble",
+}
+
+
+def _damage(data: bytes, how: str, at: int, byte: int) -> bytes:
+    if how == "empty":
+        return b""
+    if how == "halve":
+        return data[: len(data) // 2]
+    if how == "byte":
+        i = at % max(len(data), 1)
+        return data[:i] + bytes([byte]) + data[i + 1:]
+    lines = data.splitlines(keepends=True)
+    i = at % max(len(lines), 1)
+    if how == "drop":
+        return b"".join(lines[:i] + lines[i + 1:])
+    return b"".join(lines[: i + 1] + lines[i:])  # repeat
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    artifact=st.sampled_from(sorted(ARTIFACTS)),
+    how=st.sampled_from(["empty", "halve", "byte", "drop", "repeat"]),
+    at=st.integers(0, 10**6),
+    byte=st.just(0xFF) | st.integers(0, 255),
+)
+def test_a_damaged_artifact_is_exit_0_or_2_downstream(finished_run, artifact, how, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg = _copy_run(finished_run, root)
+        path = root / artifact
+        path.write_bytes(_damage(path.read_bytes(), how, at, byte))
+        codes = {}
+        for command in DOWNSTREAM[DOWNSTREAM.index(ARTIFACTS[artifact]):]:
+            if command == "evaluate":
+                predictions = path if artifact.startswith("out/predictions") else (
+                    root / "out" / "ensemble.csv")
+                argv = ["evaluate", "--predictions", str(predictions),
+                        "--truth", str(root / "test_labels.csv")]
+            else:
+                argv = [command, "--config", str(cfg)]
+            codes[command] = main(argv)
+        assert set(codes.values()) <= {EXIT_OK, EXIT_DATA}, codes

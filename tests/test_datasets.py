@@ -231,6 +231,31 @@ def test_matrix_writer_matches_per_cell_oracle_on_edge_values(n_columns, labels)
     np.testing.assert_array_equal(again.labels, matrix.labels)
 
 
+def test_matrix_reader_peaks_below_twice_its_text(rng):
+    # rows become float64 arrays as they are read: no copy of the text and
+    # no Python float per cell (about six times the text when it had both)
+    import tracemalloc
+
+    values = rng.normal(size=(200, 250))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    matrix = FeatureMatrix(
+        bird_ids=[f"b{i}" for i in range(200)],
+        columns=[f"c{j}" for j in range(250)],
+        values=values,
+        labels=rng.integers(0, 2, 200),
+    )
+    text = matrix.to_csv()
+    assert len(text) > 900_000
+    tracemalloc.start()
+    try:
+        again = FeatureMatrix.from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
+    np.testing.assert_array_equal(again.values, values)
+
+
 @pytest.mark.parametrize(
     "last, error",
     [("c,1,x", MalformedRow), ("c,1,inf", OutOfRange), ("c,2,1.0", MalformedRow)],
