@@ -402,9 +402,6 @@ def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> 
     """Deterministic scores: probabilities for logistic and forest
     learners, raw margins for rank and svc.
     """
-    if columns is None and hasattr(X, "columns") and hasattr(X, "values"):
-        columns = list(X.columns)
-        X = X.values
     if columns is not None and list(columns) != list(model.feature_names):
         raise SchemaMismatch(f"{model.kind.value}: feature columns do not match the model schema")
     X = np.asarray(X, dtype=np.float64)

@@ -351,7 +351,8 @@ def _thresholds_json(thresholds: dict) -> str:
 def cmd_extract(cfg: RunConfig) -> None:
     """Build every mode's matrices from one corpus at a time: the training
     corpus is dropped before the test corpus loads. Nothing is written until
-    both have parsed and built."""
+    both have parsed and built. Without a test corpus, a test matrix of an
+    earlier run is removed, so ``predict`` cannot score it."""
     corpus = load_corpus(
         _require(cfg.train_dir, "training trajectory directory"),
         _require(cfg.train_labels, "training labels file"),
@@ -376,6 +377,8 @@ def cmd_extract(cfg: RunConfig) -> None:
             test_matrix = test[mode]
             atomic_write_text(cfg.features_path("test", mode), test_matrix.to_csv())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
+        else:
+            cfg.features_path("test", mode).unlink(missing_ok=True)
         print("; ".join(rows))
 
 
@@ -390,34 +393,30 @@ def cmd_folds(cfg: RunConfig) -> None:
 _WORKER: dict = {}
 
 
-def _init_worker(prepared, folds):
+def _init_worker(prepared):
     _WORKER["prepared"] = prepared
-    _WORKER["folds"] = folds
 
 
 def _cv_task(item):
     setting, seed = item
-    prepared = _WORKER["prepared"][setting.mode]
-    return cross_validate(setting, prepared, _WORKER["folds"], seed)
+    return cross_validate(setting, _WORKER["prepared"][setting.mode], seed)
 
 
 def _train_task(item):
     setting, seed, threshold = item
-    prepared = _WORKER["prepared"][setting.mode]
-    model = fit_final_model(setting, prepared, _WORKER["folds"], seed, threshold)
-    return model.to_dict()
+    return fit_final_model(setting, _WORKER["prepared"][setting.mode], seed, threshold).to_dict()
 
 
-def _parallel_map(task_fn, items, jobs, prepared, folds):
+def _parallel_map(task_fn, items, jobs, prepared):
     """``task_fn`` over ``items``, with the prepared matrices of each mode
-    and the folds in ``_WORKER``; in ``jobs`` worker processes when > 1."""
+    in ``_WORKER``; in ``jobs`` worker processes when > 1."""
     if jobs <= 1:
-        _init_worker(prepared, folds)
+        _init_worker(prepared)
         return [task_fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # its import is slow; one job needs none
 
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(prepared, folds)
+        max_workers=jobs, initializer=_init_worker, initargs=(prepared,)
     ) as pool:
         return list(pool.map(task_fn, items))
 
@@ -495,7 +494,7 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     items = cfg.runs()
     bins = any(kind.reads_bins for kind in cfg.learners)
     prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
-    results: list[CvResult] = _parallel_map(_cv_task, items, jobs, prepared, folds)
+    results: list[CvResult] = _parallel_map(_cv_task, items, jobs, prepared)
     tuned = {
         _run_name(s, seed): {
             "threshold": r.threshold,
@@ -532,8 +531,8 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
     matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     items = _train_items(cfg, inputs_crc)
     bins = any(kind.reads_bins for kind in cfg.learners)
-    prepared = {mode: prepare(matrix, None, bins) for mode, matrix in matrices.items()}
-    docs = _parallel_map(_train_task, items, jobs, prepared, folds)
+    prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
+    docs = _parallel_map(_train_task, items, jobs, prepared)
     cfg.models_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed, _), doc in zip(items, docs):
         doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)
@@ -556,7 +555,7 @@ def cmd_predict(cfg: RunConfig) -> None:
     for (setting, seed), path in zip(runs, model_paths):
         model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
         matrix = imputed[setting.mode]
-        scores = predict_scores(model, matrix)
+        scores = predict_scores(model, matrix.values, matrix.columns)
         require_finite_scores(scores, matrix.bird_ids, str(path))
         if model.threshold is None:
             raise PipelineError(f"model {path.name} has no tuned threshold")

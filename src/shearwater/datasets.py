@@ -187,7 +187,7 @@ def build_dataset(
     return matrix, thresholds
 
 
-def _column_medians(values: np.ndarray) -> np.ndarray:
+def column_medians(values: np.ndarray) -> np.ndarray:
     """Each column's median over its non-NaN entries, 0 for a column with
     none. A sort puts NaN last, so a column's k observed values lead it; the
     median is (s[(k-1)//2] + s[k//2]) / 2, the sum-then-halve np.nanmedian
@@ -209,7 +209,7 @@ def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
     """
     if train.columns != apply_to.columns:
         raise SchemaMismatch("imputation train/apply column schemas differ")
-    fill = _column_medians(train.values)
+    fill = column_medians(train.values)
     values = apply_to.values.copy()
     nan_rows, nan_cols = np.nonzero(np.isnan(values))
     values[nan_rows, nan_cols] = fill[nan_cols]

@@ -91,14 +91,15 @@ class StaleArtifact(PipelineError):
 def decode_text(data: bytes) -> str:
     """The text of a UTF-8 file's bytes, line ends read as
     ``Path.read_text`` reads them (``\\r\\n`` and a lone ``\\r`` become
-    ``\\n``). Bytes that are not UTF-8 are MalformedRow naming the line of
-    the first."""
+    ``\\n``), without one leading byte-order mark. Bytes that are not UTF-8
+    are MalformedRow naming the line of the first."""
     try:
-        text = data.decode()
+        text = data.decode()  # not utf-8-sig: its error offsets skip the mark
     except UnicodeDecodeError as exc:
         at = exc.start
         line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
         raise MalformedRow(f"line {line}: byte {data[at]:#04x} is not UTF-8 text") from None
+    text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n")  # no copy when there is no \r
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boost import GbdtParams, LearnerKind, TrainedModel, fit_learner, predict_scores
-from .datasets import DatasetMode, FeatureMatrix, impute
+from .datasets import DatasetMode, FeatureMatrix, column_medians
 from .errors import (
     BirdSetMismatch,
     LengthMismatch,
@@ -185,18 +185,22 @@ class CvResult:
 
 @dataclass
 class PreparedMatrix:
-    """A training matrix made ready once for every fit on it.
+    """A training matrix made ready once, under one fold assignment, for
+    every fit on it.
 
-    Fill j is the column medians of the rows of training set j (each fold's
-    training rows for ``cv``, every row for ``train``); it is kept only for
-    columns with a missing cell, the only ones a fill reaches. ``bins`` is
-    one lossless binning over every value set j's imputed rows can hold:
-    the observed values and every fill. ``binned`` holds each observed
-    cell's bin (-1 where missing) and ``fill_bins`` each fill's. The three
-    are None when no learner that is fitted on the matrix reads bins.
+    Training set j < k is the rows outside fold j, and set k is every row,
+    the final model's. Fill j is the column medians of set j's rows; it is
+    kept only for columns with a missing cell, the only ones a fill reaches.
+    ``bins`` is one lossless binning over every value set j's imputed rows
+    can hold: the observed values and every fill. ``binned`` holds each
+    observed cell's bin (-1 where missing) and ``fill_bins`` each fill's.
+    The three are None when no learner that is fitted on the matrix reads
+    bins.
     """
 
     matrix: FeatureMatrix
+    fold_of: np.ndarray
+    k: int
     fills: np.ndarray
     binned: np.ndarray | None = None
     fill_bins: np.ndarray | None = None
@@ -219,71 +223,59 @@ class PreparedMatrix:
         return binned, self.bins
 
 
-def prepare(
-    matrix: FeatureMatrix, folds: FoldAssignment | None = None, bins: bool = True
-) -> PreparedMatrix:
-    """``matrix`` ready for the fits of :func:`cross_validate` under
-    ``folds`` (fill j from the rows outside fold j), or without folds for
-    :func:`fit_final_model` (one fill from every row); binned only with
-    ``bins``, which a caller sets when some learner it fits reads bins
-    (``LearnerKind.reads_bins``)."""
-    if folds is None:
-        train_masks = [np.ones(len(matrix.bird_ids), dtype=bool)]
-    else:
-        fold_of = folds.fold_vector(matrix.bird_ids)
-        train_masks = [fold_of != k for k in range(folds.k)]
-    # a row with every cell missing takes the fill in each column
-    blank = FeatureMatrix(["fill"], list(matrix.columns), np.full((1, len(matrix.columns)), np.nan))
-    fills = np.array([impute(matrix.subset(mask), blank).values[0] for mask in train_masks])
+def prepare(matrix: FeatureMatrix, folds: FoldAssignment, bins: bool = True) -> PreparedMatrix:
+    """``matrix`` ready for the k + 1 training sets under ``folds``: the k
+    of :func:`cross_validate` and the one of :func:`fit_final_model`;
+    binned only with ``bins``, which a caller sets when some learner it
+    fits reads bins (``LearnerKind.reads_bins``)."""
+    if matrix.labels is None:
+        raise MissingLabel("training needs a labeled matrix")
+    fold_of = folds.fold_vector(matrix.bird_ids)
+    outside = [b for b, fold in zip(matrix.bird_ids, fold_of) if not 0 <= fold < folds.k]
+    if outside:  # a bird in no fold would sit in every set j < k, and go unscored
+        raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {outside[:5]}")
+    fills = np.array([column_medians(matrix.values[fold_of != j]) for j in range(folds.k + 1)])
     fills[:, ~np.isnan(matrix.values).any(axis=0)] = np.nan
     if not bins:
-        return PreparedMatrix(matrix, fills)
+        return PreparedMatrix(matrix, fold_of, folds.k, fills)
     shared, binned = build_bins(np.concatenate([matrix.values, fills]), None)
     n = len(matrix.bird_ids)
-    return PreparedMatrix(matrix, fills, binned[:n], binned[n:], shared)
+    return PreparedMatrix(matrix, fold_of, folds.k, fills, binned[:n], binned[n:], shared)
 
 
-def cross_validate(
-    setting: ModelSetting,
-    prepared: PreparedMatrix,
-    folds: FoldAssignment,
-    seed: int = 0,
-) -> CvResult:
-    """Out-of-fold evaluation of one setting under the shared folds;
-    ``prepared`` is ``prepare(matrix, folds)``.
+def _fit(setting: ModelSetting, prepared: PreparedMatrix, j: int, seed: int) -> TrainedModel:
+    """The setting's learner fitted on training set j, imputed by fill j,
+    drawing from stream j of (setting, seed)."""
+    train = prepared.fold_of != j
+    binned = prepared.binned_rows(j, train) if setting.kind.reads_bins else None
+    return fit_learner(
+        setting.kind, prepared.rows(j, train), prepared.matrix.labels[train], setting.params,
+        setting_rng(setting.name, seed, j), prepared.matrix.columns, binned,
+    )
 
-    Each fold imputes every row with the medians of its training rows, fits
-    the learner on its training rows, and scores the held-out birds; the
-    decision threshold is tuned once on the pooled out-of-fold scores and
-    the per-fold F1 values are reported at that threshold.
+
+def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 0) -> CvResult:
+    """Out-of-fold evaluation of one setting on training sets 0..k-1 of
+    ``prepared``.
+
+    Fold j's model is fitted on set j and scores the held-out birds of fold
+    j, imputed by fill j; the decision threshold is tuned once on the
+    pooled out-of-fold scores and the per-fold F1 values are reported at
+    that threshold.
     """
     matrix = prepared.matrix
-    if matrix.labels is None:
-        raise MissingLabel("cross-validation needs a labeled matrix")
-    fold_of = folds.fold_vector(matrix.bird_ids)
-    y = matrix.labels
+    fold_of, y = prepared.fold_of, matrix.labels
     oof = np.zeros(len(y))
-    scored = np.zeros(len(y), dtype=bool)
-    for k in range(folds.k):
-        test_mask = fold_of == k
-        train_mask = ~test_mask
-        rng = setting_rng(setting.name, seed, k)
-        binned = prepared.binned_rows(k, train_mask) if setting.kind.reads_bins else None
-        model = fit_learner(
-            setting.kind, prepared.rows(k, train_mask), y[train_mask], setting.params, rng,
-            matrix.columns, binned,
-        )
-        scores = predict_scores(model, prepared.rows(k, test_mask), matrix.columns)
+    for j in range(prepared.k):
+        test_mask = fold_of == j
+        model = _fit(setting, prepared, j, seed)
+        scores = predict_scores(model, prepared.rows(j, test_mask), matrix.columns)
         held_out = [matrix.bird_ids[i] for i in np.flatnonzero(test_mask)]
-        require_finite_scores(scores, held_out, f"{setting.name} seed {seed} fold {k}")
+        require_finite_scores(scores, held_out, f"{setting.name} seed {seed} fold {j}")
         oof[test_mask] = scores
-        scored |= test_mask
-    unscored = [b for b, ok in zip(matrix.bird_ids, scored) if not ok]
-    if unscored:
-        raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {unscored[:5]}")
     tau = tune_threshold(oof, y)
     labels = hard_labels(oof, tau)
-    fold_f1 = [float(f1_score(labels[fold_of == k], y[fold_of == k])) for k in range(folds.k)]
+    fold_f1 = [float(f1_score(labels[fold_of == j], y[fold_of == j])) for j in range(prepared.k)]
     return CvResult(
         setting_name=setting.name,
         fold_f1=fold_f1,
@@ -296,25 +288,14 @@ def cross_validate(
 
 
 def fit_final_model(
-    setting: ModelSetting,
-    prepared: PreparedMatrix,
-    folds: FoldAssignment,
-    seed: int,
-    threshold: float,
+    setting: ModelSetting, prepared: PreparedMatrix, seed: int, threshold: float
 ) -> TrainedModel:
-    """Fit on all rows of ``prepared``, which is ``prepare(matrix)``;
-    ``threshold`` is the one :func:`cross_validate` tuned on the
-    out-of-fold scores of the same (setting, seed). The fit draws from the
-    stream after the k fold streams.
+    """Fit on training set k of ``prepared``, every row, drawing from the
+    stream after the k fold streams; ``threshold`` is the one
+    :func:`cross_validate` tuned on the out-of-fold scores of the same
+    (setting, seed).
     """
-    matrix = prepared.matrix
-    every = np.ones(len(matrix.bird_ids), dtype=bool)
-    rng = setting_rng(setting.name, seed, folds.k)
-    binned = prepared.binned_rows(0, every) if setting.kind.reads_bins else None
-    model = fit_learner(
-        setting.kind, prepared.rows(0, every), matrix.labels, setting.params, rng,
-        matrix.columns, binned,
-    )
+    model = _fit(setting, prepared, prepared.k, seed)
     model.threshold = threshold
     return model
 

@@ -925,6 +925,50 @@ def _copy_run(run, tmp_path):
     return write_config(tmp_path, **FINISHED_CONFIG)
 
 
+def test_extract_without_a_test_corpus_removes_the_old_test_matrices(finished_run, tmp_path,
+                                                                    capsys):
+    # they were built with the previous training thresholds, from birds of
+    # a corpus that is gone
+    cfg = _copy_run(finished_run, tmp_path)
+    shutil.rmtree(tmp_path / "test")
+    (tmp_path / "test_labels.csv").unlink()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_OK
+    assert not list((tmp_path / "out" / "features").glob("test_*"))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    assert "test matrix not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, relpath, output",
+    [
+        ("evaluate", "test_labels.csv", None),
+        ("cv", "out/folds.csv", "out/cv_summary.csv"),
+        ("cv", "out/features/train_split.csv", "out/cv_summary.csv"),
+        ("extract", "train/bird_0003.csv", "out/features/train_split.csv"),
+        ("folds", "config.json", "out/folds.csv"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_read_as_no_mark(finished_run, tmp_path, capsys, command,
+                                                      relpath, output):
+    cfg = _copy_run(finished_run, tmp_path)
+    if command == "evaluate":
+        argv = ["evaluate", "--predictions", str(tmp_path / "out" / "ensemble.csv"),
+                "--truth", str(tmp_path / relpath)]
+    else:
+        argv = [command, "--config", str(cfg)]
+
+    def run():
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        return capsys.readouterr().out, output and (tmp_path / output).read_bytes()
+
+    unmarked = run()
+    path = tmp_path / relpath
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run() == unmarked
+
+
 @pytest.mark.parametrize(
     "command, relpath",
     [

@@ -21,12 +21,14 @@ from shearwater.evalcv import (
     accuracy,
     cross_validate,
     f1_score,
+    fit_final_model,
     folds_from_csv,
     folds_to_csv,
     majority_vote,
     make_folds,
     prepare,
     prevalent_label,
+    setting_rng,
     tune_threshold,
 )
 from shearwater.trajdata import parse_labels
@@ -238,7 +240,7 @@ def test_cv_constant_learner_hits_all_positive_baseline(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_trees=1, max_depth=0),
     )
-    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), seed=0)
     # stump score = training-fold prevalence = 0.5 everywhere: the tuned
     # threshold can only pick all-positive (F1 2/3) or all-negative (0)
     assert result.mean_f1 == pytest.approx(2 / 3)
@@ -253,7 +255,7 @@ def test_cv_learns_planted_signal(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_rounds=20, learning_rate=0.3, max_depth=2, subsample=1.0, colsample=1.0),
     )
-    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), seed=0)
     assert result.mean_f1 > 0.9
     assert result.oof_scores.shape == (60,)
 
@@ -266,8 +268,8 @@ def test_cv_deterministic(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_trees=5, max_depth=3),
     )
-    a = cross_validate(setting, prepare(matrix, folds), folds, seed=4)
-    b = cross_validate(setting, prepare(matrix, folds), folds, seed=4)
+    a = cross_validate(setting, prepare(matrix, folds), seed=4)
+    b = cross_validate(setting, prepare(matrix, folds), seed=4)
     np.testing.assert_array_equal(a.oof_scores, b.oof_scores)
     assert a.threshold == b.threshold
 
@@ -281,7 +283,7 @@ def test_cv_imputation_refit_per_fold(rng):
         mode=DatasetMode.TOGETHER,
         params=GbdtParams(n_rounds=5, max_depth=2),
     )
-    result = cross_validate(setting, prepare(matrix, folds), folds, seed=0)
+    result = cross_validate(setting, prepare(matrix, folds), seed=0)
     assert np.isfinite(result.oof_scores).all()
 
 
@@ -310,9 +312,9 @@ def test_fits_on_shared_bins_equal_fits_on_their_own_bins(rng, kind, max_bin_edg
         n_rounds=4, n_trees=4, max_depth=3, learning_rate=0.3, max_bin_edges=max_bin_edges
     )
     fold_of = folds.fold_vector(matrix.bird_ids)
-    runs = [(prepare(matrix, folds), k, fold_of != k) for k in range(folds.k)]
-    runs.append((prepare(matrix), 0, np.ones(len(fold_of), dtype=bool)))
-    for prepared, j, train in runs:
+    prepared = prepare(matrix, folds)
+    for j in range(folds.k + 1):  # set k, every row, is the final model's
+        train = fold_of != j
         X = impute(matrix.subset(train), matrix).values[train]
         np.testing.assert_array_equal(prepared.rows(j, train), X)
         y = matrix.labels[train]
@@ -324,13 +326,32 @@ def test_fits_on_shared_bins_equal_fits_on_their_own_bins(rng, kind, max_bin_edg
         assert json.dumps(shared.to_dict()) == json.dumps(alone.to_dict())
 
 
+@pytest.mark.parametrize("kind", list(LearnerKind))
+def test_final_model_fits_every_row_on_the_stream_after_the_folds(rng, kind):
+    # set k of prepare is every row, imputed by the medians of every row,
+    # and its fit draws from stream k, after the k fold streams
+    matrix = _matrix_with_gaps(rng)
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=4, seed=1)
+    setting = ModelSetting(
+        kind=kind, mode=DatasetMode.TOGETHER,
+        params=GbdtParams(n_rounds=4, n_trees=4, max_depth=3, learning_rate=0.3),
+    )
+    model = fit_final_model(setting, prepare(matrix, folds), 7, 0.25)
+    want = fit_learner(
+        kind, impute(matrix, matrix).values, matrix.labels, setting.params,
+        setting_rng(setting.name, 7, folds.k), matrix.columns,
+    )
+    want.threshold = 0.25
+    assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
+
+
 def test_cv_raises_when_a_bird_is_left_unscored(rng):
     matrix = balanced_matrix(rng, n=30)
     folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=5, seed=1)
     folds.k = 4  # fold 4's birds are never held out
     setting = ModelSetting(kind=LearnerKind.SVC, mode=DatasetMode.TOGETHER)
     with pytest.raises(BirdSetMismatch):
-        cross_validate(setting, prepare(matrix, folds), folds, seed=0)
+        cross_validate(setting, prepare(matrix, folds), seed=0)
 
 
 def test_folds_csv_rejects_gapped_fold_ids():

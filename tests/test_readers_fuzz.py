@@ -88,9 +88,10 @@ def test_rows_split_lines_as_stringio_does(text):
 @settings(max_examples=300, deadline=None)
 @given(data=st.binary() | st.text(alphabet="ab\r\n\u00e9").map(str.encode))
 @example(data=b"a\r\nb\rc\n\xff")
+@example(data=b"\xef\xbb\xbfa\r\nb\n")  # a leading byte-order mark
 def test_decoder_reads_bytes_as_read_text_does(data):
-    def read_text(data):  # Path.read_text: UTF-8 here, universal newlines
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    def read_text(data):  # Path.read_text: UTF-8 less a leading mark, universal newlines
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
 
     try:
         data.decode()
