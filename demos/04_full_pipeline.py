@@ -35,7 +35,7 @@ config = {
     "synth": {"n_birds": 80, "trip_length_min": 40, "trip_length_max": 80},
 }
 cfg = root / "config.json"
-cfg.write_text(json.dumps(config, indent=2))
+cfg.write_text(json.dumps(config, indent=2), encoding="utf-8")
 
 steps = [
     ["synth", "--config", str(cfg)],

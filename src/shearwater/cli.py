@@ -351,8 +351,10 @@ def _thresholds_json(thresholds: dict) -> str:
 def cmd_extract(cfg: RunConfig) -> None:
     """Build every mode's matrices from one corpus at a time: the training
     corpus is dropped before the test corpus loads. Nothing is written until
-    both have parsed and built. Without a test corpus, a test matrix of an
-    earlier run is removed, so ``predict`` cannot score it."""
+    both have parsed and built, and each matrix is written line by line as
+    it is formatted, so its whole text is never held. Without a test corpus,
+    a test matrix of an earlier run is removed, so ``predict`` cannot score
+    it."""
     corpus = load_corpus(
         _require(cfg.train_dir, "training trajectory directory"),
         _require(cfg.train_labels, "training labels file"),
@@ -369,13 +371,13 @@ def cmd_extract(cfg: RunConfig) -> None:
         del corpus
     cfg.features_path("train", cfg.modes[0]).parent.mkdir(parents=True, exist_ok=True)
     for mode, (train_matrix, thresholds) in train.items():
-        atomic_write_text(cfg.features_path("train", mode), train_matrix.to_csv())
+        atomic_write_text(cfg.features_path("train", mode), train_matrix.csv_lines())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
         atomic_write_text(cfg.thresholds_path(mode), _thresholds_json(thresholds))
         rows = [f"train {mode.value}: {len(train_matrix.bird_ids)}x{len(train_matrix.columns)}"]
         if mode in test:
             test_matrix = test[mode]
-            atomic_write_text(cfg.features_path("test", mode), test_matrix.to_csv())
+            atomic_write_text(cfg.features_path("test", mode), test_matrix.csv_lines())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
         else:
             cfg.features_path("test", mode).unlink(missing_ok=True)

@@ -14,6 +14,7 @@ come from the matching pooled subset of the *training* corpus.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -83,23 +84,28 @@ class FeatureMatrix:
             labels=None if self.labels is None else self.labels[idx],
         )
 
-    def to_csv(self) -> str:
-        """The header and each row's lead go through ``csv.writer``, which
-        quotes a bird id when it needs it. The value cells (``repr``, NaN
-        as ``""``) never need quoting, so all but the first are joined
-        directly in place of the row's line end.
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV document one line at a time, each made as it is asked
+        for, so a writer holds one row's text. The header and each row's
+        lead go through ``csv.writer``, which quotes a bird id when it needs
+        it. The value cells (``repr``, NaN as ``""``) never need quoting, so
+        all but the first are joined directly in place of the row's line end.
         """
         parts: list[str] = []
         writer = csv.writer(SimpleNamespace(write=parts.append), lineterminator="\n")
         has_label = self.labels is not None
         writer.writerow(["bird_id"] + (["label"] if has_label else []) + self.columns)
+        yield parts.pop()
         labels = [[str(y)] for y in self.labels.tolist()] if has_label else [[]] * len(self.bird_ids)
         for bird_id, label, values in zip(self.bird_ids, labels, self.values):
             cells = ["" if v != v else repr(v) for v in values.tolist()]
             writer.writerow([bird_id, *label, *cells[:1]])
-            parts[-1] = parts[-1][:-1]  # drop the writer's "\n"; the row goes on
-            parts.append(",".join(["", *cells[1:]]) + "\n")
-        return "".join(parts)
+            lead = parts.pop()[:-1]  # drop the writer's "\n"; the row goes on
+            yield ",".join([lead, *cells[1:]]) + "\n"
+
+    def to_csv(self) -> str:
+        """The whole :meth:`csv_lines` document as one string."""
+        return "".join(self.csv_lines())
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":

@@ -27,8 +27,10 @@ class SvmModel:
     std: np.ndarray
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.mean) / self.std @ self.weights + self.bias
+        Z = np.array(X, dtype=np.float64)  # the one copy, standardized in place
+        Z -= self.mean
+        Z /= self.std
+        return Z @ self.weights + self.bias
 
     def to_dict(self) -> dict:
         return {
@@ -77,9 +79,12 @@ def fit_pegasos(
         rng = np.random.default_rng(0)
     y_signed = np.where(y == 1, 1.0, -1.0)
     mean, std = standardize_stats(X)
-    X_aug = np.column_stack([(X - mean) / std, np.ones(len(X))])
+    n, d = X.shape[0], X.shape[1] + 1
+    X_aug = np.empty((n, d))  # (X - mean) / std and a bias column, with no temporaries
+    np.subtract(X, mean, out=X_aug[:, :-1])
+    np.divide(X_aug[:, :-1], std, out=X_aug[:, :-1])
+    X_aug[:, -1] = 1.0
 
-    n, d = X_aug.shape
     u = np.zeros(d)
     u_sum = np.zeros(d)
     t = 0

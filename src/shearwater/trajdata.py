@@ -13,7 +13,7 @@ quantity downstream is consistent with it).
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -316,14 +316,19 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     Files are processed in lexicographic bird_id order so corpus iteration
     order is a pure function of the file names. A trajectory error names
     the file's path, so that it tells corpora with the same bird ids apart.
-    Labels must cover exactly the birds with a trajectory; a mismatch
-    either way names the labels file.
+    A file name that is not UTF-8 is refused, since no output could hold
+    its bird id. Labels must cover exactly the birds with a trajectory; a
+    mismatch either way names the labels file.
     """
     trajectory_dir = Path(trajectory_dir)
     if not trajectory_dir.is_dir():
         raise FileNotFoundError(f"trajectory directory not found: {trajectory_dir}")
     trajectories: dict[str, Trajectory] = {}
     for path in sorted(trajectory_dir.glob("*.csv"), key=lambda p: p.stem):
+        try:  # a name that is not UTF-8 decodes to lone surrogates
+            path.name.encode()
+        except UnicodeEncodeError:
+            raise PipelineError(f"{trajectory_dir}: file name {path.name!r} is not UTF-8") from None
         try:
             trajectories[path.stem] = parse_trajectory(path.stem, decode_text(path.read_bytes()))
         except (MalformedRow, NonMonotonicTime, OutOfRange, TooShort) as exc:
@@ -337,12 +342,20 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
         raise type(exc)(f"{labels_path}: {exc}") from None
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write-then-rename so reruns overwrite outputs atomically."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write UTF-8 text, one string or an iterable of pieces written as they
+    come, to a temporary file and rename it over ``path``, so reruns
+    overwrite outputs atomically. If anything fails, the temporary file is
+    removed and ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_corpus(

@@ -427,6 +427,27 @@ def test_tree_learner_scores_are_pinned(kind, digest):
     assert hashlib.sha256(predict_scores(model, scored).tobytes()).hexdigest() == digest
 
 
+def test_svc_model_bytes_and_scores_are_pinned():
+    # the sha256 of svc's model JSON and of its scores on a shifted matrix,
+    # so that a change to how Pegasos standardizes keeps every bit
+    import hashlib
+    import json
+
+    X, y = _pinned_data()
+    params = GbdtParams(
+        n_rounds=8, learning_rate=0.3, max_depth=3, subsample=0.8, colsample=0.8,
+        max_bin_edges=15, n_trees=6,
+    )
+    model = fit_learner(LearnerKind.SVC, X, y, params, np.random.default_rng(7))
+    text = json.dumps(model.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c46100c6556282b45c21d12c2b39d390ae52b79529ca19d7f4ed12c7733f3600"
+    )
+    scores = predict_scores(model, X * 1.5 - 0.25)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == (
+        "bb7dd32474cf0f295523469293131eb344c819a7abc2a3a0f6cffbcea93b8ac6"
+    )
+
 @pytest.mark.parametrize("kind", ["sk_rf", "lgb_rf", "sk_et"])
 @pytest.mark.parametrize("rows, slots", [(1, 1), (70, 2000)])
 def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):

@@ -1065,3 +1065,39 @@ def test_a_damaged_artifact_is_exit_0_or_2_downstream(finished_run, artifact, ho
                 argv = [command, "--config", str(cfg)]
             codes[command] = main(argv)
         assert set(codes.values()) <= {EXIT_OK, EXIT_DATA}, codes
+
+
+# --- encodings: every file is written as UTF-8, and every file name is UTF-8 ---
+
+def test_every_command_runs_with_the_locale_encoding_warning_as_an_error(tmp_path):
+    # a writer that left the encoding to the locale warns here, and exits 3
+    import os
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path, **{**FINISHED_CONFIG, "learners": ["svc"]})
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for command in ["synth", "synth --role test", *DOWNSTREAM[:-1]]:
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "shearwater.cli", *command.split(), "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == EXIT_OK, (command, done.stderr)
+
+
+def test_a_trajectory_file_name_that_is_not_utf8_is_refused_before_any_write(finished_run,
+                                                                             tmp_path, capsys):
+    import os
+
+    cfg = _copy_run(finished_run, tmp_path)
+    name = os.fsdecode(b"bird_\xff3.csv")
+    shutil.copy(tmp_path / "test" / "bird_0003.csv", tmp_path / "test" / name)
+    features = tmp_path / "out" / "features"
+    for path in features.iterdir():
+        path.write_text("stale\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    assert f"{tmp_path / 'test'}: file name {name!r} is not UTF-8" in capsys.readouterr().err
+    assert {path.read_text(encoding="utf-8") for path in features.iterdir()} == {"stale\n"}

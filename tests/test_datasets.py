@@ -276,3 +276,32 @@ def test_matrix_reader_names_the_physical_line(last, error):
 def test_matrix_schema_errors_are_schema_mismatch(columns, values):
     with pytest.raises(SchemaMismatch):
         FeatureMatrix(bird_ids=["b0", "b1"], columns=columns, values=values)
+
+
+def test_a_streamed_matrix_write_holds_no_document(tmp_path):
+    # extract writes csv_lines through atomic_write_text; the text of a
+    # 300-bird split matrix is never held whole (to_csv peaks above twice
+    # the document's length)
+    import tracemalloc
+
+    from shearwater.trajdata import atomic_write_text
+
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(300, 496))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    matrix = FeatureMatrix(
+        bird_ids=[f"bird_{i:04d}" for i in range(300)],
+        columns=schema_columns(DatasetMode.SPLIT),
+        values=values,
+        labels=np.arange(300) % 2,
+    )
+    path = tmp_path / "train_split.csv"
+    tracemalloc.start()
+    try:
+        atomic_write_text(path, matrix.csv_lines())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    document = path.read_text(encoding="utf-8")
+    assert document == matrix.to_csv()
+    assert peak < len(document) / 4, (peak, len(document))

@@ -13,6 +13,7 @@ from shearwater.errors import (
 )
 from shearwater.trajdata import (
     Corpus,
+    atomic_write_text,
     load_corpus,
     parse_labels,
     parse_local_time,
@@ -264,6 +265,34 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert loaded["b1"] == t1
     assert loaded.labels == {"b1": 1}
 
+
+def test_atomic_write_takes_a_string_or_pieces_and_writes_utf8(tmp_path):
+    path = tmp_path / "labels.csv"
+    atomic_write_text(path, iter(["bird_id,label\n", "bird_\u00e9,1\n"]))
+    assert path.read_bytes() == "bird_id,label\nbird_\u00e9,1\n".encode("utf-8")
+    atomic_write_text(path, "\u00e4\n")
+    assert path.read_bytes() == b"\xc3\xa4\n"
+
+
+def _raises_after_first_piece():
+    yield "bird_id,label\n"
+    raise RuntimeError("formatting failed")
+
+
+@pytest.mark.parametrize(
+    "pieces, error",
+    [(_raises_after_first_piece, RuntimeError), (lambda: ["b0,1\n", "bird_\udcff,0\n"],
+                                                  UnicodeEncodeError)],
+    ids=["raising", "not-utf8"],
+)
+def test_a_failed_atomic_write_keeps_the_target_and_removes_its_temp_file(tmp_path, pieces,
+                                                                         error):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(error):
+        atomic_write_text(path, pieces())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
 
 def test_corpus_at_paper_scale():
     # 631 birds, 326 labeled 1 and 305 labeled 0
