@@ -18,7 +18,6 @@ import json
 import sys
 import traceback
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -34,7 +33,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact, decode_text
+from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact, naming, reading
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -149,11 +148,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            doc = json.loads(decode_text(Path(path).read_bytes()))
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {path}") from None
-        except MalformedRow as exc:
-            raise UsageError(f"config {path}: {exc}") from None
+            with reading(path, "file") as text:
+                doc = json.loads(text)
+        except PipelineError as exc:  # it names the path
+            raise UsageError(f"config {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
@@ -271,31 +269,16 @@ class RunConfig:
         return self.out_dir / "ensemble.csv"
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise PipelineError(f"{hint} not found: {path} (run the upstream command first)")
-    return path
-
-
-@contextmanager
-def _naming(path: Path):
-    """Prefix ``path``, a file or a corpus directory, to a data error raised
-    while reading it."""
-    try:
-        yield
-    except PipelineError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _load_matrix(path: Path, hint: str) -> FeatureMatrix:
-    with _naming(_require(path, hint)):
-        return FeatureMatrix.from_csv(decode_text(path.read_bytes()))
+def _load_matrix(path: Path, what: str, crc: int = 0) -> tuple[FeatureMatrix, int]:
+    """A feature matrix, and ``crc`` carried on over its text (not held after)."""
+    with reading(path, what, made_by="extract") as text:
+        crc = zlib.crc32(text.encode(), crc)
+        return FeatureMatrix.from_csv(text), crc
 
 
 def _load_model(path: Path, fingerprint: str) -> TrainedModel:
     """A model file, refused unless ``train`` fitted it under ``fingerprint``."""
-    with _naming(path):
-        text = decode_text(path.read_bytes())
+    with reading(path, "model", made_by="train") as text:
         try:
             doc = json.loads(text)
             model = TrainedModel.from_dict(doc)
@@ -308,14 +291,9 @@ def _load_model(path: Path, fingerprint: str) -> TrainedModel:
     return model
 
 
-def _load_predictions(path: Path) -> PredictionSet:
-    with _naming(path):
-        return PredictionSet.from_csv(decode_text(path.read_bytes()), source=path.stem)
-
-
-def _load_labels(path: Path, hint: str) -> dict[str, int]:
-    with _naming(_require(path, hint)):
-        return parse_labels(decode_text(path.read_bytes()))
+def _load_labels(path: Path, what: str) -> dict[str, int]:
+    with reading(path, what) as text:
+        return parse_labels(text)
 
 
 # --- commands --------------------------------------------------------------
@@ -355,21 +333,17 @@ def cmd_extract(cfg: RunConfig) -> None:
     it is formatted, so its whole text is never held. Without a test corpus,
     a test matrix of an earlier run is removed, so ``predict`` cannot score
     it."""
-    corpus = load_corpus(
-        _require(cfg.train_dir, "training trajectory directory"),
-        _require(cfg.train_labels, "training labels file"),
-    )
-    with _naming(cfg.train_dir):
+    corpus = load_corpus(cfg.train_dir, cfg.train_labels)
+    with naming(cfg.train_dir):
         train = {mode: build_dataset(corpus, mode) for mode in cfg.modes}
     del corpus  # before the test corpus loads, not after
     test = {}
-    if cfg.test_dir is not None and cfg.test_dir.is_dir():
-        corpus = load_corpus(cfg.test_dir, None)
+    if cfg.test_dir is not None and cfg.test_dir.exists():  # a file is refused by load_corpus
+        corpus = load_corpus(cfg.test_dir)
         # test matrices reuse training thresholds (leakage-safe)
-        with _naming(cfg.test_dir):
+        with naming(cfg.test_dir):
             test = {mode: build_dataset(corpus, mode, train[mode][1])[0] for mode in cfg.modes}
         del corpus
-    cfg.features_path("train", cfg.modes[0]).parent.mkdir(parents=True, exist_ok=True)
     for mode, (train_matrix, thresholds) in train.items():
         atomic_write_text(cfg.features_path("train", mode), train_matrix.csv_lines())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
@@ -387,7 +361,6 @@ def cmd_extract(cfg: RunConfig) -> None:
 def cmd_folds(cfg: RunConfig) -> None:
     labels = _load_labels(cfg.train_labels, "training labels file")
     folds = make_folds(labels, k=cfg.k_folds, seed=cfg.base_seed)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(cfg.folds_path(), folds_to_csv(folds))
     print(f"wrote {cfg.folds_path()} ({len(folds.assignment)} birds, k={folds.k})")
 
@@ -423,26 +396,18 @@ def _parallel_map(task_fn, items, jobs, prepared):
         return list(pool.map(task_fn, items))
 
 
-def _read_with_crc(path: Path, crc: int) -> tuple[str, int]:
-    """The text of a file, and ``crc`` carried on over its bytes."""
-    data = path.read_bytes()
-    return decode_text(data), zlib.crc32(data, crc)
-
-
 def _load_cv_inputs(cfg: RunConfig):
-    """The training matrices, the folds, and the crc32 of the files they
-    were read from (the inputs part of :func:`_cv_fingerprint`).
+    """The training matrices, the folds, and the crc32 of their texts (the
+    inputs part of :func:`_cv_fingerprint`), which for a file the pipeline
+    wrote (UTF-8, no mark, ``\n``) is the crc32 of its bytes.
     """
     crc = 0
     matrices = {}
     for mode in cfg.modes:
-        path = _require(cfg.features_path("train", mode), f"{mode.value} feature matrix")
-        with _naming(path):
-            text, crc = _read_with_crc(path, crc)
-            matrices[mode] = FeatureMatrix.from_csv(text)
-    folds_path = _require(cfg.folds_path(), "fold assignment")
-    with _naming(folds_path):
-        text, crc = _read_with_crc(folds_path, crc)
+        path = cfg.features_path("train", mode)
+        matrices[mode], crc = _load_matrix(path, f"{mode.value} feature matrix", crc)
+    with reading(cfg.folds_path(), "fold assignment", made_by="folds") as text:
+        crc = zlib.crc32(text.encode(), crc)
         folds = folds_from_csv(text)
         for matrix in matrices.values():
             unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
@@ -468,12 +433,8 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
     """Each of ``cfg.runs()`` with the threshold ``cv`` tuned for it on the
     current inputs.
     """
-    path = cfg.cv_thresholds_path()
-    if not path.exists():
-        raise PipelineError(f"{path}: not found (run cv first)")
     items = []
-    with _naming(path):
-        text = decode_text(path.read_bytes())
+    with reading(cfg.cv_thresholds_path(), "thresholds file", made_by="cv") as text:
         try:
             doc = json.loads(text)
         except ValueError as exc:  # JSONDecodeError
@@ -535,7 +496,6 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
     bins = any(kind.reads_bins for kind in cfg.learners)
     prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
     docs = _parallel_map(_train_task, items, jobs, prepared)
-    cfg.models_dir().mkdir(parents=True, exist_ok=True)
     for (setting, seed, _), doc in zip(items, docs):
         doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)
         atomic_write_text(cfg.model_path(setting, seed), json.dumps(doc, sort_keys=True))
@@ -543,39 +503,39 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
 
 
 def cmd_predict(cfg: RunConfig) -> None:
+    """Score every model before any prediction set is written, so that a
+    missing, stale or broken model leaves the last run's predictions."""
     train_matrices, _, inputs_crc = _load_cv_inputs(cfg)
     test_matrices = {
-        mode: _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")
+        mode: _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")[0]
         for mode in cfg.modes
     }
     imputed = {
         mode: impute(train_matrices[mode], test_matrices[mode]) for mode in cfg.modes
     }
     runs = cfg.runs()
-    model_paths = [_require(cfg.model_path(setting, seed), "model") for setting, seed in runs]
-    cfg.predictions_dir().mkdir(parents=True, exist_ok=True)
-    for (setting, seed), path in zip(runs, model_paths):
+    sets = []
+    for setting, seed in runs:
+        path = cfg.model_path(setting, seed)
         model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
         matrix = imputed[setting.mode]
         scores = predict_scores(model, matrix.values, matrix.columns)
         require_finite_scores(scores, matrix.bird_ids, str(path))
         if model.threshold is None:
             raise PipelineError(f"model {path.name} has no tuned threshold")
-        pset = PredictionSet(
-            bird_ids=matrix.bird_ids,
-            labels=hard_labels(scores, model.threshold),
-            source=path.stem,
-        )
+        labels = hard_labels(scores, model.threshold)
+        sets.append(PredictionSet(matrix.bird_ids, labels, source=path.stem))
+    for (setting, seed), pset in zip(runs, sets):
         atomic_write_text(cfg.predictions_path(setting, seed), pset.to_csv())
     print(f"wrote {len(runs)} prediction sets to {cfg.predictions_dir()}")
 
 
 def cmd_ensemble(cfg: RunConfig) -> None:
-    pred_paths = [
-        _require(cfg.predictions_path(setting, seed), "prediction set")
-        for setting, seed in cfg.runs()
-    ]
-    sets = [_load_predictions(p) for p in pred_paths]
+    sets = []
+    for setting, seed in cfg.runs():
+        path = cfg.predictions_path(setting, seed)
+        with reading(path, "prediction set", made_by="predict") as text:
+            sets.append(PredictionSet.from_csv(text, source=path.stem))
     labels = _load_labels(cfg.train_labels, "training labels file")
     tie = prevalent_label(np.array(list(labels.values())))
     voted = majority_vote(sets, tie)
@@ -584,7 +544,9 @@ def cmd_ensemble(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(predictions_path: str, truth_path: str) -> None:
-    pred = _load_predictions(Path(predictions_path))
+    path = Path(predictions_path)
+    with reading(path, "predictions file") as text:
+        pred = PredictionSet.from_csv(text, source=path.stem)
     truth = _load_labels(Path(truth_path), "truth file")
     missing = sorted(set(pred.bird_ids) - set(truth))
     if missing:
@@ -658,7 +620,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PipelineError, FileNotFoundError, NotADirectoryError) as exc:
+    except PipelineError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

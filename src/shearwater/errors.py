@@ -1,9 +1,10 @@
 """Exception types raised across the pipeline, and the helpers the
-readers and writers share: the UTF-8 decoder of every file the CLI reads,
-the line-wise row reader and int64 field parser of every text reader, the
-one reader of the ``bird_id,<column>`` tables (labels, ``folds.csv``,
-prediction sets), which name each bird once, and the one ``csv.writer``
-set-up of those tables and the CV reports.
+readers and writers share: the one reader of every file the CLI reads,
+which decodes its UTF-8 and makes a file-system failure a data error
+naming the file, the line-wise row reader and int64 field parser of every
+text reader, the one reader of the ``bird_id,<column>`` tables (labels,
+``folds.csv``, prediction sets), which name each bird once, and the one
+``csv.writer`` set-up of those tables and the CV reports.
 
 Everything inherits from :class:`PipelineError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs with a single except clause.
@@ -12,6 +13,8 @@ can distinguish data problems from genuine bugs with a single except clause.
 import csv
 import io
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class PipelineError(ValueError):
@@ -101,6 +104,35 @@ def decode_text(data: bytes) -> str:
         raise MalformedRow(f"line {line}: byte {data[at]:#04x} is not UTF-8 text") from None
     text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n")  # no copy when there is no \r
+
+
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Prefix ``path``, a file or a corpus directory, to a data error."""
+    try:
+        yield
+    except PipelineError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextmanager
+def reading(path: str | Path, what: str, made_by: str | None = None) -> Iterator[str]:
+    """The text of the file at ``path`` (see :func:`decode_text`), its
+    bytes dropped before the block runs; a data error in the block names
+    ``path``. A missing file is "``what`` not found", naming the command
+    ``made_by`` when given; a directory or any other unreadable path is a
+    data error too."""
+    with naming(path):
+        try:
+            data = Path(path).read_bytes()
+        except FileNotFoundError:
+            hint = f" (run {made_by} first)" if made_by else ""
+            raise PipelineError(f"{what} not found{hint}") from None
+        except OSError as exc:
+            raise PipelineError(f"cannot read {what}: {exc.strerror}") from None
+        text = decode_text(data)
+        del data
+        yield text
 
 
 def _lines(text: str) -> Iterator[str]:

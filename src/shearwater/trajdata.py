@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -30,9 +31,9 @@ from .errors import (
     UnknownBirdInLabels,
     csv_document,
     csv_rows,
-    decode_text,
     parse_int64,
     read_bird_table,
+    reading,
 )
 
 CSV_HEADER = (
@@ -322,39 +323,42 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     """
     trajectory_dir = Path(trajectory_dir)
     if not trajectory_dir.is_dir():
-        raise FileNotFoundError(f"trajectory directory not found: {trajectory_dir}")
+        problem = "not a directory" if trajectory_dir.exists() else "trajectory directory not found"
+        raise PipelineError(f"{trajectory_dir}: {problem}")
     trajectories: dict[str, Trajectory] = {}
     for path in sorted(trajectory_dir.glob("*.csv"), key=lambda p: p.stem):
         try:  # a name that is not UTF-8 decodes to lone surrogates
             path.name.encode()
         except UnicodeEncodeError:
             raise PipelineError(f"{trajectory_dir}: file name {path.name!r} is not UTF-8") from None
-        try:
-            trajectories[path.stem] = parse_trajectory(path.stem, decode_text(path.read_bytes()))
-        except (MalformedRow, NonMonotonicTime, OutOfRange, TooShort) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        with reading(path, "trajectory file") as text:
+            trajectories[path.stem] = parse_trajectory(path.stem, text)
     if labels_path is None:
         return Corpus(trajectories=trajectories)
-    try:
-        labels = parse_labels(decode_text(Path(labels_path).read_bytes()))
+    with reading(labels_path, "labels file") as text:
+        labels = parse_labels(text)
         return Corpus(trajectories=trajectories, labels=labels)  # checks both directions
-    except PipelineError as exc:
-        raise type(exc)(f"{labels_path}: {exc}") from None
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write UTF-8 text, one string or an iterable of pieces written as they
     come, to a temporary file and rename it over ``path``, so reruns
-    overwrite outputs atomically. If anything fails, the temporary file is
-    removed and ``path`` is left as it was."""
+    overwrite outputs atomically; missing parent directories are created.
+    If anything fails, the temporary file is removed and ``path`` is left as
+    it was; a file-system failure is a data error naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as out:
             out.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # a parent that is not a directory holds no temporary file
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # mkdir raises FileExistsError when it meets a file
+            reason = f"{exc.filename} is a file" if isinstance(exc, FileExistsError) else exc.strerror
+            raise PipelineError(f"{path}: cannot write: {reason}") from None
         raise
 
 
@@ -365,7 +369,6 @@ def save_corpus(
 ) -> None:
     """Write one CSV per bird (plus the labels file when labels exist)."""
     trajectory_dir = Path(trajectory_dir)
-    trajectory_dir.mkdir(parents=True, exist_ok=True)
     for bird_id, traj in corpus.trajectories.items():
         atomic_write_text(trajectory_dir / f"{bird_id}.csv", trajectory_to_csv(traj))
     if labels_path is not None and corpus.labels is not None:

@@ -1044,7 +1044,7 @@ def _damage(data: bytes, how: str, at: int, byte: int) -> bytes:
 @settings(max_examples=100, deadline=None)
 @given(
     artifact=st.sampled_from(sorted(ARTIFACTS)),
-    how=st.sampled_from(["empty", "halve", "byte", "drop", "repeat"]),
+    how=st.sampled_from(["empty", "halve", "byte", "drop", "repeat", "directory"]),
     at=st.integers(0, 10**6),
     byte=st.just(0xFF) | st.integers(0, 255),
 )
@@ -1053,7 +1053,11 @@ def test_a_damaged_artifact_is_exit_0_or_2_downstream(finished_run, artifact, ho
         root = Path(tmp)
         cfg = _copy_run(finished_run, root)
         path = root / artifact
-        path.write_bytes(_damage(path.read_bytes(), how, at, byte))
+        if how == "directory":  # an empty directory of the same name
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(_damage(path.read_bytes(), how, at, byte))
         codes = {}
         for command in DOWNSTREAM[DOWNSTREAM.index(ARTIFACTS[artifact]):]:
             if command == "evaluate":
@@ -1065,6 +1069,64 @@ def test_a_damaged_artifact_is_exit_0_or_2_downstream(finished_run, artifact, ho
                 argv = [command, "--config", str(cfg)]
             codes[command] = main(argv)
         assert set(codes.values()) <= {EXIT_OK, EXIT_DATA}, codes
+
+
+@pytest.mark.parametrize(
+    "relpath, replacement, command, code, named",
+    [*((artifact, "directory", command, EXIT_DATA, artifact)
+       for artifact, command in sorted(ARTIFACTS.items())),
+     ("config.json", "directory", "folds", EXIT_USAGE, "config.json"),
+     ("out", "file", "folds", EXIT_DATA, "out/folds.csv"),
+     ("out/ensemble.csv", "directory", "ensemble", EXIT_DATA, "out/ensemble.csv")],
+)
+def test_a_path_that_cannot_be_read_or_written_is_named(finished_run, tmp_path, capsys, relpath,
+                                                        replacement, command, code, named):
+    # a data error (a usage error for the config) naming the path, never
+    # the temporary file of a write
+    cfg = _copy_run(finished_run, tmp_path)
+    path = tmp_path / relpath
+    if replacement == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        shutil.rmtree(path)
+        path.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert f"{tmp_path / named}: " in err
+    assert f"{tmp_path / named}.tmp" not in err
+    assert path.is_dir() == (replacement == "directory")
+    assert not (any(path.iterdir()) if path.is_dir() else path.read_text(encoding="utf-8"))
+
+
+def test_a_test_dir_that_names_a_file_is_refused_before_any_write(finished_run, tmp_path,
+                                                                   capsys):
+    # a file is not "no test corpus": no test matrix is removed
+    cfg = _copy_run(finished_run, tmp_path)
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc["paths"]["test_dir"] = str(tmp_path / "test_labels.csv")
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    features = tmp_path / "out" / "features"
+    for path in features.iterdir():
+        path.write_text("stale\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    assert f"{tmp_path / 'test_labels.csv'}: not a directory" in capsys.readouterr().err
+    assert len(list(features.iterdir())) == 8
+    assert {path.read_text(encoding="utf-8") for path in features.iterdir()} == {"stale\n"}
+
+
+def test_synth_creates_the_directory_of_its_labels_file(tmp_path):
+    # the one writer creates missing parent directories
+    cfg = write_config(tmp_path)
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc["paths"]["train_labels"] = str(tmp_path / "labels" / "train_labels.csv")
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    labels = (tmp_path / "labels" / "train_labels.csv").read_text(encoding="utf-8")
+    assert len(labels.splitlines()) == 1 + 24
+    assert main(["folds", "--config", str(cfg)]) == EXIT_OK
 
 
 # --- encodings: every file is written as UTF-8, and every file name is UTF-8 ---
