@@ -54,7 +54,7 @@ from .evalcv import (
 )
 from .featex import THRESHOLD_NAMES
 from .synthgen import SynthParams, generate_corpus
-from .trajdata import atomic_write_text, load_corpus, parse_labels, save_corpus
+from .trajdata import atomic_write_text, load_corpus, parse_labels, remove_file, save_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,7 +234,7 @@ class RunConfig:
         try:
             params.validate()
         except ValueError as exc:
-            raise UsageError(f"bad synth parameters: {exc}") from None
+            raise UsageError(f"bad config: synth.{exc}") from None
         return params
 
     # fixed output locations under out_dir
@@ -331,8 +331,8 @@ def cmd_extract(cfg: RunConfig) -> None:
     corpus is dropped before the test corpus loads. Nothing is written until
     both have parsed and built, and each matrix is written line by line as
     it is formatted, so its whole text is never held. Without a test corpus,
-    a test matrix of an earlier run is removed, so ``predict`` cannot score
-    it."""
+    an earlier run's test matrices are removed first, so ``predict`` cannot
+    score them."""
     corpus = load_corpus(cfg.train_dir, cfg.train_labels)
     with naming(cfg.train_dir):
         train = {mode: build_dataset(corpus, mode) for mode in cfg.modes}
@@ -344,6 +344,9 @@ def cmd_extract(cfg: RunConfig) -> None:
         with naming(cfg.test_dir):
             test = {mode: build_dataset(corpus, mode, train[mode][1])[0] for mode in cfg.modes}
         del corpus
+    else:
+        for mode in cfg.modes:
+            remove_file(cfg.features_path("test", mode))
     for mode, (train_matrix, thresholds) in train.items():
         atomic_write_text(cfg.features_path("train", mode), train_matrix.csv_lines())
         write_manifest(train_matrix.columns, cfg.manifest_path(mode))
@@ -353,8 +356,6 @@ def cmd_extract(cfg: RunConfig) -> None:
             test_matrix = test[mode]
             atomic_write_text(cfg.features_path("test", mode), test_matrix.csv_lines())
             rows.append(f"test {mode.value}: {len(test_matrix.bird_ids)}x{len(test_matrix.columns)}")
-        else:
-            cfg.features_path("test", mode).unlink(missing_ok=True)
         print("; ".join(rows))
 
 
@@ -384,7 +385,8 @@ def _train_task(item):
 
 def _parallel_map(task_fn, items, jobs, prepared):
     """``task_fn`` over ``items``, with the prepared matrices of each mode
-    in ``_WORKER``; in ``jobs`` worker processes when > 1."""
+    in ``_WORKER``; in ``jobs`` worker processes when > 1, one per item at most."""
+    jobs = min(jobs, len(items))  # the pool starts every worker at its first submit
     if jobs <= 1:
         _init_worker(prepared)
         return [task_fn(item) for item in items]
@@ -595,6 +597,8 @@ def _run(argv) -> int:
         if args.seed < 0:
             raise UsageError("--seed must be >= 0")
         cfg.base_seed = args.seed
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError("--jobs must be >= 1")
     if args.command == "synth":
         cmd_synth(cfg, args.role, args.seed, args.out)
     elif args.command == "extract":

@@ -122,10 +122,6 @@ class FeatureMatrix:
         lines: dict[str, int] = {}  # each bird's line, in file order
         labels, values = [], []
         for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             if row[0] in lines:
                 raise MalformedRow(f"line {lineno}: bird {row[0]!r} is listed twice")
             lines[row[0]] = lineno

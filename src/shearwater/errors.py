@@ -150,15 +150,20 @@ def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """Each record of a CSV document with the line it starts on, read
     lazily, one line at a time, so the reader holds no copy of the text; a
     quoted field may span lines, so a record starts on the line after the
-    one that ended the record before it. A parse error of the csv module (a
-    stray quote, a bare carriage return, an overlong field) becomes
-    MalformedRow.
+    one that ended the record before it. Blank lines are skipped, the first
+    record is the header, and a later record with another field count is
+    MalformedRow naming its line. A parse error of the csv module (a stray
+    quote, a bare carriage return, an overlong field) becomes MalformedRow.
     """
     reader = csv.reader(_lines(text))
-    start = 1
+    start, width = 1, None
     try:
         for row in reader:
-            yield start, row
+            if row:
+                width = width or len(row)  # the header's
+                if len(row) != width:
+                    raise MalformedRow(f"line {start}: expected {width} fields, got {len(row)}")
+                yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None
@@ -179,9 +184,9 @@ def read_bird_table(text: str, column: str, values: tuple | None = None) -> dict
     """The ``bird_id,<column>`` table of a CSV document, in file order.
 
     The header holds those two names (whitespace around each is allowed).
-    Blank lines are skipped; every other row has two fields, a bird that no
-    earlier row names and an int64 value, one of ``values`` when given. An
-    error names its line.
+    Each row (see :func:`csv_rows`) holds a bird that no earlier row names
+    and an int64 value, one of ``values`` when given. An error names its
+    line.
     """
     rows = csv_rows(text)
     _, header = next(rows, (1, []))  # an empty file has an empty header
@@ -189,10 +194,6 @@ def read_bird_table(text: str, column: str, values: tuple | None = None) -> dict
         raise MalformedRow(f"bad header {header!r}, expected bird_id,{column}")
     table: dict[str, int] = {}
     for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
             value = parse_int64(row[1], column)
         except PipelineError as exc:

@@ -38,18 +38,25 @@ class SynthParams:
     start_lat: float = 38.5
 
     def validate(self) -> None:
-        if self.male_speed <= 0 or self.female_speed <= 0:
-            raise ValueError("male_speed and female_speed must be positive")
-        if self.trip_length_min < 10:
-            raise ValueError("trip_length_min must be >= 10 points")
-        if self.trip_length_max < self.trip_length_min:
-            raise ValueError("trip_length_max must be >= trip_length_min")
-        if not self.cadence_jitter_s < self.cadence_s / 2:
-            raise ValueError("cadence_jitter_s must stay below half of cadence_s")
-        if self.n_birds < 1:
-            raise ValueError("n_birds must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        """ValueError naming the first field outside its domain (NaN is in none)."""
+        for name, domain, ok in (
+            ("n_birds", ">= 1", self.n_birds >= 1),
+            ("seed", ">= 0", self.seed >= 0),
+            ("male_speed", "> 0", self.male_speed > 0),
+            ("female_speed", "> 0", self.female_speed > 0),
+            ("speed_sigma", ">= 0", self.speed_sigma >= 0),
+            ("male_turn_concentration", "> 0", self.male_turn_concentration > 0),
+            ("female_turn_concentration", "> 0", self.female_turn_concentration > 0),
+            ("trip_length_min", ">= 10", self.trip_length_min >= 10),
+            ("trip_length_max", ">= trip_length_min", self.trip_length_max >= self.trip_length_min),
+            ("cadence_jitter_s", "in [0, cadence_s / 2)", 0 <= self.cadence_jitter_s < self.cadence_s / 2),
+            ("cycle_period_s", "> 0", self.cycle_period_s > 0),
+            # the first point lies within 0.2 degrees of the start, and must be on the globe
+            ("start_lat", "in [-89.8, 89.8]", abs(self.start_lat) <= 89.8),
+            ("start_lon", "in [-179.8, 179.8]", abs(self.start_lon) <= 179.8),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {domain}, got {getattr(self, name)!r}")
 
 
 def _clipped_walk(start: float, steps: np.ndarray, bound: float) -> np.ndarray:

@@ -146,16 +146,6 @@ def _float(text: str, column: str) -> float:
         raise MalformedRow(f"unparseable {column} {text!r}") from None
 
 
-# each field's cell parser, in column order; a parser's error names the field
-_CELL_PARSERS = (
-    *(partial(_float, column=name) for name in CSV_HEADER[:4]),
-    partial(parse_int64, what="daytime"),
-    partial(_float, column="elapsed_time"),
-    parse_local_time,
-    partial(parse_int64, what="days"),
-)
-
-
 def _local_times(cells: tuple[str, ...]) -> np.ndarray:
     """parse_local_time of every cell; the cells of a well-formed column,
     all ``dd:dd:dd`` with the hour below 24, are read in one pass over their
@@ -172,28 +162,29 @@ def _local_times(cells: tuple[str, ...]) -> np.ndarray:
     return np.array([parse_local_time(cell) for cell in cells], dtype=np.int64)
 
 
-def _columns(cells: list[tuple[str, ...]]) -> list[np.ndarray]:
-    """Each column's cells converted in bulk, as the cell parsers convert
-    them; ValueError or OverflowError when a cell does not convert."""
-    return [
-        np.array(list(map(float, cells[0])), dtype=np.float64),
-        np.array(list(map(float, cells[1])), dtype=np.float64),
-        np.array(list(map(float, cells[2])), dtype=np.float64),
-        np.array(list(map(float, cells[3])), dtype=np.float64),
-        np.array(list(map(int, cells[4])), dtype=np.int64),
-        np.array(list(map(float, cells[5])), dtype=np.float64),
-        _local_times(cells[6]),
-        np.array(list(map(int, cells[7])), dtype=np.int64),
-    ]
+def _bulk(kind: type, cells: tuple[str, ...]) -> np.ndarray:
+    return np.array(list(map(kind, cells)), dtype=np.float64 if kind is float else np.int64)
+
+
+# each column's bulk converter, which raises ValueError or OverflowError when
+# a cell does not convert, and the cell parser that converts a cell as it
+# does and whose error names the field; in file order
+_COLUMN_PARSERS = (
+    *((partial(_bulk, float), partial(_float, column=name)) for name in CSV_HEADER[:4]),
+    (partial(_bulk, int), partial(parse_int64, what="daytime")),
+    (partial(_bulk, float), partial(_float, column="elapsed_time")),
+    (_local_times, parse_local_time),
+    (partial(_bulk, int), partial(parse_int64, what="days")),
+)
 
 
 def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     """Parse one trajectory CSV document and validate all invariants.
 
-    The rows are read first, up to the first one the CSV reader refuses or
-    that has the wrong field count; then each column is converted in bulk.
-    Errors come in file order: the first cell that does not convert, else
-    that row, else the first invariant a row breaks.
+    The rows are read first, up to the first one :func:`csv_rows` refuses;
+    then each column is converted in bulk. Errors come in file order: the
+    first cell that does not convert, else that row, else the first
+    invariant a row breaks.
     """
     rows = csv_rows(csv_text)
     _, header = next(rows, (1, None))
@@ -209,20 +200,12 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     except MalformedRow as exc:  # the records before it are read
         problem = exc
     lines, body = zip(*records) if records else ((), ())
-    widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-    wrong = np.flatnonzero((widths != len(CSV_HEADER)) & (widths != 0))
-    if wrong.size:
-        bad = wrong[0]
-        problem = MalformedRow(f"{bird_id}: line {lines[bad]}: expected 8 fields, got {widths[bad]}")
-        widths = widths[:bad]
-    kept = np.flatnonzero(widths)  # blank lines are skipped
-    if kept.size < len(body):
-        lines, body = [lines[i] for i in kept], [body[i] for i in kept]
+    cells = list(zip(*body)) or [()] * len(CSV_HEADER)
     try:
-        columns = _columns(list(zip(*body)) or [()] * len(CSV_HEADER))
+        columns = [convert(column) for (convert, _), column in zip(_COLUMN_PARSERS, cells)]
     except (ValueError, OverflowError):
         for lineno, row in zip(lines, body):  # the first cell that fails, in file order
-            for parse, cell in zip(_CELL_PARSERS, row):
+            for (_, parse), cell in zip(_COLUMN_PARSERS, row):
                 try:
                     parse(cell)
                 except PipelineError as exc:
@@ -360,6 +343,14 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
             reason = f"{exc.filename} is a file" if isinstance(exc, FileExistsError) else exc.strerror
             raise PipelineError(f"{path}: cannot write: {reason}") from None
         raise
+
+
+def remove_file(path: Path) -> None:
+    """Remove the file at ``path``, if any; a file-system failure is a data error naming it."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise PipelineError(f"{path}: cannot remove: {exc.strerror}") from None
 
 
 def save_corpus(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import shutil
 import tempfile
@@ -335,6 +336,17 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         # ValueError: embedded null byte, exit 3 (relative paths are under tmp_path)
         ("folds", {"paths": {"train_dir": "train", "train_labels": "train_labels.csv",
                              "out_dir": "o\0ut"}}, [], "paths.out_dir"),
+        # exit 3 from numpy's draws, or exit 2 blaming a bird row the draw put out of range
+        *(
+            ("synth", {"synth": {**SYNTH, name: value}}, [], f"synth.{name}")
+            for name, value in [
+                ("speed_sigma", -1), ("cadence_jitter_s", -5), ("male_turn_concentration", 0),
+                ("female_turn_concentration", -1), ("cycle_period_s", 0), ("start_lat", 100),
+                ("start_lon", 500),
+            ]
+        ),
+        ("cv", {}, ["--jobs", "0"], "--jobs"),  # ran serially
+        ("train", {}, ["--jobs", "-1"], "--jobs"),
     ],
 )
 def test_bad_run_setting_is_usage_error(
@@ -348,6 +360,31 @@ def test_bad_run_setting_is_usage_error(
     capsys.readouterr()
     assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
     assert field in capsys.readouterr().err
+
+
+def test_jobs_start_no_more_workers_than_runs(tmp_path, monkeypatch):
+    # the pool starts every worker at its first submit: --jobs 64 on 2 runs forked 64
+    started = []
+
+    class Pool:  # runs the tasks in this process and records the pool's size
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = prepare_folds(tmp_path, learners=["svc"], n_seeds=2)
+    for command in ("cv", "train"):
+        assert main([command, "--config", str(cfg), "--jobs", "64"]) == EXIT_OK
+    assert started == [2, 2]
 
 
 def test_non_finite_learner_score_names_the_setting_and_fold(tmp_path, capsys):
@@ -1115,6 +1152,27 @@ def test_a_test_dir_that_names_a_file_is_refused_before_any_write(finished_run, 
     assert f"{tmp_path / 'test_labels.csv'}: not a directory" in capsys.readouterr().err
     assert len(list(features.iterdir())) == 8
     assert {path.read_text(encoding="utf-8") for path in features.iterdir()} == {"stale\n"}
+
+
+def test_a_stale_test_matrix_that_cannot_be_removed_is_refused_before_any_write(
+    finished_run, tmp_path, capsys
+):
+    # it exited 3 (IsADirectoryError) after the training matrices were rewritten
+    cfg = _copy_run(finished_run, tmp_path)
+    shutil.rmtree(tmp_path / "test")
+    features = tmp_path / "out" / "features"
+    for path in features.iterdir():
+        path.write_text("stale\n", encoding="utf-8")
+    (features / "test_together.csv").unlink()
+    (features / "test_together.csv").mkdir()
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{features / 'test_together.csv'}: cannot remove" in err
+    assert "Traceback" not in err
+    kept = [path for path in features.iterdir() if not path.name.startswith("test_")]
+    assert len(kept) == 6
+    assert {path.read_text(encoding="utf-8") for path in kept} == {"stale\n"}
 
 
 def test_synth_creates_the_directory_of_its_labels_file(tmp_path):

@@ -342,7 +342,7 @@ def _parse_per_cell(bird_id, csv_text):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
-            raise MalformedRow(f"{bird_id}: line {lineno}: expected 8 fields, got {len(row)}")
+            raise MalformedRow(f"line {lineno}: expected 8 fields, got {len(row)}")
         try:
             cols[0].append(number(row[0], "longitude"))
             cols[1].append(number(row[1], "latitude"))
