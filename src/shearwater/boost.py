@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateLabels, SchemaMismatch, SingleClass
+from .errors import PipelineError
 from .linsvm import SvmModel, fit_pegasos
 from .trees import (
     DecisionTree,
@@ -150,9 +150,14 @@ class TrainedModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
         """Decode a model; ValueError unless it holds either trees or an svm,
-        as wide as the feature schema, and a finite threshold or none."""
+        as wide as the feature schema, a float f0 and a finite float
+        threshold or none (json reads ``true`` as a bool, not a number)."""
         if ("trees" in doc) == ("svm" in doc):
             raise ValueError("a model holds either trees or an svm")
+        if not isinstance(doc["f0"], float):
+            raise ValueError(f"f0 {doc['f0']!r} is not a float")
+        if doc["threshold"] is not None and not isinstance(doc["threshold"], float):
+            raise ValueError(f"threshold {doc['threshold']!r} is not a float")
         if doc["threshold"] is not None and not np.isfinite(doc["threshold"]):
             raise ValueError(f"threshold {doc['threshold']} is not finite")
         width = len(doc["feature_names"])
@@ -161,8 +166,8 @@ class TrainedModel:
             kind=LearnerKind(doc["kind"]),
             params=GbdtParams.from_dict(doc["params"]),
             feature_names=list(doc["feature_names"]),
-            f0=float(doc["f0"]),
-            threshold=None if doc["threshold"] is None else float(doc["threshold"]),
+            f0=doc["f0"],
+            threshold=doc["threshold"],
             trees=trees,
             svm=SvmModel.from_dict(doc["svm"]) if "svm" in doc else None,
         )
@@ -374,9 +379,9 @@ def fit_learner(
         return model
     pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if family == "pairwise" and (pos.size == 0 or neg.size == 0):
-        raise SingleClass("pairwise loss needs both classes")
+        raise PipelineError("pairwise loss needs both classes")
     if y.size == 0:
-        raise DegenerateLabels("cannot fit on an empty label vector")
+        raise PipelineError("cannot fit on an empty label vector")
     data, bins = _fit_matrix(kind.backend, X, params.max_bin_edges, binned)
     if family == "forest":
         model.trees = _forest(kind, data, bins, y, params, rng)
@@ -403,10 +408,10 @@ def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> 
     learners, raw margins for rank and svc.
     """
     if columns is not None and list(columns) != list(model.feature_names):
-        raise SchemaMismatch(f"{model.kind.value}: feature columns do not match the model schema")
+        raise PipelineError(f"{model.kind.value}: feature columns do not match the model schema")
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(model.feature_names):
-        raise SchemaMismatch(
+        raise PipelineError(
             f"{model.kind.value}: expected {len(model.feature_names)} features, got {X.shape[1]}"
         )
     if model.svm is not None:

@@ -33,7 +33,7 @@ from .datasets import (
     impute,
     write_manifest,
 )
-from .errors import BirdSetMismatch, MalformedRow, PipelineError, StaleArtifact, naming, reading
+from .errors import PipelineError, naming, reading
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -282,12 +282,12 @@ def _load_model(path: Path, fingerprint: str) -> TrainedModel:
         try:
             doc = json.loads(text)
             model = TrainedModel.from_dict(doc)
-        except StaleArtifact:  # a model file in an older format
+        except PipelineError:  # a model file in an older format
             raise
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise MalformedRow(f"not a model file: {exc!r}") from None
+            raise PipelineError(f"not a model file: {exc!r}") from None
         if doc.get("fingerprint") != fingerprint:
-            raise StaleArtifact("trained on other inputs or hyperparameters; re-run train")
+            raise PipelineError("trained on other inputs or hyperparameters; re-run train")
     return model
 
 
@@ -414,7 +414,7 @@ def _load_cv_inputs(cfg: RunConfig):
         for matrix in matrices.values():
             unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
             if unshared:
-                raise BirdSetMismatch(f"birds not in both folds and features: {unshared[:5]}")
+                raise PipelineError(f"birds not in both folds and features: {unshared[:5]}")
     return matrices, folds, crc
 
 
@@ -440,16 +440,16 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
         try:
             doc = json.loads(text)
         except ValueError as exc:  # JSONDecodeError
-            raise MalformedRow(f"not a thresholds file: {exc}") from None
+            raise PipelineError(f"not a thresholds file: {exc}") from None
         for setting, seed in cfg.runs():
             name = _run_name(setting, seed)
             entry = doc.get(name) if isinstance(doc, dict) else None
             if not isinstance(entry, dict) or type(entry.get("threshold")) is not float:
-                raise MalformedRow(f"no threshold for {name} (run cv first)")
+                raise PipelineError(f"no threshold for {name} (run cv first)")
             if not np.isfinite(entry["threshold"]):  # json reads NaN and Infinity
-                raise MalformedRow(f"threshold of {name} is {entry['threshold']}, not finite")
+                raise PipelineError(f"threshold of {name} is {entry['threshold']}, not finite")
             if entry.get("fingerprint") != _cv_fingerprint(inputs_crc, setting, seed):
-                raise StaleArtifact(f"{name} is stale: its inputs changed since cv; re-run cv")
+                raise PipelineError(f"{name} is stale: its inputs changed since cv; re-run cv")
             items.append((setting, seed, entry["threshold"]))
     return items
 

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import MalformedRow, OutOfRange, SchemaMismatch, csv_rows
+from .errors import PipelineError, csv_rows
 from .featex import (
     EXCEEDANCE,
     bird_features,
@@ -69,9 +69,9 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.bird_ids), len(self.columns)):
-            raise SchemaMismatch("matrix shape does not match ids/columns")
+            raise PipelineError("matrix shape does not match ids/columns")
         if len(set(self.columns)) != len(self.columns):
-            raise SchemaMismatch("duplicate column names")
+            raise PipelineError("duplicate column names")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
 
@@ -110,37 +110,37 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, text: str) -> "FeatureMatrix":
         """Read a ``to_csv`` document: each bird once, an empty cell is
-        missing, and an infinite one (``inf``, ``1e400``) is OutOfRange
+        missing, and an infinite one (``inf``, ``1e400``) is a data error
         naming its line. Each row is converted as it is read, to a float64
         array, so the reader holds little more than the matrix."""
         rows = csv_rows(text)
         _, header = next(rows, (1, []))
         if not header or header[0] != "bird_id":
-            raise SchemaMismatch("feature CSV must start with a bird_id column")
+            raise PipelineError("feature CSV must start with a bird_id column")
         has_label = len(header) > 1 and header[1] == "label"
         columns = header[2:] if has_label else header[1:]
         lines: dict[str, int] = {}  # each bird's line, in file order
         labels, values = [], []
         for lineno, row in rows:
             if row[0] in lines:
-                raise MalformedRow(f"line {lineno}: bird {row[0]!r} is listed twice")
+                raise PipelineError(f"line {lineno}: bird {row[0]!r} is listed twice")
             lines[row[0]] = lineno
             body = row[1:]
             if has_label:
                 if body[0] not in ("0", "1"):
-                    raise MalformedRow(f"line {lineno}: label {body[0]!r} is not 0 or 1")
+                    raise PipelineError(f"line {lineno}: label {body[0]!r} is not 0 or 1")
                 labels.append(int(body[0]))
                 body = body[1:]
             try:
                 values.append(np.array([np.nan if cell == "" else float(cell) for cell in body]))
             except ValueError as exc:
-                raise MalformedRow(f"line {lineno}: {exc}") from None
+                raise PipelineError(f"line {lineno}: {exc}") from None
         matrix = np.array(values, dtype=np.float64).reshape(len(lines), len(columns))
         infinite = np.argwhere(np.isinf(matrix))
         if infinite.size:
             row, col = infinite[0]
             where = f"line {list(lines.values())[row]}: {columns[col]}"
-            raise OutOfRange(f"{where} is {matrix[row, col]}, not a finite number")
+            raise PipelineError(f"{where} is {matrix[row, col]}, not a finite number")
         return cls(
             bird_ids=list(lines),
             columns=columns,
@@ -210,7 +210,7 @@ def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
     column is entirely missing). Idempotent; never touches the train matrix.
     """
     if train.columns != apply_to.columns:
-        raise SchemaMismatch("imputation train/apply column schemas differ")
+        raise PipelineError("imputation train/apply column schemas differ")
     fill = column_medians(train.values)
     values = apply_to.values.copy()
     nan_rows, nan_cols = np.nonzero(np.isnan(values))

@@ -1,4 +1,4 @@
-"""Exception types raised across the pipeline, and the helpers the
+"""The one data-error type of the pipeline, and the helpers the
 readers and writers share: the one reader of every file the CLI reads,
 which decodes its UTF-8 and makes a file-system failure a data error
 naming the file, the line-wise row reader and int64 field parser of every
@@ -6,8 +6,9 @@ text reader, the one reader of the ``bird_id,<column>`` tables (labels,
 ``folds.csv``, prediction sets), which name each bird once, and the one
 ``csv.writer`` set-up of those tables and the CV reports.
 
-Everything inherits from :class:`PipelineError` so callers (notably the CLI)
-can distinguish data problems from genuine bugs with a single except clause.
+Every problem with the data, a model file or the inputs of a stage is a
+:class:`PipelineError`, which ``cli.main`` reports as exit 2 with its
+message; anything else is a bug.
 """
 
 import csv
@@ -18,90 +19,20 @@ from pathlib import Path
 
 
 class PipelineError(ValueError):
-    """Base class for all data and modeling errors raised by this package."""
+    """A data error: bad input, or inputs a stage cannot use."""
 
-
-# --- trajectory parsing -------------------------------------------------
-
-class MalformedRow(PipelineError):
-    """CSV row has the wrong column count or an unparseable field."""
-
-
-class NonMonotonicTime(PipelineError):
-    """Elapsed-time column is not strictly increasing."""
-
-
-class OutOfRange(PipelineError):
-    """A field value lies outside its documented range."""
-
-
-class TooShort(PipelineError):
-    """Trajectory has fewer than two points."""
-
-
-class UnknownBirdInLabels(PipelineError):
-    """Labels file references a bird with no trajectory file."""
-
-
-class MissingLabel(PipelineError):
-    """A labeled corpus is missing the label for some bird."""
-
-
-# --- feature extraction / datasets --------------------------------------
-
-class EmptySeries(PipelineError):
-    """Quantile requested on an empty series."""
-
-
-class SchemaMismatch(PipelineError):
-    """Two feature matrices (or a model and a matrix) disagree on columns."""
-
-
-# --- learners ------------------------------------------------------------
-
-class DegenerateLabels(PipelineError):
-    """Label vector is empty or contains a single class where two are required."""
-
-
-class SingleClass(PipelineError):
-    """Operation needs both classes present (ranking pairs, threshold tuning)."""
-
-
-class NonFiniteScore(PipelineError):
-    """A fitted learner scored a row NaN or infinite."""
-
-
-# --- evaluation ----------------------------------------------------------
-
-class TooFewPerClass(PipelineError):
-    """Stratified folds need at least k instances of every class."""
-
-
-class LengthMismatch(PipelineError):
-    """Prediction and truth vectors have different lengths."""
-
-
-class BirdSetMismatch(PipelineError):
-    """Prediction sets being voted do not cover identical bird ids."""
-
-
-class StaleArtifact(PipelineError):
-    """An artifact was computed from inputs that have changed since."""
-
-
-# --- reading and writing -------------------------------------------------
 
 def decode_text(data: bytes) -> str:
     """The text of a UTF-8 file's bytes, line ends read as
     ``Path.read_text`` reads them (``\\r\\n`` and a lone ``\\r`` become
     ``\\n``), without one leading byte-order mark. Bytes that are not UTF-8
-    are MalformedRow naming the line of the first."""
+    are a data error naming the line of the first."""
     try:
         text = data.decode()  # not utf-8-sig: its error offsets skip the mark
     except UnicodeDecodeError as exc:
         at = exc.start
         line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
-        raise MalformedRow(f"line {line}: byte {data[at]:#04x} is not UTF-8 text") from None
+        raise PipelineError(f"line {line}: byte {data[at]:#04x} is not UTF-8 text") from None
     text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n")  # no copy when there is no \r
 
@@ -112,7 +43,7 @@ def naming(path: str | Path) -> Iterator[None]:
     try:
         yield
     except PipelineError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -152,8 +83,8 @@ def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     quoted field may span lines, so a record starts on the line after the
     one that ended the record before it. Blank lines are skipped, the first
     record is the header, and a later record with another field count is
-    MalformedRow naming its line. A parse error of the csv module (a stray
-    quote, a bare carriage return, an overlong field) becomes MalformedRow.
+    a data error naming its line. A parse error of the csv module (a stray
+    quote, a bare carriage return, an overlong field) becomes a data error.
     """
     reader = csv.reader(_lines(text))
     start, width = 1, None
@@ -162,11 +93,11 @@ def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
             if row:
                 width = width or len(row)  # the header's
                 if len(row) != width:
-                    raise MalformedRow(f"line {start}: expected {width} fields, got {len(row)}")
+                    raise PipelineError(f"line {start}: expected {width} fields, got {len(row)}")
                 yield start, row
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+        raise PipelineError(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_int64(text: str, what: str) -> int:
@@ -174,9 +105,9 @@ def parse_int64(text: str, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise MalformedRow(f"{what} {text!r} is not an integer") from None
+        raise PipelineError(f"{what} {text!r} is not an integer") from None
     if not -(2**63) <= value < 2**63:
-        raise OutOfRange(f"{what} {text!r} does not fit in 64 bits")
+        raise PipelineError(f"{what} {text!r} does not fit in 64 bits")
     return value
 
 
@@ -191,17 +122,17 @@ def read_bird_table(text: str, column: str, values: tuple | None = None) -> dict
     rows = csv_rows(text)
     _, header = next(rows, (1, []))  # an empty file has an empty header
     if [name.strip() for name in header] != ["bird_id", column]:
-        raise MalformedRow(f"bad header {header!r}, expected bird_id,{column}")
+        raise PipelineError(f"bad header {header!r}, expected bird_id,{column}")
     table: dict[str, int] = {}
     for lineno, row in rows:
         try:
             value = parse_int64(row[1], column)
         except PipelineError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            raise PipelineError(f"line {lineno}: {exc}") from None
         if values is not None and value not in values:
-            raise OutOfRange(f"line {lineno}: {column} {value} is not one of {values}")
+            raise PipelineError(f"line {lineno}: {column} {value} is not one of {values}")
         if row[0] in table:
-            raise MalformedRow(f"line {lineno}: bird {row[0]!r} is listed twice")
+            raise PipelineError(f"line {lineno}: bird {row[0]!r} is listed twice")
         table[row[0]] = value
     return table
 

@@ -15,17 +15,7 @@ import numpy as np
 
 from .boost import GbdtParams, LearnerKind, TrainedModel, fit_learner, predict_scores
 from .datasets import DatasetMode, FeatureMatrix, column_medians
-from .errors import (
-    BirdSetMismatch,
-    LengthMismatch,
-    MissingLabel,
-    NonFiniteScore,
-    OutOfRange,
-    SingleClass,
-    TooFewPerClass,
-    csv_document,
-    read_bird_table,
-)
+from .errors import PipelineError, csv_document, read_bird_table
 from .trees import HistogramBins, build_bins
 
 
@@ -80,7 +70,7 @@ def make_folds(labels: dict[str, int], k: int = 5, seed: int = 0) -> FoldAssignm
     for cls in (0, 1):
         ids = sorted(b for b, lab in labels.items() if lab == cls)
         if len(ids) < k:
-            raise TooFewPerClass(f"class {cls} has {len(ids)} birds, need >= {k}")
+            raise PipelineError(f"class {cls} has {len(ids)} birds, need >= {k}")
         perm = rng.permutation(len(ids))
         for pos, idx in enumerate(perm):
             assignment[ids[idx]] = pos % k
@@ -91,9 +81,9 @@ def _confusion(pred, truth) -> tuple[int, int, int, int]:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
-        raise LengthMismatch(f"pred {pred.shape} vs truth {truth.shape}")
+        raise PipelineError(f"pred {pred.shape} vs truth {truth.shape}")
     if pred.size == 0:
-        raise LengthMismatch("empty prediction vector")
+        raise PipelineError("empty prediction vector")
     tp = int(((pred == 1) & (truth == 1)).sum())
     fp = int(((pred == 1) & (truth == 0)).sum())
     fn = int(((pred == 0) & (truth == 1)).sum())
@@ -129,11 +119,11 @@ def tune_threshold(scores, truth) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
     if scores.shape != truth.shape:
-        raise LengthMismatch(f"scores {scores.shape} vs truth {truth.shape}")
+        raise PipelineError(f"scores {scores.shape} vs truth {truth.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     if len(np.unique(truth)) < 2:
-        raise SingleClass("threshold tuning needs both classes present")
+        raise PipelineError("threshold tuning needs both classes present")
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     distinct = ranked[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
@@ -165,11 +155,11 @@ def hard_labels(scores, tau: float) -> np.ndarray:
 
 
 def require_finite_scores(scores, bird_ids: list[str], where: str) -> None:
-    """NonFiniteScore naming ``where`` and the first birds scored NaN or
+    """A data error naming ``where`` and the first birds scored NaN or
     infinite; hard_labels would quietly label each of them 0."""
     bad = [bird_ids[i] for i in np.flatnonzero(~np.isfinite(scores))]
     if bad:
-        raise NonFiniteScore(f"{where}: non-finite score for {len(bad)} birds: {bad[:5]}")
+        raise PipelineError(f"{where}: non-finite score for {len(bad)} birds: {bad[:5]}")
 
 
 @dataclass
@@ -229,11 +219,11 @@ def prepare(matrix: FeatureMatrix, folds: FoldAssignment, bins: bool = True) -> 
     binned only with ``bins``, which a caller sets when some learner it
     fits reads bins (``LearnerKind.reads_bins``)."""
     if matrix.labels is None:
-        raise MissingLabel("training needs a labeled matrix")
+        raise PipelineError("training needs a labeled matrix")
     fold_of = folds.fold_vector(matrix.bird_ids)
     outside = [b for b, fold in zip(matrix.bird_ids, fold_of) if not 0 <= fold < folds.k]
     if outside:  # a bird in no fold would sit in every set j < k, and go unscored
-        raise BirdSetMismatch(f"birds in no fold 0..{folds.k - 1}: {outside[:5]}")
+        raise PipelineError(f"birds in no fold 0..{folds.k - 1}: {outside[:5]}")
     fills = np.array([column_medians(matrix.values[fold_of != j]) for j in range(folds.k + 1)])
     fills[:, ~np.isnan(matrix.values).any(axis=0)] = np.nan
     if not bins:
@@ -311,7 +301,7 @@ class PredictionSet:
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.bird_ids) != len(self.labels):
-            raise LengthMismatch("bird_ids and labels lengths differ")
+            raise PipelineError("bird_ids and labels lengths differ")
 
     def sorted(self) -> "PredictionSet":
         order = np.argsort(np.asarray(self.bird_ids, dtype=object))
@@ -346,14 +336,14 @@ def majority_vote(sets: list[PredictionSet], tie_label: int = 1) -> PredictionSe
     class). All sets must cover identical bird ids.
     """
     if not sets:
-        raise BirdSetMismatch("no prediction sets to vote over")
+        raise PipelineError("no prediction sets to vote over")
     base = sets[0].sorted()
     reference = base.bird_ids
     votes = np.zeros(len(reference), dtype=np.int64)
     for pset in sets:
         ordered = pset.sorted()
         if ordered.bird_ids != reference:
-            raise BirdSetMismatch(
+            raise PipelineError(
                 f"prediction set {pset.source!r} covers different birds"
             )
         votes += ordered.labels
@@ -377,7 +367,7 @@ def folds_from_csv(text: str) -> FoldAssignment:
     distinct = set(assignment.values())
     k = max(distinct, default=-1) + 1
     if min(distinct, default=0) < 0 or len(distinct) != k:
-        raise OutOfRange(f"fold ids {sorted(distinct)} are not 0..{k - 1}")
+        raise PipelineError(f"fold ids {sorted(distinct)} are not 0..{k - 1}")
     return FoldAssignment(assignment=assignment, k=k)
 
 

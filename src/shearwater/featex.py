@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptySeries
+from .errors import PipelineError
 from .geokin import SERIES_NAMES, feature_series
 from .trajdata import Trajectory
 
@@ -46,10 +46,10 @@ MISSING = np.nan
 def quantile(values: np.ndarray, p: float) -> float:
     """Linear-interpolation quantile at fractional rank h = (n-1)p.
 
-    Raises EmptySeries on empty input.
+    A data error on empty input.
     """
     if values.size == 0:
-        raise EmptySeries("quantile of empty series")
+        raise PipelineError("quantile of empty series")
     return float(_quantiles(np.sort(values), np.array([p]))[0])
 
 
@@ -82,7 +82,7 @@ def velocity_thresholds(pooled: np.ndarray) -> np.ndarray:
     velocity sample: its mean, then its THRESHOLD_PROBS quantiles."""
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.size == 0:
-        raise EmptySeries("cannot compute thresholds from an empty pool")
+        raise PipelineError("cannot compute thresholds from an empty pool")
     s = np.sort(pooled)
     q = _quantiles(s, np.array(THRESHOLD_PROBS))
     return np.concatenate([[pooled.mean()], q])

@@ -7,14 +7,14 @@ point-aligned series and their deltas, as float64 arrays keyed by
 points for a difference) yield empty series rather than errors. Every
 series of a parsed track is finite: parsing range-checks each coordinate
 and sun angle, and a track whose elapsed_time steps are so small that a
-speed or acceleration passes :data:`KINEMATIC_LIMIT` is OutOfRange.
+speed or acceleration passes :data:`KINEMATIC_LIMIT` is a data error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import PipelineError
 from .trajdata import Trajectory
 
 # Mean Earth radius, meters (IUGG mean radius R1).
@@ -61,7 +61,7 @@ def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Speed is step distance over the elapsed gap. Acceleration element t is
     (v[t+1] - v[t]) / (elapsed[t+2] - elapsed[t+1]), the forward difference
-    of speed over the following gap. OutOfRange names the bird and the
+    of speed over the following gap. A data error names the bird and the
     series when one passes KINEMATIC_LIMIT.
     """
     if len(traj) < 2:
@@ -75,7 +75,7 @@ def _steps(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         acceleration = np.diff(velocity) / dt[1:]
     for name, values in (("velocity", velocity), ("acceleration", acceleration)):
         if not np.abs(values).max(initial=0.0) <= KINEMATIC_LIMIT:  # False for NaN
-            raise OutOfRange(
+            raise PipelineError(
                 f"{traj.bird_id}: {name} passes {KINEMATIC_LIMIT:g}; "
                 "its elapsed_time steps are too small"
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels
+from .errors import PipelineError
 
 
 @dataclass
@@ -68,13 +68,13 @@ def fit_pegasos(
 ) -> SvmModel:
     """Averaged Pegasos on standardized features.
 
-    ``y`` is 0/1 and mapped internally to -1/+1. Raises DegenerateLabels
-    when one class is absent.
+    ``y`` is 0/1 and mapped internally to -1/+1. A data error when one
+    class is absent.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if y.size == 0 or len(np.unique(y)) < 2:
-        raise DegenerateLabels("pegasos needs both classes present")
+        raise PipelineError("pegasos needs both classes present")
     if rng is None:
         rng = np.random.default_rng(0)
     y_signed = np.where(y == 1, 1.0, -1.0)

@@ -21,20 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    MalformedRow,
-    MissingLabel,
-    NonMonotonicTime,
-    OutOfRange,
-    PipelineError,
-    TooShort,
-    UnknownBirdInLabels,
-    csv_document,
-    csv_rows,
-    parse_int64,
-    read_bird_table,
-    reading,
-)
+from .errors import PipelineError, csv_document, csv_rows, parse_int64, read_bird_table, reading
 
 CSV_HEADER = (
     "longitude",
@@ -93,7 +80,7 @@ class Trajectory:
         so that messages name the line, else rows are counted from 0.
         """
         if len(self) < 2:
-            raise TooShort(f"{self.bird_id}: trajectory has {len(self)} rows, need >= 2")
+            raise PipelineError(f"{self.bird_id}: trajectory has {len(self)} rows, need >= 2")
         checks = (
             ("longitude", self.longitude >= -180, self.longitude <= 180),
             ("latitude", self.latitude >= -90, self.latitude <= 90),
@@ -108,10 +95,10 @@ class Trajectory:
             bad = ~(np.asarray(lo_ok) & np.asarray(hi_ok))
             if bad.any():
                 row = int(np.argmax(bad))
-                raise OutOfRange(f"{self.bird_id}: {_where(row, lines)}: {name} out of range")
+                raise PipelineError(f"{self.bird_id}: {_where(row, lines)}: {name} out of range")
         if not (np.diff(self.elapsed) > 0).all():
             row = int(np.argmax(~(np.diff(self.elapsed) > 0))) + 1
-            raise NonMonotonicTime(
+            raise PipelineError(
                 f"{self.bird_id}: {_where(row, lines)}: elapsed_time not strictly increasing"
             )
 
@@ -129,13 +116,13 @@ def parse_local_time(text: str) -> int:
     """
     parts = text.strip().split(":")
     if len(parts) != 3:
-        raise MalformedRow(f"bad local_time {text!r}")
+        raise PipelineError(f"bad local_time {text!r}")
     try:
         h, m, s = (int(p) for p in parts)
     except ValueError:
-        raise MalformedRow(f"bad local_time {text!r}") from None
+        raise PipelineError(f"bad local_time {text!r}") from None
     if not (0 <= h < 24 and 0 <= m < 60 and 0 <= s < 60):
-        raise MalformedRow(f"bad local_time {text!r}")
+        raise PipelineError(f"bad local_time {text!r}")
     return h * 3600 + m * 60 + s
 
 
@@ -143,7 +130,7 @@ def _float(text: str, column: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise MalformedRow(f"unparseable {column} {text!r}") from None
+        raise PipelineError(f"unparseable {column} {text!r}") from None
 
 
 def _local_times(cells: tuple[str, ...]) -> np.ndarray:
@@ -189,15 +176,15 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
     rows = csv_rows(csv_text)
     _, header = next(rows, (1, None))
     if header is None:
-        raise MalformedRow(f"{bird_id}: empty file")
+        raise PipelineError(f"{bird_id}: empty file")
     if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise MalformedRow(f"{bird_id}: bad header {header!r}")
+        raise PipelineError(f"{bird_id}: bad header {header!r}")
 
     records: list[tuple[int, list[str]]] = []
     problem = None
     try:
         records.extend(rows)
-    except MalformedRow as exc:  # the records before it are read
+    except PipelineError as exc:  # the records before it are read
         problem = exc
     lines, body = zip(*records) if records else ((), ())
     cells = list(zip(*body)) or [()] * len(CSV_HEADER)
@@ -209,7 +196,7 @@ def parse_trajectory(bird_id: str, csv_text: str) -> Trajectory:
                 try:
                     parse(cell)
                 except PipelineError as exc:
-                    raise type(exc)(f"{bird_id}: line {lineno}: {exc}") from None
+                    raise PipelineError(f"{bird_id}: line {lineno}: {exc}") from None
         raise
     if problem is not None:
         raise problem
@@ -231,7 +218,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """
     seconds = traj.local_time.tolist()
     if seconds and not (0 <= min(seconds) and max(seconds) < SECONDS_PER_DAY):
-        raise OutOfRange(f"{traj.bird_id}: local_time out of range")
+        raise PipelineError(f"{traj.bird_id}: local_time out of range")
     rows = zip(
         map(repr, traj.longitude.tolist()),
         map(repr, traj.latitude.tolist()),
@@ -260,8 +247,8 @@ class Corpus:
 
     Iteration order is always lexicographic in bird_id regardless of how
     the corpus was assembled. Labels, when given, cover exactly the birds
-    with a trajectory: MissingLabel names unlabeled birds first, then
-    UnknownBirdInLabels labels of birds with no trajectory.
+    with a trajectory: a data error names unlabeled birds first, then
+    labels of birds with no trajectory.
     """
 
     trajectories: dict[str, Trajectory]
@@ -272,10 +259,10 @@ class Corpus:
         if self.labels is not None:
             unlabeled = sorted(set(self.trajectories) - set(self.labels))
             if unlabeled:
-                raise MissingLabel(f"birds without labels: {unlabeled[:5]}")
+                raise PipelineError(f"birds without labels: {unlabeled[:5]}")
             unknown = sorted(set(self.labels) - set(self.trajectories))
             if unknown:
-                raise UnknownBirdInLabels(
+                raise PipelineError(
                     f"labels reference birds with no trajectory: {unknown[:5]}"
                 )
             self.labels = dict(sorted(self.labels.items()))
@@ -301,8 +288,9 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
     order is a pure function of the file names. A trajectory error names
     the file's path, so that it tells corpora with the same bird ids apart.
     A file name that is not UTF-8 is refused, since no output could hold
-    its bird id. Labels must cover exactly the birds with a trajectory; a
-    mismatch either way names the labels file.
+    its bird id, and so is a directory with no trajectory file. Labels must
+    cover exactly the birds with a trajectory; a mismatch either way names
+    the labels file.
     """
     trajectory_dir = Path(trajectory_dir)
     if not trajectory_dir.is_dir():
@@ -316,6 +304,8 @@ def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = Non
             raise PipelineError(f"{trajectory_dir}: file name {path.name!r} is not UTF-8") from None
         with reading(path, "trajectory file") as text:
             trajectories[path.stem] = parse_trajectory(path.stem, text)
+    if not trajectories:
+        raise PipelineError(f"{trajectory_dir}: no trajectory files (*.csv)")
     if labels_path is None:
         return Corpus(trajectories=trajectories)
     with reading(labels_path, "labels file") as text:

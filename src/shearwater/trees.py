@@ -67,7 +67,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import StaleArtifact
+from .errors import PipelineError
 
 # Upper bounds on one kernel call's samples and histogram slots (nodes x
 # columns x bins), so a call's memory does not grow with the batch.
@@ -156,12 +156,12 @@ class DecisionTree:
         """Decode trees; ValueError unless the arrays of each form one tree
         over ``n_features`` columns with no NaN threshold, so ``predict``
         ends and reads real columns. The trees are checked together, on their arrays laid end
-        to end, and StaleArtifact refuses the nested nodes of the format
+        to end, and a data error refuses the nested nodes of the format
         before node arrays."""
         if not docs:
             return []
         if any("root" in doc for doc in docs):
-            raise StaleArtifact("trees in the nested-node format of older versions; re-run train")
+            raise PipelineError("trees in the nested-node format of older versions; re-run train")
         lists = [[doc[key] for doc in docs] for key in cls.ARRAYS]
         if not all(type(a) is list for per_tree in lists for a in per_tree):
             raise ValueError("tree arrays must be lists")

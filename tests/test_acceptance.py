@@ -25,7 +25,7 @@ from shearwater.boost import (
     predict_scores,
 )
 from shearwater.cli import EXIT_OK, main
-from shearwater.errors import EmptySeries
+from shearwater.errors import PipelineError
 from shearwater.evalcv import f1_score, make_folds
 from shearwater.featex import SUMMARY_PROBS, quantile
 from shearwater.geokin import EARTH_RADIUS_M, haversine
@@ -90,7 +90,7 @@ def test_criterion_02_quantile_oracle():
             lo = math.floor(h)
             want = s[-1] if lo >= n - 1 else s[lo] + (h - lo) * (s[lo + 1] - s[lo])
             assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    with pytest.raises(EmptySeries):
+    with pytest.raises(PipelineError, match="^quantile of empty series$"):
         quantile(np.empty(0), 0.5)
     log("criterion 2: quantile matches sort-and-interpolate oracle on 500 series x 15 levels")
 

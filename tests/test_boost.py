@@ -15,7 +15,7 @@ from shearwater.boost import (
     predict_scores,
     sigmoid,
 )
-from shearwater.errors import DegenerateLabels, SchemaMismatch, SingleClass
+from shearwater.errors import PipelineError
 from tests.conftest import loss_curve
 
 
@@ -56,7 +56,7 @@ def test_f0_single_class_clamped():
 
 
 def test_empty_labels_raise():
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(PipelineError, match="^cannot fit on an empty label vector$"):
         fit_learner(
             LearnerKind.XGB_BINARY, np.empty((0, 1)), np.empty(0), small_params(),
             np.random.default_rng(0),
@@ -223,7 +223,7 @@ def test_pairwise_records_loss_history(rng):
 
 
 def test_pairwise_single_class_raises():
-    with pytest.raises(SingleClass):
+    with pytest.raises(PipelineError, match="^pairwise loss needs both classes$"):
         fit_learner(
             LearnerKind.XGB_RANK, np.zeros((3, 1)), np.ones(3), small_params(),
             np.random.default_rng(0),
@@ -316,9 +316,9 @@ def test_predict_scores_schema_mismatch(rng):
         LearnerKind.XGB_BINARY, X, y, small_params(n_rounds=2), np.random.default_rng(1),
         feature_names=["a", "b"],
     )
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(PipelineError, match="^xgb_binary: feature columns do not match"):
         predict_scores(model, X, columns=["a", "z"])
-    with pytest.raises(SchemaMismatch):
+    with pytest.raises(PipelineError, match="^xgb_binary: expected 2 features, got 5$"):
         predict_scores(model, np.zeros((3, 5)))
 
 

@@ -755,6 +755,12 @@ def _cut_tree_values(doc):
     _first_tree(doc)["value"].pop()
 
 
+def _set_f0(value):
+    def edit(doc):
+        doc["f0"] = value
+    return edit
+
+
 def _cut_svm_weights(doc):
     doc["svm"]["weights"] = doc["svm"]["weights"][:5]
 
@@ -795,10 +801,12 @@ def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
         ("together_svc_s11.json", _set_threshold(float("nan"))),
         ("together_svc_s11.json", _set_threshold(float("inf"))),
         ("together_sk_rf_s11.json", _set_threshold(float("-inf"))),
+        ("together_svc_s11.json", _set_threshold(True)),  # predicted at tau = 1.0
+        ("together_svc_s11.json", _set_f0(False)),  # read as 0.0
     ],
     ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees",
          "child-cycle", "child-out-of-range", "unequal-arrays", "nan-split-threshold",
-         "nan-threshold", "inf-threshold", "minus-inf-threshold"],
+         "nan-threshold", "inf-threshold", "minus-inf-threshold", "bool-threshold", "bool-f0"],
 )
 def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     tmp_path, capsys, model_name, edit
@@ -1137,21 +1145,46 @@ def test_a_path_that_cannot_be_read_or_written_is_named(finished_run, tmp_path, 
     assert not (any(path.iterdir()) if path.is_dir() else path.read_text(encoding="utf-8"))
 
 
-def test_a_test_dir_that_names_a_file_is_refused_before_any_write(finished_run, tmp_path,
-                                                                   capsys):
-    # a file is not "no test corpus": no test matrix is removed
+def _extract_is_refused_before_any_write(finished_run, tmp_path, capsys, paths, named, message):
+    """``extract`` with each of ``paths`` set to a name in ``tmp_path``
+    (``empty`` a directory of no trajectory file, ``no_birds.csv`` a labels
+    file of no bird) exits 2 with ``message`` naming ``named``, and leaves
+    every matrix as it was."""
     cfg = _copy_run(finished_run, tmp_path)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("no track here\n", encoding="utf-8")
+    (tmp_path / "no_birds.csv").write_text("bird_id,label\n", encoding="utf-8")
     doc = json.loads(cfg.read_text(encoding="utf-8"))
-    doc["paths"]["test_dir"] = str(tmp_path / "test_labels.csv")
+    doc["paths"].update({key: str(tmp_path / name) for key, name in paths.items()})
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     features = tmp_path / "out" / "features"
     for path in features.iterdir():
         path.write_text("stale\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
-    assert f"{tmp_path / 'test_labels.csv'}: not a directory" in capsys.readouterr().err
+    assert f"{tmp_path / named}: {message}" in capsys.readouterr().err
     assert len(list(features.iterdir())) == 8
     assert {path.read_text(encoding="utf-8") for path in features.iterdir()} == {"stale\n"}
+
+
+def test_a_test_dir_that_names_a_file_is_refused_before_any_write(finished_run, tmp_path,
+                                                                   capsys):
+    # a file is not "no test corpus": no test matrix is removed
+    _extract_is_refused_before_any_write(finished_run, tmp_path, capsys,
+                                         {"test_dir": "test_labels.csv"}, "test_labels.csv",
+                                         "not a directory")
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [{"test_dir": "empty"}, {"train_dir": "empty", "train_labels": "no_birds.csv"}],
+    ids=["test", "train"],
+)
+def test_a_corpus_dir_with_no_trajectory_file_is_refused_before_any_write(finished_run, tmp_path,
+                                                                          capsys, paths):
+    # it exited 3 with a traceback, reshaping a matrix of no birds
+    _extract_is_refused_before_any_write(finished_run, tmp_path, capsys, paths, "empty",
+                                         "no trajectory files (*.csv)")
 
 
 def test_a_stale_test_matrix_that_cannot_be_removed_is_refused_before_any_write(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearwater import geokin
-from shearwater.errors import EmptySeries
+from shearwater.errors import PipelineError
 from shearwater.featex import (
     EXCEEDANCE,
     SUMMARY_PROBS,
@@ -49,7 +49,7 @@ def test_quantile_interpolated():
 
 
 def test_quantile_empty_raises():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(PipelineError, match="^quantile of empty series$"):
         quantile(np.empty(0), 0.5)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shearwater.errors import DegenerateLabels
+from shearwater.errors import PipelineError
 from shearwater.linsvm import SvmModel, fit_pegasos, standardize_stats
 
 
@@ -29,7 +29,7 @@ def test_separable_blobs_perfect_training_accuracy(rng):
 
 
 def test_single_class_raises():
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(PipelineError, match="^pegasos needs both classes present$"):
         fit_pegasos(np.zeros((4, 2)), np.ones(4), rng=np.random.default_rng(0))
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearwater.datasets import FeatureMatrix
-from shearwater.errors import MalformedRow, PipelineError, csv_rows, decode_text
+from shearwater.errors import PipelineError, csv_rows, decode_text
 from shearwater.evalcv import PredictionSet, folds_from_csv
 from shearwater.trajdata import CSV_HEADER, parse_labels, parse_trajectory
 
@@ -121,7 +121,7 @@ def test_a_row_of_another_width_names_its_line_in_every_table(table, n, blanks, 
     spaced = _with_blank_lines(lines, blanks)
     line = spaced.index(lines[row]) + 1
     got = width + 1 if extra else width - 1
-    with pytest.raises(MalformedRow, match=f"^line {line}: expected {width} fields, got {got}$"):
+    with pytest.raises(PipelineError, match=f"^line {line}: expected {width} fields, got {got}$"):
         parse(end.join(spaced) + end)
 
 
@@ -153,7 +153,7 @@ def test_rows_split_lines_as_stringio_does(text):
     try:
         for row in csv_rows(text):
             out.append(row)
-    except MalformedRow as exc:
+    except PipelineError as exc:
         out.append(str(exc))
     assert out == _rows_through_stringio(text)
 
@@ -170,7 +170,7 @@ def test_decoder_reads_bytes_as_read_text_does(data):
         data.decode()
     except UnicodeDecodeError as exc:
         line = read_text(data[: exc.start]).count("\n") + 1
-        with pytest.raises(MalformedRow, match=f"^line {line}: "):
+        with pytest.raises(PipelineError, match=f"^line {line}: byte 0x.. is not UTF-8 text$"):
             decode_text(data)
     else:
         assert decode_text(data) == read_text(data)
