@@ -27,7 +27,7 @@ checks every tree against the schema's width (ValueError otherwise).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -105,13 +105,24 @@ class GbdtParams:
     svm_reg: float = 1e-2
     svm_epochs: int = 30
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GbdtParams":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise KeyError(f"unknown hyperparameters: {unknown}")
-        return cls(**doc)
+    def validate(self) -> None:
+        """ValueError naming the first field outside its domain (NaN is in none)."""
+        for name, domain, ok in (
+            ("n_rounds", ">= 1", self.n_rounds >= 1),
+            ("learning_rate", "> 0", self.learning_rate > 0),
+            ("max_depth", ">= 1", self.max_depth >= 1),
+            ("reg_lambda", ">= 0", self.reg_lambda >= 0),
+            ("min_child_weight", ">= 0", self.min_child_weight >= 0),
+            ("subsample", "in (0, 1]", 0 < self.subsample <= 1),
+            ("colsample", "in (0, 1]", 0 < self.colsample <= 1),
+            ("n_trees", ">= 1", self.n_trees >= 1),
+            ("pair_cap_factor", ">= 1", self.pair_cap_factor >= 1),
+            ("max_bin_edges", ">= 1", self.max_bin_edges >= 1),
+            ("svm_reg", "> 0", self.svm_reg > 0),
+            ("svm_epochs", ">= 1", self.svm_epochs >= 1),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {domain}, got {getattr(self, name)!r}")
 
     def tree_params(self) -> TreeParams:
         return TreeParams(
@@ -162,21 +173,15 @@ class TrainedModel:
             raise ValueError(f"threshold {doc['threshold']} is not finite")
         width = len(doc["feature_names"])
         trees = DecisionTree.from_dicts(doc["trees"], width) if "trees" in doc else None
-        model = cls(
+        return cls(
             kind=LearnerKind(doc["kind"]),
-            params=GbdtParams.from_dict(doc["params"]),
+            params=GbdtParams(**doc["params"]),
             feature_names=list(doc["feature_names"]),
             f0=doc["f0"],
             threshold=doc["threshold"],
             trees=trees,
-            svm=SvmModel.from_dict(doc["svm"]) if "svm" in doc else None,
+            svm=SvmModel.from_dict(doc["svm"], width) if "svm" in doc else None,
         )
-        if model.svm is not None:
-            for name in ("weights", "mean", "std"):
-                shape = getattr(model.svm, name).shape
-                if shape != (width,):
-                    raise ValueError(f"svm {name} has shape {shape}, schema has {width} features")
-        return model
 
 
 def sigmoid(x):
@@ -325,11 +330,8 @@ def _forest(kind, data, bins, y, params: GbdtParams, rng) -> list[DecisionTree]:
     left-to-right) order.
     """
     n, d = data.shape
-    tree_params = TreeParams(
-        max_depth=params.max_depth,
-        min_child_weight=params.min_child_weight,
-        reg_lambda=0.0,
-        features_per_node=max(1, int(np.ceil(np.sqrt(d)))),
+    tree_params = replace(
+        params.tree_params(), reg_lambda=0.0, features_per_node=max(1, int(np.ceil(np.sqrt(d))))
     )
     if kind is LearnerKind.SK_ET:
         rows = [np.arange(n)] * params.n_trees

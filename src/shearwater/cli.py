@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -75,12 +76,34 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_numbers(values: dict, types: dict, prefix: str) -> None:
     """UsageError naming the first field whose value does not fit its type:
-    an int field takes an int, a float field an int or a float; never a bool."""
+    an int field takes an int, a float field an int or a float whose
+    ``float()`` is finite; never a bool."""
     for name, value in values.items():
-        allowed = (int,) if types[name] is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            expected = "an integer" if types[name] is int else "a number"
-            raise UsageError(f"{prefix}{name}: expected {expected}, got {value!r}")
+        is_int = types[name] is int
+        allowed = (int,) if is_int else (int, float)  # by type(), so never a bool
+        try:
+            fits = type(value) in allowed and (is_int or math.isfinite(value))
+        except OverflowError:  # an int too large for a float
+            fits = False
+        if not fits:
+            expected = "an integer" if is_int else "a finite number"
+            raise UsageError(f"bad config: {prefix}{name}: expected {expected}, got {value!r}")
+
+
+def _read_block(cls: type, doc: dict, prefix: str):
+    """A validated ``cls`` built from ``doc``; UsageError naming, after ``prefix``,
+    the first field that ``cls`` lacks or that fails its type or ``cls.validate``."""
+    types = get_type_hints(cls)
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise UsageError(f"bad config: {prefix}{unknown[0]} is not a parameter")
+    _check_numbers(doc, types, prefix)
+    params = cls(**doc)
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise UsageError(f"bad config: {prefix}{exc}") from None
+    return params
 
 
 _REQUIRED = object()
@@ -113,37 +136,22 @@ def _choices(doc: dict, key: str, enum: type, default: list) -> list:
     return chosen
 
 
-# the values each hyperparameter may take
-PARAM_DOMAINS = {
-    **dict.fromkeys(
-        ("n_rounds", "n_trees", "max_depth", "max_bin_edges", "pair_cap_factor", "svm_epochs"),
-        (">= 1", lambda v: v >= 1),
-    ),
-    **dict.fromkeys(("learning_rate", "svm_reg"), ("> 0", lambda v: v > 0)),
-    **dict.fromkeys(("subsample", "colsample"), ("in (0, 1]", lambda v: 0 < v <= 1)),
-    **dict.fromkeys(("reg_lambda", "min_child_weight"), (">= 0", lambda v: v >= 0)),
-}
-
-
 @dataclass
 class RunConfig:
+    """A config file's settings; :meth:`from_file` holds their defaults."""
+
     train_dir: Path
     train_labels: Path
     out_dir: Path
+    modes: list[DatasetMode]
+    learners: list[LearnerKind]
+    params: dict  # the "default" block and one block per learner
+    n_seeds: int
+    base_seed: int
+    k_folds: int
+    synth: dict
     test_dir: Path | None = None
     test_labels: Path | None = None
-    modes: list[DatasetMode] = field(
-        default_factory=lambda: [DatasetMode.TOGETHER, DatasetMode.SPLIT]
-    )
-    learners: list[LearnerKind] = field(
-        default_factory=lambda: [LearnerKind(k) for k in ALL_LEARNERS]
-    )
-    default_params: dict = field(default_factory=dict)
-    learner_params: dict = field(default_factory=dict)
-    n_seeds: int = 10
-    base_seed: int = 2018
-    k_folds: int = 5
-    synth: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -152,7 +160,7 @@ class RunConfig:
                 doc = json.loads(text)
         except PipelineError as exc:  # it names the path
             raise UsageError(f"config {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
             raise UsageError(f"config is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise UsageError(f"bad config: expected an object, got {doc!r}")
@@ -168,8 +176,7 @@ class RunConfig:
             },
             modes=_choices(doc, "modes", DatasetMode, ["together", "split"]),
             learners=_choices(doc, "learners", LearnerKind, ALL_LEARNERS),
-            default_params=params.get("default", {}),
-            learner_params={k: v for k, v in params.items() if k != "default"},
+            params=params,
             n_seeds=doc.get("n_seeds", 10),
             base_seed=doc.get("base_seed", 2018),
             k_folds=doc.get("k_folds", 5),
@@ -185,7 +192,7 @@ class RunConfig:
             raise UsageError("base_seed must be >= 0")
         if not cfg.learners or not cfg.modes:
             raise UsageError("config enables no settings")
-        unknown = set(cfg.learner_params) - set(ALL_LEARNERS)
+        unknown = set(cfg.params) - {"default", *ALL_LEARNERS}
         if unknown:
             raise UsageError(f"params for unknown learners: {sorted(unknown)}")
         for kind in cfg.learners:  # surface hyperparameter typos up front
@@ -193,20 +200,8 @@ class RunConfig:
         return cfg
 
     def params_for(self, kind: LearnerKind) -> GbdtParams:
-        merged = dict(self.default_params)
-        merged.update(self.learner_params.get(kind.value, {}))
-        types = get_type_hints(GbdtParams)
-        known = {name: value for name, value in merged.items() if name in types}
-        _check_numbers(known, types, f"params.{kind.value}.")
-        try:
-            params = GbdtParams.from_dict(merged)
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"bad hyperparameters for {kind.value}: {exc}") from None
-        for name, (domain, ok) in PARAM_DOMAINS.items():
-            value = getattr(params, name)
-            if not ok(value):  # each test is False for NaN
-                raise UsageError(f"params.{kind.value}.{name} must be {domain}, got {value!r}")
-        return params
+        merged = {**self.params.get("default", {}), **self.params.get(kind.value, {})}
+        return _read_block(GbdtParams, merged, f"params.{kind.value}.")
 
     def settings(self) -> list[ModelSetting]:
         return [
@@ -223,19 +218,8 @@ class RunConfig:
         return [(s, seed) for s in self.settings() for seed in self.seeds()]
 
     def synth_params(self, seed: int | None = None) -> SynthParams:
-        types = get_type_hints(SynthParams)
-        unknown = sorted(set(self.synth) - set(types))
-        if unknown:
-            raise UsageError(f"unknown synth parameters: {unknown}")
-        _check_numbers(self.synth, types, "synth.")
-        params = SynthParams(**self.synth)
-        if seed is not None:
-            params = replace(params, seed=seed)
-        try:
-            params.validate()
-        except ValueError as exc:
-            raise UsageError(f"bad config: synth.{exc}") from None
-        return params
+        flag = {} if seed is None else {"seed": seed}
+        return _read_block(SynthParams, {**self.synth, **flag}, "synth.")
 
     # fixed output locations under out_dir
     def features_path(self, role: str, mode: DatasetMode) -> Path:

@@ -41,13 +41,17 @@ class SvmModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SvmModel":
-        return cls(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            std=np.asarray(doc["std"], dtype=np.float64),
-        )
+    def from_dict(cls, doc: dict, n_features: int) -> "SvmModel":
+        """Decode a model; ValueError unless bias is a float and weights, mean
+        and std are lists of ``n_features`` floats, NaN included (json reads
+        ``true`` as a bool and ``7`` as an int)."""
+        if not isinstance(doc["bias"], float):
+            raise ValueError(f"svm bias {doc['bias']!r} is not a float")
+        arrays = {name: doc[name] for name in ("weights", "mean", "std")}
+        for name, values in arrays.items():
+            if type(values) is not list or [type(v) for v in values] != [float] * n_features:
+                raise ValueError(f"svm {name} is not a list of {n_features} floats")
+        return cls(bias=doc["bias"], **{name: np.array(v) for name, v in arrays.items()})
 
 
 def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import concurrent.futures
 import json
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind
-from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PARAM_DOMAINS, RunConfig, main
+from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
 def write_config(tmp_path, **overrides):
@@ -82,6 +82,15 @@ def test_bad_json_is_usage_error(tmp_path):
     assert main(["folds", "--config", str(path)]) == EXIT_USAGE
 
 
+def test_an_integer_json_cannot_read_is_usage_error(tmp_path, capsys):
+    # json refuses an int of over 4300 digits with a ValueError, which exited 3
+    cfg = write_config(tmp_path)
+    doc = cfg.read_text()
+    cfg.write_text(doc.replace('"n_seeds": 1', '"n_seeds": 1' + "0" * 5000))
+    assert main(["folds", "--config", str(cfg)]) == EXIT_USAGE
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
 def test_unknown_learner_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, learners=["xgb_binary", "mystery_forest"])
     assert main(["cv", "--config", str(cfg)]) == EXIT_USAGE
@@ -120,6 +129,15 @@ def test_evaluate_perfect_predictions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy=1.000000" in out
     assert "f1=1.000000" in out
+
+
+def test_evaluate_names_a_predicted_bird_the_truth_file_lacks(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    truth = tmp_path / "truth.csv"
+    preds.write_text("bird_id,label\nb0,1\nb1,0\n")
+    truth.write_text("bird_id,label\nb0,1\n")
+    assert main(["evaluate", "--predictions", str(preds), "--truth", str(truth)]) == EXIT_DATA
+    assert "truth file lacks birds: ['b1']" in capsys.readouterr().err
 
 
 def test_evaluate_names_the_physical_line(tmp_path, capsys):
@@ -347,6 +365,26 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ),
         ("cv", {}, ["--jobs", "0"], "--jobs"),  # ran serially
         ("train", {}, ["--jobs", "-1"], "--jobs"),
+        # json reads 1e400 as inf: infinite regularization trained single-leaf trees with exit 0,
+        # an infinite learning rate was "non-finite score" (exit 2), and 10**400 exit 3
+        ("cv", {"params": {"svc": {"min_child_weight": float("inf")}}}, [],
+         "params.svc.min_child_weight"),
+        ("cv", {"params": {"default": {"reg_lambda": float("inf")}}}, [], "params.svc.reg_lambda"),
+        ("cv", {"params": {"svc": {"learning_rate": float("inf")}}}, [],
+         "params.svc.learning_rate"),
+        ("cv", {"params": {"svc": {"learning_rate": 10**400}}}, [], "params.svc.learning_rate"),
+        ("cv", {"params": {"svc": {"nrounds": 3}}}, [], "params.svc.nrounds is not a parameter"),
+        ("synth", {"synth": {**SYNTH, "n_bird": 3}}, [], "synth.n_bird is not a parameter"),
+        ("synth", {"synth": {**SYNTH, "male_speed": float("inf")}}, [], "synth.male_speed"),
+        ("synth", {"synth": {**SYNTH, "cadence_s": float("inf")}}, [], "synth.cadence_s"),
+        ("synth", {"synth": {**SYNTH, "speed_sigma": 10**400}}, [], "synth.speed_sigma"),
+        ("folds", {"n_seeds": 0}, [], "n_seeds must be >= 1"),
+        ("folds", {"base_seed": -1}, [], "base_seed must be >= 0"),
+        ("folds", {"learners": []}, [], "config enables no settings"),
+        ("folds", {"paths": {"train_dir": "train", "out_dir": "out"}}, [],
+         "paths.train_labels is missing"),
+        ("synth", {"paths": {"train_dir": "train", "train_labels": "l.csv", "out_dir": "out"}},
+         ["--role", "test"], "paths.test_dir"),
     ],
 )
 def test_bad_run_setting_is_usage_error(
@@ -401,7 +439,10 @@ def test_non_finite_learner_score_names_the_setting_and_fold(tmp_path, capsys):
 
 
 def test_every_hyperparameter_has_a_domain():
-    assert set(PARAM_DOMAINS) == {f.name for f in fields(GbdtParams)}
+    GbdtParams().validate()
+    for name in (f.name for f in fields(GbdtParams)):  # -1 is outside every domain
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            replace(GbdtParams(), **{name: -1}).validate()
 
 
 def test_predict_refuses_non_finite_scores(tmp_path, capsys):
@@ -769,6 +810,18 @@ def _drop_trees(doc):
     del doc["trees"]
 
 
+def _set_tree_array(key, value):
+    def edit(doc):
+        doc["trees"][0][key] = value
+    return edit
+
+
+def _set_svm(key, value):
+    def edit(doc):  # each was read as a number
+        doc["svm"][key] = value(doc["svm"][key]) if callable(value) else value
+    return edit
+
+
 def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
     # models written before trees were node arrays held nested nodes
     _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
@@ -788,28 +841,35 @@ def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "model_name, edit",
+    "model_name, edit, named",
     [
-        ("together_sk_rf_s11.json", _set_tree_feature(100000)),
-        ("together_sk_rf_s11.json", _set_tree_feature(-1)),
-        ("together_svc_s11.json", _cut_svm_weights),
-        ("together_sk_rf_s11.json", _drop_trees),
-        ("together_sk_rf_s11.json", _point_child_back),
-        ("together_sk_rf_s11.json", _point_child_past_the_end),
-        ("together_sk_rf_s11.json", _cut_tree_values),
-        ("together_sk_rf_s11.json", _nan_tree_threshold),
-        ("together_svc_s11.json", _set_threshold(float("nan"))),
-        ("together_svc_s11.json", _set_threshold(float("inf"))),
-        ("together_sk_rf_s11.json", _set_threshold(float("-inf"))),
-        ("together_svc_s11.json", _set_threshold(True)),  # predicted at tau = 1.0
-        ("together_svc_s11.json", _set_f0(False)),  # read as 0.0
+        ("together_sk_rf_s11.json", _set_tree_feature(100000), "split feature outside"),
+        ("together_sk_rf_s11.json", _set_tree_feature(-1), "split feature outside"),
+        ("together_svc_s11.json", _cut_svm_weights, "svm weights is not a list of"),
+        ("together_sk_rf_s11.json", _drop_trees, "either trees or an svm"),
+        ("together_sk_rf_s11.json", _point_child_back, "child must come after it"),
+        ("together_sk_rf_s11.json", _point_child_past_the_end, "tree children out of range"),
+        ("together_sk_rf_s11.json", _cut_tree_values, "not one size per tree"),
+        ("together_sk_rf_s11.json", _nan_tree_threshold, "a tree threshold is NaN"),
+        ("together_sk_rf_s11.json", _set_tree_array("feature", 0), "tree arrays must be lists"),
+        ("together_svc_s11.json", _set_threshold(float("nan")), "threshold nan is not finite"),
+        ("together_svc_s11.json", _set_threshold(float("inf")), "threshold inf is not finite"),
+        ("together_sk_rf_s11.json", _set_threshold(float("-inf")), "threshold -inf is not finite"),
+        # predicted at tau = 1.0
+        ("together_svc_s11.json", _set_threshold(True), "threshold True is not a float"),
+        ("together_svc_s11.json", _set_f0(False), "f0 False is not a float"),  # read as 0.0
+        ("together_svc_s11.json", _set_svm("bias", True), "svm bias True is not a float"),
+        ("together_svc_s11.json", _set_svm("bias", "7"), "svm bias '7' is not a float"),
+        ("together_svc_s11.json", _set_svm("weights", lambda w: [True] * len(w)),
+         "svm weights is not a list of"),
     ],
     ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees",
          "child-cycle", "child-out-of-range", "unequal-arrays", "nan-split-threshold",
-         "nan-threshold", "inf-threshold", "minus-inf-threshold", "bool-threshold", "bool-f0"],
+         "feature-not-a-list", "nan-threshold", "inf-threshold", "minus-inf-threshold",
+         "bool-threshold", "bool-f0", "bool-svm-bias", "string-svm-bias", "bool-svm-weights"],
 )
 def test_predict_refuses_a_model_that_does_not_fit_its_schema(
-    tmp_path, capsys, model_name, edit
+    tmp_path, capsys, model_name, edit, named
 ):
     _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
                learners=["sk_rf", "svc"])
@@ -819,7 +879,9 @@ def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     model.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
-    assert model_name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{model_name}: not a model file" in err
+    assert named in err
 
 
 @pytest.mark.parametrize("step, series", [(1e-300, "velocity"), (1e-100, "acceleration")])

@@ -90,5 +90,5 @@ def test_hard_labels_invariant_to_affine_column_rescaling(rng):
 def test_svm_model_json_round_trip(rng):
     X, y = blobs(rng, n_per=10)
     model = fit_pegasos(X, y, reg_lambda=1e-2, epochs=5, rng=np.random.default_rng(3))
-    again = SvmModel.from_dict(model.to_dict())
+    again = SvmModel.from_dict(model.to_dict(), X.shape[1])
     np.testing.assert_array_equal(model.score(X), again.score(X))
