@@ -74,31 +74,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_numbers(values: dict, types: dict, prefix: str) -> None:
-    """UsageError naming the first field whose value does not fit its type:
-    an int field takes an int, a float field an int or a float whose
-    ``float()`` is finite; never a bool."""
-    for name, value in values.items():
-        is_int = types[name] is int
-        allowed = (int,) if is_int else (int, float)  # by type(), so never a bool
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value fits a field of type ``kind``: an int field takes
+    an int in int64's range, a float field an int or a float whose ``float()``
+    is finite (by type(), so never a bool), and a str field no NUL byte, which
+    no file system takes in a path."""
+    if kind is int:
+        return type(value) is int and -(2**63) <= value < 2**63
+    if kind is float:
         try:
-            fits = type(value) in allowed and (is_int or math.isfinite(value))
+            return type(value) in (int, float) and math.isfinite(value)
         except OverflowError:  # an int too large for a float
-            fits = False
-        if not fits:
-            expected = "an integer" if is_int else "a finite number"
+            return False
+    return isinstance(value, kind) and not (kind is str and "\0" in value)
+
+
+_EXPECTED = {int: "a 64-bit integer", float: "a finite number", str: "a string with no NUL byte",
+             dict: "an object", list: "a list"}
+
+
+def _read_fields(doc, types: dict, prefix: str, required=()) -> dict:
+    """``doc``, a config object whose fields are named and typed by ``types``;
+    UsageError naming, after ``prefix``, the first misfit: ``doc`` is not an
+    object, holds a name ``types`` lacks, lacks a ``required`` name, or holds
+    a value that does not fit its type."""
+    if not isinstance(doc, dict):
+        where = f"{prefix[:-1]}: " if prefix else ""
+        raise UsageError(f"bad config: {where}expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise UsageError(f"bad config: {prefix}{unknown[0]} is not a parameter")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise UsageError(f"bad config: {prefix}{missing[0]} is missing")
+    for name, value in doc.items():
+        if not _fits(value, types[name]):
+            expected = _EXPECTED[types[name]]
             raise UsageError(f"bad config: {prefix}{name}: expected {expected}, got {value!r}")
+    return doc
 
 
 def _read_block(cls: type, doc: dict, prefix: str):
     """A validated ``cls`` built from ``doc``; UsageError naming, after ``prefix``,
     the first field that ``cls`` lacks or that fails its type or ``cls.validate``."""
-    types = get_type_hints(cls)
-    unknown = sorted(set(doc) - set(types))
-    if unknown:
-        raise UsageError(f"bad config: {prefix}{unknown[0]} is not a parameter")
-    _check_numbers(doc, types, prefix)
-    params = cls(**doc)
+    params = cls(**_read_fields(doc, get_type_hints(cls), prefix))
     try:
         params.validate()
     except ValueError as exc:
@@ -106,34 +125,21 @@ def _read_block(cls: type, doc: dict, prefix: str):
     return params
 
 
-_REQUIRED = object()
-
-
-def _member(doc: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""):
-    """``doc[key]``, or ``default`` when absent; UsageError naming the field
-    when it is missing and required, or not a ``kind``."""
-    value = doc.get(key, default)
-    if value is _REQUIRED:
-        raise UsageError(f"bad config: {prefix}{key} is missing")
-    if not isinstance(value, kind):
-        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise UsageError(f"bad config: {prefix}{key}: expected {expected}, got {value!r}")
-    if kind is str and "\0" in value:  # no file system takes it in a path
-        raise UsageError(f"bad config: {prefix}{key}: {value!r} holds a NUL byte")
-    return value
-
-
 def _choices(doc: dict, key: str, enum: type, default: list) -> list:
     """The ``enum`` members a list field names, each once."""
-    names = _member(doc, key, list, default)
     try:
-        chosen = [enum(name) for name in names]
+        chosen = [enum(name) for name in doc.get(key, default)]
     except ValueError as exc:
         raise UsageError(f"bad config: {key}: {exc}") from None
     repeated = sorted({m.value for m in chosen if chosen.count(m) > 1})
     if repeated:
         raise UsageError(f"bad config: {key} lists {repeated} more than once")
     return chosen
+
+
+_TOP_LEVEL = {"paths": dict, "modes": list, "learners": list, "params": dict,
+              "n_seeds": int, "base_seed": int, "k_folds": int, "synth": dict}
+_PATHS = ["train_dir", "train_labels", "out_dir", "test_dir", "test_labels"]
 
 
 @dataclass
@@ -162,41 +168,32 @@ class RunConfig:
             raise UsageError(f"config {exc}") from None
         except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
             raise UsageError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise UsageError(f"bad config: expected an object, got {doc!r}")
-        paths = _member(doc, "paths", dict)
-        params = _member(doc, "params", dict, {})
-        for name in params:
-            _member(params, name, dict, prefix="params.")
-        located = [name for name in ("test_dir", "test_labels") if name in paths]
+        _read_fields(doc, _TOP_LEVEL, "", required=["paths"])
+        paths = _read_fields(doc["paths"], dict.fromkeys(_PATHS, str), "paths.", _PATHS[:3])
+        params = doc.get("params", {})
+        _read_fields(params, dict.fromkeys(["default", *ALL_LEARNERS], dict), "params.")
         cfg = cls(
-            **{
-                name: Path(_member(paths, name, str, prefix="paths."))
-                for name in ["train_dir", "train_labels", "out_dir", *located]
-            },
+            **{name: Path(value) for name, value in paths.items()},
             modes=_choices(doc, "modes", DatasetMode, ["together", "split"]),
             learners=_choices(doc, "learners", LearnerKind, ALL_LEARNERS),
             params=params,
             n_seeds=doc.get("n_seeds", 10),
             base_seed=doc.get("base_seed", 2018),
             k_folds=doc.get("k_folds", 5),
-            synth=_member(doc, "synth", dict, {}),
+            synth=doc.get("synth", {}),
         )
-        counts = {"n_seeds": cfg.n_seeds, "base_seed": cfg.base_seed, "k_folds": cfg.k_folds}
-        _check_numbers(counts, dict.fromkeys(counts, int), "")
-        if cfg.n_seeds < 1:
-            raise UsageError("n_seeds must be >= 1")
-        if cfg.k_folds < 2:
-            raise UsageError("k_folds must be >= 2")
-        if cfg.base_seed < 0:
-            raise UsageError("base_seed must be >= 0")
+        for name, domain, ok in (
+            ("n_seeds", ">= 1", cfg.n_seeds >= 1),
+            ("k_folds", ">= 2", cfg.k_folds >= 2),
+            ("base_seed", ">= 0", cfg.base_seed >= 0),
+        ):
+            if not ok:
+                raise UsageError(f"bad config: {name} must be {domain}, got {getattr(cfg, name)!r}")
         if not cfg.learners or not cfg.modes:
             raise UsageError("config enables no settings")
-        unknown = set(cfg.params) - {"default", *ALL_LEARNERS}
-        if unknown:
-            raise UsageError(f"params for unknown learners: {sorted(unknown)}")
-        for kind in cfg.learners:  # surface hyperparameter typos up front
-            cfg.params_for(kind)
+        for kind in LearnerKind:  # every block present, enabled or not, in a fixed order
+            if kind in cfg.learners or kind.value in params:
+                cfg.params_for(kind)
         return cfg
 
     def params_for(self, kind: LearnerKind) -> GbdtParams:

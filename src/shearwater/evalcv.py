@@ -164,7 +164,6 @@ def require_finite_scores(scores, bird_ids: list[str], where: str) -> None:
 
 @dataclass
 class CvResult:
-    setting_name: str
     fold_f1: list[float]
     mean_f1: float
     oof_scores: np.ndarray
@@ -267,7 +266,6 @@ def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 
     labels = hard_labels(oof, tau)
     fold_f1 = [float(f1_score(labels[fold_of == j], y[fold_of == j])) for j in range(prepared.k)]
     return CvResult(
-        setting_name=setting.name,
         fold_f1=fold_f1,
         mean_f1=float(np.mean(fold_f1)),
         oof_scores=oof,

@@ -385,6 +385,18 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
          "paths.train_labels is missing"),
         ("synth", {"paths": {"train_dir": "train", "train_labels": "l.csv", "out_dir": "out"}},
          ["--role", "test"], "paths.test_dir"),
+        # numpy's draws take an int64: trip_length_max exited 3, n_birds ran until killed
+        ("synth", {"synth": {**SYNTH, "trip_length_max": 10**22}}, [], "synth.trip_length_max"),
+        ("synth", {"synth": {**SYNTH, "n_birds": 10**22}}, [], "synth.n_birds"),
+        # a misspelt field ran with the default: folds wrote k=5 for k_fold 3
+        ("folds", {"k_fold": 3}, [], "bad config: k_fold is not a parameter"),
+        ("synth", {"n_seed": 1}, [], "bad config: n_seed is not a parameter"),
+        ("synth", {"paths": {"train_dir": "train", "train_labels": "l.csv", "out_dir": "out",
+                             "test_labls": "x.csv"}}, [], "paths.test_labls is not a parameter"),
+        # a block of a learner the config does not enable was not read
+        ("folds", {"params": {"cat": {"n_round": 3}}}, [], "params.cat.n_round is not a parameter"),
+        ("folds", {"params": {"cat": {"learning_rate": -1}}}, [],
+         "params.cat.learning_rate must be > 0"),
     ],
 )
 def test_bad_run_setting_is_usage_error(
