@@ -30,11 +30,11 @@ from .boost import GbdtParams, LearnerKind, TrainedModel, predict_scores
 from .datasets import (
     DatasetMode,
     FeatureMatrix,
-    build_dataset,
+    build_datasets,
     impute,
     write_manifest,
 )
-from .errors import PipelineError, naming, reading
+from .errors import PipelineError, reading
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -55,7 +55,14 @@ from .evalcv import (
 )
 from .featex import THRESHOLD_NAMES
 from .synthgen import SynthParams, generate_corpus
-from .trajdata import atomic_write_text, load_corpus, parse_labels, remove_file, save_corpus
+from .trajdata import (
+    CorpusReader,
+    atomic_write_text,
+    load_labels,
+    parse_labels,
+    remove_file,
+    save_corpus,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,23 +315,26 @@ def _thresholds_json(thresholds: dict) -> str:
 
 
 def cmd_extract(cfg: RunConfig) -> None:
-    """Build every mode's matrices from one corpus at a time: the training
-    corpus is dropped before the test corpus loads. Nothing is written until
-    both have parsed and built, and each matrix is written line by line as
-    it is formatted, so its whole text is never held. Without a test corpus,
-    an earlier run's test matrices are removed first, so ``predict`` cannot
-    score them."""
-    corpus = load_corpus(cfg.train_dir, cfg.train_labels)
-    with naming(cfg.train_dir):
-        train = {mode: build_dataset(corpus, mode) for mode in cfg.modes}
-    del corpus  # before the test corpus loads, not after
+    """Build every mode's matrices from one trajectory at a time: each
+    corpus's reader parses a file only when the builder reaches it, and the
+    builder keeps the rows and, of the training corpus, each subset's speeds
+    for the pooled thresholds. The training labels are read and checked
+    against the training birds before the test corpus is read, and the
+    test matrices take the training thresholds. Nothing is written until
+    both corpora are built, and each matrix is written line by line as it
+    is formatted, so its whole text is never held. Without a test corpus,
+    an earlier run's test matrices are removed first, so ``predict``
+    cannot score them."""
+    reader = CorpusReader(cfg.train_dir)
+    train = build_datasets(reader, cfg.modes)
+    labels = load_labels(cfg.train_labels, reader.bird_ids)
+    train = {mode: (matrix.labeled(labels), th) for mode, (matrix, th) in train.items()}
     test = {}
-    if cfg.test_dir is not None and cfg.test_dir.exists():  # a file is refused by load_corpus
-        corpus = load_corpus(cfg.test_dir)
+    if cfg.test_dir is not None and cfg.test_dir.exists():  # a file is refused by CorpusReader
         # test matrices reuse training thresholds (leakage-safe)
-        with naming(cfg.test_dir):
-            test = {mode: build_dataset(corpus, mode, train[mode][1])[0] for mode in cfg.modes}
-        del corpus
+        thresholds = {mode: th for mode, (_, th) in train.items()}
+        built = build_datasets(CorpusReader(cfg.test_dir), cfg.modes, thresholds)
+        test = {mode: matrix for mode, (matrix, _) in built.items()}
     else:
         for mode in cfg.modes:
             remove_file(cfg.features_path("test", mode))

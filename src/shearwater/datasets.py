@@ -5,24 +5,26 @@
 extracts the full battery independently on each, and prefixes the columns
 ``day_`` / ``night_`` (496 columns). :attr:`DatasetMode.subsets` is the one
 place that says which subsets a mode has; the column schema and the matrix
-build iterate it. :func:`build_dataset` filters each bird's subset and
-derives its series once, keeping only the speeds, then pools the exceedance
-thresholds from them and fills in the counts. Exceedance thresholds always
-come from the matching pooled subset of the *training* corpus.
+build iterate it. :func:`build_datasets` fills every mode's rows from one
+trajectory at a time: it filters each bird's subset and derives its series
+once, keeping only the speeds, then pools the exceedance thresholds from
+them and fills in the counts. Exceedance thresholds always come from the
+matching pooled subset of the *training* corpus.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import PipelineError, csv_rows
+from .errors import PipelineError, csv_rows, naming
 from .featex import (
     EXCEEDANCE,
     bird_features,
@@ -30,7 +32,7 @@ from .featex import (
     feature_names,
     velocity_thresholds,
 )
-from .trajdata import Corpus, Trajectory, atomic_write_text
+from .trajdata import Corpus, CorpusReader, Trajectory, atomic_write_text
 
 
 class DatasetMode(str, Enum):
@@ -74,6 +76,10 @@ class FeatureMatrix:
             raise PipelineError("duplicate column names")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
+
+    def labeled(self, labels: dict[str, int]) -> "FeatureMatrix":
+        """This matrix with each row labeled from ``labels`` by its bird id."""
+        return replace(self, labels=[labels[b] for b in self.bird_ids])
 
     def subset(self, mask: np.ndarray) -> "FeatureMatrix":
         idx = np.flatnonzero(mask)
@@ -149,44 +155,76 @@ class FeatureMatrix:
         )
 
 
-def build_dataset(
-    corpus: Corpus,
-    mode: DatasetMode,
-    thresholds: dict[str, np.ndarray | None] | None = None,
-) -> tuple[FeatureMatrix, dict[str, np.ndarray | None]]:
-    """The feature matrix of a corpus under a mode, and the thresholds of
-    its exceedance counts (a :func:`featex.velocity_thresholds` vector per
-    subset).
+Thresholds = dict[str, np.ndarray | None]  # a velocity_thresholds vector per subset
 
-    Each bird's subset is filtered and its series derived once. Without
-    ``thresholds`` they are pooled from this corpus: each subset's speeds
-    over the corpus in bird_id order, None for a subset with no speed
-    samples (its exceedance counts stay missing). A test corpus takes the
-    training corpus's thresholds instead.
+
+def build_datasets(
+    corpus: Corpus | CorpusReader,
+    modes: list[DatasetMode],
+    thresholds: dict[DatasetMode, Thresholds] | None = None,
+) -> dict[DatasetMode, tuple[FeatureMatrix, Thresholds]]:
+    """Each mode's unlabeled feature matrix of a corpus, and the thresholds
+    of its exceedance counts, from one trajectory at a time.
+
+    The trajectories are taken in bird_id order, and each is dropped once
+    every mode's row of it is filled, before the next is taken; from a
+    :class:`CorpusReader` that is before the next file is parsed. Each
+    subset is filtered and its series derived once. With ``thresholds`` (a
+    test corpus takes the training corpus's), the exceedance counts are
+    filled at once. Without, each subset's speeds are kept and pooled over
+    the corpus in bird_id order, None for a subset with no speed samples
+    (its exceedance counts stay missing), and the counts are filled after.
+    A :class:`CorpusReader`'s parse error names the file, and a feature
+    error of one of its trajectories names its directory.
     """
-    values = np.empty((len(corpus), len(mode.subsets), len(feature_names())))
-    speeds: dict[str, list[np.ndarray | None]] = {name: [] for name, _, _ in mode.subsets}
-    for i, traj in enumerate(corpus):
-        for j, (name, daytime, _) in enumerate(mode.subsets):
-            values[i, j], track_speeds = bird_features(_track(traj, daytime))
-            speeds[name].append(track_speeds)
+    n = len(corpus)
+    values = {mode: np.empty((n, len(mode.subsets), len(feature_names()))) for mode in modes}
+    speeds = {mode: [[] for _ in mode.subsets] for mode in modes}  # per subset, per bird
+    directory = corpus.directory if isinstance(corpus, CorpusReader) else None
+    for i, bird_id in enumerate(corpus.bird_ids):
+        traj = corpus[bird_id]
+        with naming(directory) if directory is not None else nullcontext():
+            for mode in modes:
+                for j, (name, daytime, _) in enumerate(mode.subsets):
+                    values[mode][i, j], track_speeds = bird_features(_track(traj, daytime))
+                    if thresholds is None:
+                        speeds[mode][j].append(track_speeds)
+                    else:
+                        _fill_exceedance(values[mode][i, j], track_speeds, thresholds[mode][name])
+        del traj  # before the next trajectory is taken
     if thresholds is None:
-        thresholds = {}
-        for name, per_bird in speeds.items():
-            pooled = np.concatenate([np.empty(0)] + [v for v in per_bird if v is not None])
-            thresholds[name] = velocity_thresholds(pooled) if pooled.size else None
-    for j, (name, _, _) in enumerate(mode.subsets):
-        for i, track_speeds in enumerate(speeds[name]):
-            if thresholds[name] is not None and track_speeds is not None:
-                values[i, j, EXCEEDANCE] = exceedance_counts(track_speeds, thresholds[name])
-    labels = None if corpus.labels is None else [corpus.labels[b] for b in corpus.bird_ids]
-    matrix = FeatureMatrix(
-        bird_ids=corpus.bird_ids,
-        columns=schema_columns(mode),
-        values=values.reshape(len(corpus), -1),
-        labels=labels,
-    )
-    return matrix, thresholds
+        thresholds = {mode: {} for mode in modes}
+        for mode in modes:
+            for j, (name, _, _) in enumerate(mode.subsets):
+                per_bird = speeds[mode][j]
+                pooled = np.concatenate([np.empty(0)] + [v for v in per_bird if v is not None])
+                thresholds[mode][name] = velocity_thresholds(pooled) if pooled.size else None
+                for i, track_speeds in enumerate(per_bird):
+                    _fill_exceedance(values[mode][i, j], track_speeds, thresholds[mode][name])
+    return {
+        mode: (
+            FeatureMatrix(corpus.bird_ids, schema_columns(mode), values[mode].reshape(n, -1)),
+            thresholds[mode],
+        )
+        for mode in modes
+    }
+
+
+def _fill_exceedance(row: np.ndarray, speeds: np.ndarray | None, thresholds: np.ndarray | None):
+    """Set a feature row's exceedance counts, unless its track or its
+    corpus's subset has no speed samples."""
+    if thresholds is not None and speeds is not None:
+        row[EXCEEDANCE] = exceedance_counts(speeds, thresholds)
+
+
+def build_dataset(
+    corpus: Corpus, mode: DatasetMode, thresholds: Thresholds | None = None
+) -> tuple[FeatureMatrix, Thresholds]:
+    """:func:`build_datasets` of one mode, its matrix labeled when the corpus is."""
+    matrix, thresholds = build_datasets(
+        corpus, [mode], None if thresholds is None else {mode: thresholds}
+    )[mode]
+    return (matrix if corpus.labels is None else matrix.labeled(corpus.labels)), thresholds
 
 
 def column_medians(values: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ One bird reduces to a fixed-width vector of 248 named features; missing
 values are NaN and get imputed downstream. :func:`bird_features` derives
 the track's kinematic series once, reads its velocity array by name for the
 PCA and returns it with the vector, whose exceedance counts need thresholds
-pooled over a whole corpus (``datasets.build_dataset`` fills them in). Every
+pooled over a whole corpus (``datasets.build_datasets`` fills them in). Every
 function here takes and returns plain arrays; the thresholds are a 12-vector
 aligned with :data:`THRESHOLD_NAMES`.
 """

@@ -241,14 +241,33 @@ def labels_to_csv(labels: dict[str, int]) -> str:
     return csv_document([("bird_id", "label"), *((b, labels[b]) for b in sorted(labels))])
 
 
+def _check_labels(bird_ids: Iterable[str], labels: dict[str, int]) -> None:
+    """A data error unless ``labels`` cover exactly ``bird_ids``: it names
+    unlabeled birds first, then labels of birds with no trajectory."""
+    unlabeled = sorted(set(bird_ids) - set(labels))
+    if unlabeled:
+        raise PipelineError(f"birds without labels: {unlabeled[:5]}")
+    unknown = sorted(set(labels) - set(bird_ids))
+    if unknown:
+        raise PipelineError(f"labels reference birds with no trajectory: {unknown[:5]}")
+
+
+def load_labels(labels_path: str | Path, bird_ids: Iterable[str]) -> dict[str, int]:
+    """The labels file at ``labels_path``, which must label exactly
+    ``bird_ids`` (see :func:`_check_labels`); a data error names the file."""
+    with reading(labels_path, "labels file") as text:
+        labels = parse_labels(text)
+        _check_labels(bird_ids, labels)
+    return labels
+
+
 @dataclass
 class Corpus:
     """Immutable collection of trajectories keyed by bird id.
 
     Iteration order is always lexicographic in bird_id regardless of how
     the corpus was assembled. Labels, when given, cover exactly the birds
-    with a trajectory: a data error names unlabeled birds first, then
-    labels of birds with no trajectory.
+    with a trajectory (see :func:`_check_labels`).
     """
 
     trajectories: dict[str, Trajectory]
@@ -257,14 +276,7 @@ class Corpus:
     def __post_init__(self) -> None:
         self.trajectories = dict(sorted(self.trajectories.items()))
         if self.labels is not None:
-            unlabeled = sorted(set(self.trajectories) - set(self.labels))
-            if unlabeled:
-                raise PipelineError(f"birds without labels: {unlabeled[:5]}")
-            unknown = sorted(set(self.labels) - set(self.trajectories))
-            if unknown:
-                raise PipelineError(
-                    f"labels reference birds with no trajectory: {unknown[:5]}"
-                )
+            _check_labels(self.trajectories, self.labels)
             self.labels = dict(sorted(self.labels.items()))
 
     @property
@@ -281,36 +293,56 @@ class Corpus:
         return self.trajectories[bird_id]
 
 
-def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = None) -> Corpus:
-    """Load every ``<bird_id>.csv`` under a directory plus optional labels.
+class CorpusReader:
+    """The ``<bird_id>.csv`` files of a trajectory directory, each parsed
+    only when it is asked for, so a reader holds no trajectory.
 
-    Files are processed in lexicographic bird_id order so corpus iteration
-    order is a pure function of the file names. A trajectory error names
-    the file's path, so that it tells corpora with the same bird ids apart.
-    A file name that is not UTF-8 is refused, since no output could hold
-    its bird id, and so is a directory with no trajectory file. Labels must
-    cover exactly the birds with a trajectory; a mismatch either way names
-    the labels file.
+    Opening it checks the directory: it must exist and be a directory, hold
+    at least one trajectory file, and hold no file name that is not UTF-8,
+    since no output could hold its bird id. The bird ids are then known, in
+    lexicographic order, before any file is parsed. ``reader[bird_id]``
+    parses that bird's file; an error names the file's path, so that it
+    tells corpora with the same bird ids apart.
     """
-    trajectory_dir = Path(trajectory_dir)
-    if not trajectory_dir.is_dir():
-        problem = "not a directory" if trajectory_dir.exists() else "trajectory directory not found"
-        raise PipelineError(f"{trajectory_dir}: {problem}")
-    trajectories: dict[str, Trajectory] = {}
-    for path in sorted(trajectory_dir.glob("*.csv"), key=lambda p: p.stem):
-        try:  # a name that is not UTF-8 decodes to lone surrogates
-            path.name.encode()
-        except UnicodeEncodeError:
-            raise PipelineError(f"{trajectory_dir}: file name {path.name!r} is not UTF-8") from None
-        with reading(path, "trajectory file") as text:
-            trajectories[path.stem] = parse_trajectory(path.stem, text)
-    if not trajectories:
-        raise PipelineError(f"{trajectory_dir}: no trajectory files (*.csv)")
-    if labels_path is None:
-        return Corpus(trajectories=trajectories)
-    with reading(labels_path, "labels file") as text:
-        labels = parse_labels(text)
-        return Corpus(trajectories=trajectories, labels=labels)  # checks both directions
+
+    def __init__(self, trajectory_dir: str | Path) -> None:
+        directory = Path(trajectory_dir)
+        if not directory.is_dir():
+            problem = "not a directory" if directory.exists() else "trajectory directory not found"
+            raise PipelineError(f"{directory}: {problem}")
+        paths = sorted(directory.glob("*.csv"), key=lambda p: p.stem)
+        for path in paths:
+            try:  # a name that is not UTF-8 decodes to lone surrogates
+                path.name.encode()
+            except UnicodeEncodeError:
+                raise PipelineError(f"{directory}: file name {path.name!r} is not UTF-8") from None
+        if not paths:
+            raise PipelineError(f"{directory}: no trajectory files (*.csv)")
+        self.directory = directory
+        self.paths = {path.stem: path for path in paths}
+
+    @property
+    def bird_ids(self) -> list[str]:
+        return list(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, bird_id: str) -> Trajectory:
+        with reading(self.paths[bird_id], "trajectory file") as text:
+            return parse_trajectory(bird_id, text)
+
+
+def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = None) -> Corpus:
+    """Every trajectory of a :class:`CorpusReader` held at once, in
+    lexicographic bird_id order, plus optional labels, which must cover
+    exactly the birds with a trajectory; a mismatch either way names the
+    labels file.
+    """
+    reader = CorpusReader(trajectory_dir)
+    trajectories = {bird_id: reader[bird_id] for bird_id in reader.bird_ids}
+    labels = None if labels_path is None else load_labels(labels_path, reader.bird_ids)
+    return Corpus(trajectories=trajectories, labels=labels)
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

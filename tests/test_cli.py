@@ -746,6 +746,38 @@ def test_labels_mismatch_names_the_labels_file(tmp_path, capsys, edit, named):
     assert named in err
 
 
+def test_a_bad_trajectory_file_is_named_before_a_labels_mismatch(tmp_path, capsys):
+    # the training corpus is built before its labels are read
+    cfg = write_config(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    labels = tmp_path / "train_labels.csv"
+    labels.write_text(labels.read_text() + "ghost,1\n")
+    path = tmp_path / "train" / "bird_0003.csv"
+    _set_field(path, 2, 0, "abc")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: bird_0003: line 3: unparseable longitude 'abc'" in err
+    assert "ghost" not in err
+
+
+def test_the_first_bad_bird_in_bird_id_order_is_named(tmp_path, capsys):
+    # each trajectory's features are derived before the next file is parsed,
+    # so bird_0000's kinematics error comes before bird_0005's bad cell
+    cfg = write_config(tmp_path, learners=["svc"])
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK
+    first = tmp_path / "train" / "bird_0000.csv"
+    lines = first.read_text().splitlines()
+    for i in range(1, len(lines)):
+        _set_field(first, i, 5, repr((i - 1) * 1e-300))
+    _set_field(tmp_path / "train" / "bird_0005.csv", 2, 0, "abc")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'train'}: bird_0000: velocity passes" in err
+    assert "bird_0005" not in err
+
+
 def _retune_svm_epochs(tmp_path):
     params = json.loads((tmp_path / "config.json").read_text())["params"]
     params["default"]["svm_epochs"] = 9
@@ -979,25 +1011,25 @@ def test_extract_derives_each_track_once(tmp_path, monkeypatch):
     assert 0 < calls["steps"] <= birds * 3  # and together mode's whole track
 
 
-# --- memory: one corpus at a time, no bins that no learner reads -----------------
+# --- memory: one trajectory at a time, no bins that no learner reads -------------
 
-def test_extract_holds_one_corpus_at_a_time(tmp_path, monkeypatch):
-    # the training corpus is gone before the test corpus starts to load
+def test_extract_holds_one_trajectory_at_a_time(tmp_path, monkeypatch):
+    # each trajectory is dropped before the next file is parsed, in both corpora
     import weakref
 
-    from shearwater import cli
+    from shearwater import trajdata
 
-    load_corpus, loaded, alive_at_start = cli.load_corpus, [], []
+    parse, parsed, alive_at_parse = trajdata.parse_trajectory, [], []
 
     def tracked(*args):
-        alive_at_start.append(sum(ref() is not None for ref in loaded))
-        corpus = load_corpus(*args)
-        loaded.append(weakref.ref(corpus))
-        return corpus
+        alive_at_parse.append(sum(ref() is not None for ref in parsed))
+        traj = parse(*args)
+        parsed.append(weakref.ref(traj))
+        return traj
 
-    monkeypatch.setattr(cli, "load_corpus", tracked)
+    monkeypatch.setattr(trajdata, "parse_trajectory", tracked)
     _extract(tmp_path)
-    assert alive_at_start == [0, 0]
+    assert alive_at_parse == [0] * 2 * EXTRACT_SYNTH["n_birds"]
 
 
 @pytest.mark.parametrize("learners, binnings", [(["svc", "sk_et"], 0), (["svc", "sk_rf"], 2)])
