@@ -1,12 +1,14 @@
 """Multi-command batch interface orchestrating the full pipeline.
 
 All paths and hyperparameters live in a JSON config; flags override
-scalars. Commands overwrite their outputs atomically and can be re-run one
-by one, except that `train` needs the thresholds of a `cv` run on the same
-inputs (`cv_thresholds.json`) and `predict` only uses models that `train`
-fitted on the current inputs and hyperparameters. A run is reproducible
-end to end: identical config and seed give byte-identical final
-predictions regardless of --jobs.
+scalars. Commands overwrite each output file atomically and can be re-run
+one by one, except that `train` needs the thresholds of a `cv` run on the
+same inputs (`cv_thresholds.json`) and `predict` only uses models that
+`train` fitted on the current inputs and hyperparameters. `train` writes
+each model as soon as it is fitted, so one stopped part-way leaves the
+models before the failure new and the rest stale, which `predict` refuses
+by name. A run is reproducible end to end: identical config and seed
+give byte-identical final predictions regardless of --jobs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -19,6 +21,7 @@ import math
 import sys
 import traceback
 import zlib
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -375,18 +378,22 @@ def _train_task(item):
 
 
 def _parallel_map(task_fn, items, jobs, prepared):
-    """``task_fn`` over ``items``, with the prepared matrices of each mode
-    in ``_WORKER``; in ``jobs`` worker processes when > 1, one per item at most."""
+    """``task_fn`` over ``items``, yielded in item order as each result is
+    ready, with the prepared matrices of each mode in ``_WORKER``; in
+    ``jobs`` worker processes when > 1, one per item at most. Closing the
+    generator early (a consumer that raises) cancels the tasks not yet
+    started."""
     jobs = min(jobs, len(items))  # the pool starts every worker at its first submit
     if jobs <= 1:
         _init_worker(prepared)
-        return [task_fn(item) for item in items]
+        yield from map(task_fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor  # its import is slow; one job needs none
 
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(prepared,)
     ) as pool:
-        return list(pool.map(task_fn, items))
+        yield from pool.map(task_fn, items)
 
 
 def _load_cv_inputs(cfg: RunConfig):
@@ -450,7 +457,7 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     items = cfg.runs()
     bins = any(kind.reads_bins for kind in cfg.learners)
     prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
-    results: list[CvResult] = _parallel_map(_cv_task, items, jobs, prepared)
+    results: list[CvResult] = list(_parallel_map(_cv_task, items, jobs, prepared))
     tuned = {
         _run_name(s, seed): {
             "threshold": r.threshold,
@@ -488,10 +495,17 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
     items = _train_items(cfg, inputs_crc)
     bins = any(kind.reads_bins for kind in cfg.learners)
     prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
-    docs = _parallel_map(_train_task, items, jobs, prepared)
-    for (setting, seed, _), doc in zip(items, docs):
-        doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)
-        atomic_write_text(cfg.model_path(setting, seed), json.dumps(doc, sort_keys=True))
+    # Each model is written as it arrives and dropped before the next fit
+    # starts, so memory holds one model, not settings x seeds of them (not
+    # zip: its reused result tuple would keep the last model through the
+    # next fit). A failed fit or write closes the map, which cancels the fits
+    # not yet started, and leaves the models written so far.
+    with closing(_parallel_map(_train_task, items, jobs, prepared)) as docs:
+        for setting, seed, _ in items:
+            doc = next(docs)
+            doc["fingerprint"] = _cv_fingerprint(inputs_crc, setting, seed)
+            atomic_write_text(cfg.model_path(setting, seed), json.dumps(doc, sort_keys=True))
+            del doc
     print(f"wrote {len(items)} models to {cfg.models_dir()}")
 
 

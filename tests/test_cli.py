@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import shutil
 import tempfile
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind
 from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from shearwater.errors import PipelineError
 
 
 def write_config(tmp_path, **overrides):
@@ -1030,6 +1032,108 @@ def test_extract_holds_one_trajectory_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(trajdata, "parse_trajectory", tracked)
     _extract(tmp_path)
     assert alive_at_parse == [0] * 2 * EXTRACT_SYNTH["n_birds"]
+
+
+def test_train_writes_each_model_before_the_next_fit(tmp_path, monkeypatch):
+    # one model alive at a time: model i is on disk before fit i + 1 starts
+    from shearwater import cli
+
+    events = []
+    fit, write = cli.fit_final_model, cli.atomic_write_text
+
+    def fitted(setting, *args):
+        events.append(("fit", setting.name))
+        return fit(setting, *args)
+
+    def written(path, text):
+        if Path(path).parent.name == "models":
+            events.append(("write", Path(path).stem))
+        return write(path, text)
+
+    monkeypatch.setattr(cli, "fit_final_model", fitted)
+    monkeypatch.setattr(cli, "atomic_write_text", written)
+    cfg = prepare_folds(tmp_path, learners=["svc", "sk_et"], n_seeds=2)
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    events.clear()
+    assert main(["train", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+    assert [kind for kind, _ in events] == ["fit", "write"] * 4
+    assert [name for _, name in events[1::2]] == [
+        "together_svc_s11", "together_svc_s12", "together_sk_et_s11", "together_sk_et_s12"
+    ]
+
+
+def test_model_files_do_not_depend_on_jobs(tmp_path):
+    cfg = prepare_folds(tmp_path, learners=["xgb_binary", "sk_et", "svc"], n_seeds=2,
+                        modes=["together", "split"])
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    models = {}
+    for jobs in ("1", "2"):
+        assert main(["train", "--config", str(cfg), "--jobs", jobs]) == EXIT_OK
+        models[jobs] = _files(tmp_path / "out", "models")
+    assert len(models["1"]) == 12
+    assert models["2"] == models["1"]
+
+
+def _leave_marker(item):
+    directory, i = item
+    (directory / f"task_{i}").write_text("")
+    time.sleep(0.05)
+    return i
+
+
+def test_a_failed_write_stops_the_fits_not_yet_started(tmp_path):
+    # the consumer fails at the first result, as a failed model write does;
+    # closing the map cancels what the pool has not started
+    from shearwater import cli
+
+    results = cli._parallel_map(_leave_marker, [(tmp_path, i) for i in range(20)], 2, {})
+    with pytest.raises(PipelineError, match="cannot write"):
+        for _ in results:
+            raise PipelineError("cannot write")
+    del results  # its last reference: the map is closed here and its pool shut down
+    assert 1 <= len(list(tmp_path.glob("task_*"))) <= 10
+
+
+def test_a_train_stopped_part_way_leaves_earlier_models_and_predict_names_the_first_stale(
+        tmp_path, capsys, monkeypatch):
+    from shearwater import cli
+
+    cfg = prepare_folds(tmp_path, learners=["svc"], n_seeds=3)
+    for command in ("synth --role test", "extract", "cv", "train"):
+        assert main(command.split() + ["--config", str(cfg)]) == EXIT_OK
+    earlier = _files(tmp_path / "out", "models")
+    params = {"default": {"n_rounds": 8, "max_depth": 2, "n_trees": 4, "svm_epochs": 9}}
+    cfg = write_config(tmp_path, learners=["svc"], n_seeds=3, params=params)  # new fingerprints
+    assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+
+    fit, calls = cli.fit_final_model, []
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise PipelineError("fit failed")
+        return fit(*args)
+
+    monkeypatch.setattr(cli, "fit_final_model", failing_second)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+    assert "fit failed" in capsys.readouterr().err
+    assert len(calls) == 2  # no fit after the failed one
+
+    # the model fitted before the failure is the new one; the rest are the earlier run's
+    tuned = json.loads((tmp_path / "out" / "cv_thresholds.json").read_text())
+    models = _files(tmp_path / "out", "models")
+    assert json.loads(models["together_svc_s11.json"])["fingerprint"] == (
+        tuned["together_svc#s11"]["fingerprint"]
+    )
+    assert models["together_svc_s11.json"] != earlier["together_svc_s11.json"]
+    for name in ("together_svc_s12.json", "together_svc_s13.json"):
+        assert models[name] == earlier[name]
+
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "together_svc_s12.json" in err
+    assert "re-run train" in err
 
 
 @pytest.mark.parametrize("learners, binnings", [(["svc", "sk_et"], 0), (["svc", "sk_rf"], 2)])
