@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -253,6 +253,12 @@ def _subsample(n: int, fraction: float, rng) -> np.ndarray | None:
     return picked
 
 
+def _float_rows(X):
+    """A function that makes X's float64 rows, at most once; X is the rows
+    or a function that makes them."""
+    return cache(lambda: np.asarray(X() if callable(X) else X, dtype=np.float64))
+
+
 def _fit_matrix(backend: str, X, max_bin_edges: int, binned=None):
     """The matrix a backend's trees fit on and its bins.
 
@@ -264,12 +270,17 @@ def _fit_matrix(backend: str, X, max_bin_edges: int, binned=None):
     the same trees. Otherwise X is binned here, once per model: losslessly
     for exact and oblivious, by at most ``max_bin_edges`` quantile edges per
     feature for hist. uniform fits on raw X and no bins.
+
+    X is the float rows or a function that makes them, and this is the one
+    place that decides whether a tree fit reads them: only uniform and a
+    fit that bins X here make them.
     """
+    X = _float_rows(X)
     if backend == "uniform":
-        return X, None
+        return X(), None
     if binned is not None and (backend != "hist" or _lossless(*binned, max_bin_edges)):
         return binned
-    bins, data = build_bins(X, max_bin_edges if backend == "hist" else None)
+    bins, data = build_bins(X(), max_bin_edges if backend == "hist" else None)
     return data, bins
 
 
@@ -371,13 +382,21 @@ def fit_learner(
     ``binned`` optionally gives X binned losslessly and its bins, which
     may hold more values than X (see :func:`_fit_matrix`); a fit on them
     equals the fit that bins X itself.
+
+    X is the float rows or a function that makes them (``evalcv`` passes
+    one). They are made at most once, and only where a fit reads floats:
+    svc and sk_et fit on them, a booster adds each tree's predictions on
+    them to its margins, and a tree learner bins them itself without
+    ``binned``, or for hist when ``binned`` holds a column of more than
+    ``max_bin_edges + 1`` occupied bins. So given ``binned``, sk_rf, and
+    lgb_rf on lossless bins, fit on it alone and never make them.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _float_rows(X)
     y = np.asarray(y, dtype=np.float64)
-    model = TrainedModel(kind, params, feature_names or [f"f{i}" for i in range(X.shape[1])])
+    model = TrainedModel(kind, params, feature_names or [f"f{i}" for i in range(X().shape[1])])
     family = kind.family
     if family == "svm":
-        model.svm = fit_pegasos(X, y, params.svm_reg, params.svm_epochs, rng)
+        model.svm = fit_pegasos(X(), y, params.svm_reg, params.svm_epochs, rng)
         return model
     pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if family == "pairwise" and (pos.size == 0 or neg.size == 0):
@@ -401,7 +420,7 @@ def fit_learner(
         p_bar = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
         model.f0 = float(np.log(p_bar / (1.0 - p_bar)))
         grad_hess = partial(logistic_grad_hess, y=y)
-    model.trees = _boost(kind, X, data, bins, params, rng, model.f0, grad_hess)
+    model.trees = _boost(kind, X(), data, bins, params, rng, model.f0, grad_hess)
     return model
 
 

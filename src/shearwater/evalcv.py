@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -235,12 +236,14 @@ def prepare(matrix: FeatureMatrix, folds: FoldAssignment, bins: bool = True) -> 
 
 def _fit(setting: ModelSetting, prepared: PreparedMatrix, j: int, seed: int) -> TrainedModel:
     """The setting's learner fitted on training set j, imputed by fill j,
-    drawing from stream j of (setting, seed)."""
+    drawing from stream j of (setting, seed). The imputed float rows are
+    handed over unmade, so a fit that reads only the shared bins never makes
+    them (see :func:`fit_learner`)."""
     train = prepared.fold_of != j
     binned = prepared.binned_rows(j, train) if setting.kind.reads_bins else None
     return fit_learner(
-        setting.kind, prepared.rows(j, train), prepared.matrix.labels[train], setting.params,
-        setting_rng(setting.name, seed, j), prepared.matrix.columns, binned,
+        setting.kind, partial(prepared.rows, j, train), prepared.matrix.labels[train],
+        setting.params, setting_rng(setting.name, seed, j), prepared.matrix.columns, binned,
     )
 
 

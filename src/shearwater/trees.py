@@ -28,14 +28,16 @@ node-by-node search computes.
 
 Bins belong to a matrix, not to a tree: ``build_bins`` bins a whole matrix
 from one sort of its columns, and every tree of a model fits on that one
-binned matrix. Lossless bins over a superset of the matrix's values (as
-``evalcv.prepare`` shares between a command's fits) give the very trees
-that lossless bins over its own values give: the occupied bins, their order,
-their per-bin sums and the midpoints between a node's neighbouring occupied
-values are the same; only the width of the bin axis, and with it how a
-level's nodes are cut into kernel runs, differs. The same holds for
-histogram bins whenever they are lossless, that is when no feature has more
-than ``max_edges + 1`` distinct values.
+binned matrix. A fit reads only each column's bin count and its bins' value
+bounds, so a lossless column keeps its distinct values once, as the bounds,
+and its edges are derived from them when asked for. Lossless bins over a
+superset of the matrix's values (as ``evalcv.prepare`` shares between a
+command's fits) give the very trees that lossless bins over its own values
+give: the occupied bins, their order, their per-bin sums and the midpoints
+between a node's neighbouring occupied values are the same; only the width
+of the bin axis, and with it how a level's nodes are cut into kernel runs,
+differs. The same holds for histogram bins whenever they are lossless, that
+is when no feature has more than ``max_edges + 1`` distinct values.
 
 ``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
 grows a batch of one on bins (a boosting round). A level's nodes go to the
@@ -449,23 +451,38 @@ class HistogramBins:
 
     Edges are strictly increasing; a feature with e edges has e+1 bins and
     the bin index of a value is the count of edges <= value. When every
-    distinct value has its own bin (lossless bins) the edges are exactly the
-    midpoints between consecutive distinct values, and a bin's bounds are
-    its value.
+    distinct value has its own bin (lossless bins) a bin's bounds are its
+    value and the edges are exactly the midpoints between consecutive
+    distinct values; they are not stored but derived on demand, so the
+    values are held once. ``quantile_edges`` holds the edges of the other,
+    quantile-binned, columns.
     """
 
-    edges: list[np.ndarray]
     bin_min: list[np.ndarray]
     bin_max: list[np.ndarray]
+    quantile_edges: dict[int, np.ndarray]
 
-    def __post_init__(self) -> None:
-        self.n_edges = np.array([e.size for e in self.edges], dtype=np.int64)
+    @property
+    def n_edges(self) -> np.ndarray:
+        """Each feature's edge count: its bins less one (0 for no bins)."""
+        sizes = np.fromiter(map(len, self.bin_min), np.int64, len(self.bin_min))
+        return np.maximum(sizes - 1, 0)
+
+    @property
+    def edges(self) -> list[np.ndarray]:
+        return [self._edges(f) for f in range(len(self.bin_min))]
+
+    def _edges(self, f: int) -> np.ndarray:
+        if f in self.quantile_edges:
+            return self.quantile_edges[f]
+        values = self.bin_min[f]
+        return 0.5 * (values[1:] + values[:-1])
 
     def bin_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape, dtype=np.int32)
         for f in range(X.shape[1]):
-            out[:, f] = np.searchsorted(self.edges[f], X[:, f], side="right")
+            out[:, f] = np.searchsorted(self._edges(f), X[:, f], side="right")
         return out
 
 
@@ -490,9 +507,7 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBin
     binned[np.isnan(X)] = -1
     counts = first.sum(axis=0)
     distinct = np.split(s.T[first.T], np.cumsum(counts)[:-1])
-    # midpoints between each distinct value and the one below it
-    mids = np.split((0.5 * (s[1:] + s[:-1])).T[first[1:].T], np.cumsum(counts - (counts > 0))[:-1])
-    edges_list, mins_list, maxs_list = mids, list(distinct), list(distinct)
+    mins_list, maxs_list, quantile_edges = list(distinct), list(distinct), {}
     if max_edges is not None:
         probs = np.arange(1, max_edges + 1) / (max_edges + 1)
         for f in np.flatnonzero(counts - 1 > max_edges):
@@ -501,7 +516,10 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBin
             h = (ranked.size - 1) * probs
             lo = np.floor(h).astype(np.intp)
             hi = np.minimum(lo + 1, ranked.size - 1)
-            edges = np.unique(ranked[lo] + (h - lo) * (ranked[hi] - ranked[lo]))
+            # sorted, first of each run: np.unique's result, without its
+            # import of numpy.ma
+            edges = np.sort(ranked[lo] + (h - lo) * (ranked[hi] - ranked[lo]))
+            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
             edges = edges[(edges > ranked[0]) & (edges <= ranked[-1])]
             idx = np.searchsorted(edges, values, side="right")
             mins = np.full(edges.size + 1, np.inf)
@@ -509,8 +527,8 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBin
             np.minimum.at(mins, idx, values)
             np.maximum.at(maxs, idx, values)
             binned[valid, f] = idx
-            edges_list[f], mins_list[f], maxs_list[f] = edges, mins, maxs
-    return HistogramBins(edges_list, mins_list, maxs_list), binned
+            quantile_edges[int(f)], mins_list[f], maxs_list[f] = edges, mins, maxs
+    return HistogramBins(mins_list, maxs_list, quantile_edges), binned
 
 
 def fit_tree_hist(

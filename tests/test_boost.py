@@ -464,3 +464,33 @@ def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):
     bounded = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(5))
     assert bounded.to_dict() == default.to_dict()
     assert max(t.depth() for t in default.trees) >= 3
+
+
+def test_hist_fit_on_its_own_quantile_bins_does_not_import_numpy_ma():
+    # 300 rows with a column of 300 distinct values: lgb_rf bins them itself
+    # by quantiles, and the distinct edges are taken without np.unique,
+    # which imports numpy.ma (about 1.2 MB); a fresh interpreter shows it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from shearwater.boost import GbdtParams, LearnerKind, fit_learner\n"
+        "X = np.random.default_rng(0).normal(size=(300, 3))\n"
+        "y = (X[:, 0] > 0).astype(float)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "model = fit_learner(LearnerKind.LGB_RF, X, y, GbdtParams(n_trees=2, max_depth=2),\n"
+        "                    np.random.default_rng(0))\n"
+        "assert model.trees, 'no trees'\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

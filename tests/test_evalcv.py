@@ -338,6 +338,44 @@ def test_final_model_fits_every_row_on_the_stream_after_the_folds(rng, kind):
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
 
 
+
+@pytest.mark.parametrize(
+    "kind, n, made",
+    [("sk_rf", 40, 0), ("lgb_rf", 40, 0), ("lgb_rf", 300, 1)]
+    + [(kind, 40, 1) for kind in ("svc", "sk_et", "xgb_binary", "xgb_rank", "lgb_gbdt", "cat")],
+)
+def test_fit_makes_float_rows_only_for_learners_that_read_them(rng, monkeypatch, kind, n, made):
+    # a forest on exact bins, and lgb_rf on bins that are lossless at its
+    # 255 edges, fit on the shared bins alone; svc and sk_et fit on floats,
+    # a booster's margins are its trees' predictions on them, and lgb_rf on
+    # 300 rows with a column of 300 distinct values bins them by quantiles
+    import shearwater.evalcv as evalcv
+
+    matrix = _matrix_with_gaps(rng, n=n)
+    matrix.values[:, 0] = rng.permutation(n) + 0.5  # n distinct values
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=4, seed=1)
+    setting = ModelSetting(
+        kind=LearnerKind(kind), mode=DatasetMode.TOGETHER,
+        params=GbdtParams(n_rounds=3, n_trees=3, max_depth=2, learning_rate=0.3),
+    )
+    prepared = prepare(matrix, folds)
+    calls = []
+    rows = evalcv.PreparedMatrix.rows
+
+    def counted(self, j, mask):
+        calls.append(j)
+        return rows(self, j, mask)
+
+    monkeypatch.setattr(evalcv.PreparedMatrix, "rows", counted)
+    model = evalcv._fit(setting, prepared, folds.k, 7)  # set k: all n rows
+    assert len(calls) == made
+    want = fit_learner(
+        setting.kind, rows(prepared, folds.k, prepared.fold_of != folds.k), matrix.labels,
+        setting.params, setting_rng(setting.name, 7, folds.k), matrix.columns,
+    )
+    assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
+
+
 def test_cv_raises_when_a_bird_is_left_unscored(rng):
     matrix = balanced_matrix(rng, n=30)
     folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=5, seed=1)

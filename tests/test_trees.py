@@ -223,6 +223,40 @@ def test_bins_of_one_sort_equal_each_column_alone(rng):
     assert bins.edges[3].size == 0
 
 
+
+def _owned_bytes(obj) -> int:
+    """Bytes of every array buffer reachable from ``obj``, each buffer
+    counted once, however many views of it are reachable."""
+    import gc
+
+    seen, owners, stack = set(), {}, [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            owners[id(item)] = item.nbytes
+        else:
+            stack.extend(gc.get_referents(item))
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("max_edges", [None, 255])
+def test_lossless_bins_hold_each_distinct_value_once(rng, max_edges):
+    # a fit reads a lossless column's bin bounds and its bin count, so its
+    # bins hold its distinct values once, as the bounds, and no edges
+    X = rng.integers(0, 50, size=(120, 1)).astype(float) / 7.0
+    X[rng.random(120) < 0.1] = np.nan
+    bins, _ = build_bins(X, max_edges=max_edges)
+    distinct = np.unique(X[~np.isnan(X)])
+    assert _owned_bytes(bins) <= distinct.size * 8
+    assert bins.n_edges.tolist() == [distinct.size - 1]
+    np.testing.assert_array_equal(bins.edges[0], 0.5 * (distinct[:-1] + distinct[1:]))
+
+
 # --- oblivious fitter -------------------------------------------------------
 
 def fit_oblivious_lossless(X, grad, hess, params, **kwargs):
