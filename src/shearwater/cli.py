@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-import traceback
 import zlib
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -624,6 +623,15 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    # numpy 2's numpy.random, imported at the first draw, imports secrets,
+    # whose hashlib and hmac load _hashlib and with it OpenSSL's libcrypto
+    # (about 3.5 MB of RSS) for hashes the pipeline never computes. With
+    # _hashlib marked missing, both fall back to CPython's built-in hashes
+    # and secrets still reads os.urandom. Only the CLI process does this; a
+    # program that imports the library keeps OpenSSL. Under numpy < 2,
+    # `import numpy` has already loaded numpy.random and _hashlib with it,
+    # so this is a no-op.
+    sys.modules.setdefault("_hashlib", None)
     try:
         return _run(argv)
     except UsageError as exc:
@@ -633,6 +641,8 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:
+        import traceback  # only this branch prints one
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -6,6 +6,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1155,6 +1156,98 @@ def test_cv_and_train_bin_only_for_learners_that_read_bins(tmp_path, monkeypatch
         assert len(calls) == binnings  # one shared binning per mode
 
 
+# --- the CLI process loads no OpenSSL -------------------------------------------
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    import os
+
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+# one CLI command in a fresh interpreter, run as `python -m shearwater.cli`
+# runs it (alter_sys, so --jobs workers find its tasks in __main__); it
+# exits with the command's code, and its last stdout line is whether
+# numpy.random was imported and what sys.modules holds for _hashlib
+_RUNPY_CLI = """
+import json, runpy, sys
+try:
+    runpy.run_module("shearwater.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    print(json.dumps(["numpy.random" in sys.modules, repr(sys.modules.get("_hashlib"))]))
+    raise
+"""
+
+
+def _run_fresh(script, *args):
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=_src_env(), timeout=300)
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy < 2 imports numpy.random, and with it _hashlib, "
+                           "at `import numpy`, before main can keep _hashlib out")
+def test_cli_commands_draw_random_numbers_without_loading_openssl(tmp_path):
+    # numpy.random imports secrets, whose hashlib and hmac would load
+    # _hashlib and OpenSSL's libcrypto (about 3.5 MB) for no hash the
+    # pipeline computes; sys.modules shows it, where -X importtime also
+    # lists the imports that main refuses
+    cfg = write_config(tmp_path, learners=["svc"],
+                       synth={"n_birds": 40, "seed": 5, "trip_length_min": 20,
+                              "trip_length_max": 30})
+    for command in ("synth", "extract", "folds", "cv", "train"):
+        done = _run_fresh(_RUNPY_CLI, command, "--config", str(cfg))
+        assert done.returncode == EXIT_OK, (command, done.stderr)
+        drew, hashlib_module = json.loads(done.stdout.splitlines()[-1])
+        assert drew or command == "extract", command
+        assert hashlib_module == "None", command
+
+
+def test_a_program_that_imports_the_library_keeps_openssl():
+    # main keeps _hashlib out of the CLI process only: importing the package,
+    # the cli module and numpy.random loads it as usual
+    done = _run_fresh("import sys\n"
+                      "import shearwater, shearwater.cli, numpy.random\n"
+                      "print(type(sys.modules.get('_hashlib')).__name__)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "module"
+
+
+def test_an_internal_error_is_exit_3_with_its_traceback(capsys, monkeypatch):
+    # main imports traceback only in this branch, so no other run pays for it
+    from shearwater import cli
+
+    def fail(argv):
+        raise RuntimeError("not a usage or data error")
+
+    monkeypatch.setattr(cli, "_run", fail)
+    assert main(["folds"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: not a usage or data error\n")
+
+
+def test_cv_and_train_outputs_do_not_depend_on_jobs_in_cli_processes(tmp_path):
+    # pytest has loaded _hashlib before any test calls main, so only real
+    # CLI processes run the workers of --jobs 2 without it
+    cfg = prepare_folds(tmp_path, learners=["xgb_binary", "sk_et", "svc"], n_seeds=2,
+                        modes=["together", "split"])
+    out = tmp_path / "out"
+    outputs = {}
+    for jobs in ("1", "2"):
+        for command in ("cv", "train"):
+            done = _run_fresh(_RUNPY_CLI, command, "--config", str(cfg), "--jobs", jobs)
+            assert done.returncode == EXIT_OK, (command, jobs, done.stderr)
+            assert json.loads(done.stdout.splitlines()[-1])[1] == "None", (command, jobs)
+        outputs[jobs] = ((out / "cv_thresholds.json").read_bytes(), _files(out, "models"))
+    assert len(outputs["1"][1]) == 12
+    assert outputs["2"] == outputs["1"]
+
+
 # --- damaged input: not UTF-8, and the exit-code property ---------------------
 
 FINISHED_CONFIG = {
@@ -1434,18 +1527,15 @@ def test_synth_creates_the_directory_of_its_labels_file(tmp_path):
 
 def test_every_command_runs_with_the_locale_encoding_warning_as_an_error(tmp_path):
     # a writer that left the encoding to the locale warns here, and exits 3
-    import os
     import subprocess
     import sys
 
     cfg = write_config(tmp_path, **{**FINISHED_CONFIG, "learners": ["svc"]})
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     for command in ["synth", "synth --role test", *DOWNSTREAM[:-1]]:
         done = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "shearwater.cli", *command.split(), "--config", str(cfg)],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_src_env(), timeout=300,
         )
         assert done.returncode == EXIT_OK, (command, done.stderr)
 
