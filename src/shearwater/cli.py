@@ -33,7 +33,9 @@ from .datasets import (
     DatasetMode,
     FeatureMatrix,
     build_datasets,
-    impute,
+    check_schema,
+    column_medians,
+    fill_missing,
     write_manifest,
 )
 from .errors import PipelineError, reading
@@ -395,24 +397,29 @@ def _parallel_map(task_fn, items, jobs, prepared):
         yield from pool.map(task_fn, items)
 
 
-def _load_cv_inputs(cfg: RunConfig):
-    """The training matrices, the folds, and the crc32 of their texts (the
-    inputs part of :func:`_cv_fingerprint`), which for a file the pipeline
-    wrote (UTF-8, no mark, ``\n``) is the crc32 of its bytes.
+def _load_cv_inputs(cfg: RunConfig, keep=lambda matrix: matrix):
+    """``keep`` of each training matrix, the folds, and the crc32 of their
+    texts (the inputs part of :func:`_cv_fingerprint`), which for a file the
+    pipeline wrote (UTF-8, no mark, ``\n``) is the crc32 of its bytes. A
+    matrix is dropped before the next is read, so with a ``keep`` that holds
+    less than the matrix, memory holds one matrix at a time.
     """
     crc = 0
-    matrices = {}
+    kept, bird_ids = {}, []
     for mode in cfg.modes:
         path = cfg.features_path("train", mode)
-        matrices[mode], crc = _load_matrix(path, f"{mode.value} feature matrix", crc)
+        matrix, crc = _load_matrix(path, f"{mode.value} feature matrix", crc)
+        kept[mode] = keep(matrix)
+        bird_ids.append(matrix.bird_ids)
+        del matrix
     with reading(cfg.folds_path(), "fold assignment", made_by="folds") as text:
         crc = zlib.crc32(text.encode(), crc)
         folds = folds_from_csv(text)
-        for matrix in matrices.values():
-            unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
+        for ids in bird_ids:
+            unshared = sorted(set(ids) ^ set(folds.assignment))
             if unshared:
                 raise PipelineError(f"birds not in both folds and features: {unshared[:5]}")
-    return matrices, folds, crc
+    return kept, folds, crc
 
 
 def _run_name(setting: ModelSetting, seed: int) -> str:
@@ -510,27 +517,34 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
 
 def cmd_predict(cfg: RunConfig) -> None:
     """Score every model before any prediction set is written, so that a
-    missing, stale or broken model leaves the last run's predictions."""
-    train_matrices, _, inputs_crc = _load_cv_inputs(cfg)
-    test_matrices = {
-        mode: _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")[0]
-        for mode in cfg.modes
-    }
-    imputed = {
-        mode: impute(train_matrices[mode], test_matrices[mode]) for mode in cfg.modes
-    }
+    missing, stale or broken model leaves the last run's predictions.
+
+    Memory holds one matrix at a time: the training matrices are read only
+    for the crc and their column medians, then each mode's test matrix is
+    read, filled in place and scored by that mode's models before the next
+    mode's is read."""
+    fills, _, inputs_crc = _load_cv_inputs(
+        cfg, lambda matrix: (matrix.columns, column_medians(matrix.values))
+    )
     runs = cfg.runs()
     sets = []
-    for setting, seed in runs:
-        path = cfg.model_path(setting, seed)
-        model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
-        matrix = imputed[setting.mode]
-        scores = predict_scores(model, matrix.values, matrix.columns)
-        require_finite_scores(scores, matrix.bird_ids, str(path))
-        if model.threshold is None:
-            raise PipelineError(f"model {path.name} has no tuned threshold")
-        labels = hard_labels(scores, model.threshold)
-        sets.append(PredictionSet(matrix.bird_ids, labels, source=path.stem))
+    for mode in cfg.modes:
+        matrix = _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")[0]
+        columns, fill = fills[mode]
+        check_schema(columns, matrix.columns)
+        fill_missing(matrix.values, fill)
+        for setting, seed in runs:
+            if setting.mode is not mode:
+                continue
+            path = cfg.model_path(setting, seed)
+            model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
+            scores = predict_scores(model, matrix.values, matrix.columns)
+            require_finite_scores(scores, matrix.bird_ids, str(path))
+            if model.threshold is None:
+                raise PipelineError(f"model {path.name} has no tuned threshold")
+            labels = hard_labels(scores, model.threshold)
+            sets.append(PredictionSet(matrix.bird_ids, labels, source=path.stem))
+        del matrix  # before the next mode's is read
     for (setting, seed), pset in zip(runs, sets):
         atomic_write_text(cfg.predictions_path(setting, seed), pset.to_csv())
     print(f"wrote {len(runs)} prediction sets to {cfg.predictions_dir()}")

@@ -247,18 +247,26 @@ def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
     """Fill missing entries with training-column medians (0 when a training
     column is entirely missing). Idempotent; never touches the train matrix.
     """
-    if train.columns != apply_to.columns:
-        raise PipelineError("imputation train/apply column schemas differ")
-    fill = column_medians(train.values)
-    values = apply_to.values.copy()
-    nan_rows, nan_cols = np.nonzero(np.isnan(values))
-    values[nan_rows, nan_cols] = fill[nan_cols]
+    check_schema(train.columns, apply_to.columns)
     return FeatureMatrix(
         bird_ids=list(apply_to.bird_ids),
         columns=list(apply_to.columns),
-        values=values,
+        values=fill_missing(apply_to.values.copy(), column_medians(train.values)),
         labels=None if apply_to.labels is None else apply_to.labels.copy(),
     )
+
+
+def check_schema(train_columns: list[str], apply_columns: list[str]) -> None:
+    """Refuse to fill a matrix from training columns of another schema."""
+    if train_columns != apply_columns:
+        raise PipelineError("imputation train/apply column schemas differ")
+
+
+def fill_missing(values: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """``values``, each missing entry set in place to its column's ``fill``."""
+    nan_rows, nan_cols = np.nonzero(np.isnan(values))
+    values[nan_rows, nan_cols] = fill[nan_cols]
+    return values
 
 
 def write_manifest(columns: list[str], path: str | Path) -> None:

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .boost import GbdtParams, LearnerKind, TrainedModel, fit_learner, predict_scores
-from .datasets import DatasetMode, FeatureMatrix, column_medians
+from .datasets import DatasetMode, FeatureMatrix, column_medians, fill_missing
 from .errors import PipelineError, csv_document, read_bird_table
 from .trees import HistogramBins, build_bins
 
@@ -199,10 +199,7 @@ class PreparedMatrix:
 
     def rows(self, j: int, mask) -> np.ndarray:
         """The rows under ``mask``, imputed by fill j."""
-        values = self.matrix.values[mask]
-        nan_rows, nan_cols = np.nonzero(np.isnan(values))
-        values[nan_rows, nan_cols] = self.fills[j, nan_cols]
-        return values
+        return fill_missing(self.matrix.values[mask], self.fills[j])
 
     def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins] | None:
         """The bins of ``rows(j, mask)``, and the bins; None unbinned."""

@@ -27,22 +27,26 @@ zeros; per-bin sums accumulate in row order, so every gain is the float a
 node-by-node search computes.
 
 Bins belong to a matrix, not to a tree: ``build_bins`` bins a whole matrix
-from one sort of its columns, and every tree of a model fits on that one
-binned matrix. A fit reads only each column's bin count and its bins' value
-bounds, so a lossless column keeps its distinct values once, as the bounds,
-and its edges are derived from them when asked for. Lossless bins over a
-superset of the matrix's values (as ``evalcv.prepare`` shares between a
-command's fits) give the very trees that lossless bins over its own values
-give: the occupied bins, their order, their per-bin sums and the midpoints
-between a node's neighbouring occupied values are the same; only the width
-of the bin axis, and with it how a level's nodes are cut into kernel runs,
-differs. The same holds for histogram bins whenever they are lossless, that
-is when no feature has more than ``max_edges + 1`` distinct values.
+from one sort of each column, a block of columns at a time, and every tree
+of a model fits on that one binned matrix. A fit reads only each column's
+bin count and its bins' value bounds, so a lossless column keeps its
+distinct values once, as the bounds, and its edges are derived from them
+when asked for. Lossless bins over a superset of the matrix's values (as
+``evalcv.prepare`` shares between a command's fits) give the very trees
+that lossless bins over its own values give: the occupied bins, their
+order, their per-bin sums and the midpoints between a node's neighbouring
+occupied values are the same; only the width of the bin axis, and with it
+how a level's nodes are cut into kernel runs, differs. The same holds for
+histogram bins whenever they are lossless, that is when no feature has
+more than ``max_edges + 1`` distinct values.
 
 ``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
 grows a batch of one on bins (a boosting round). A level's nodes go to the
-kernel in runs of at most ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS``
-histogram slots, so memory does not grow with the batch. Random draws
+kernel in runs of at most ``_KERNEL_ROWS`` samples and a gain table of at
+most ``_KERNEL_SLOTS`` cells, so memory does not grow with the batch. A
+run's table is its nodes x columns x the bins its largest node can occupy,
+at most that node's sample count and the bin axis's width (an oblivious
+leaf's is the tree's occupied bins, whatever the leaf's size). Random draws
 follow the level, not the run: every node of a level that may split draws
 its features in (tree, then left-to-right) order, and uniform thresholds
 are then drawn for those nodes in the same order, so the runs never change
@@ -71,10 +75,12 @@ import numpy as np
 
 from .errors import PipelineError
 
-# Upper bounds on one kernel call's samples and histogram slots (nodes x
-# columns x bins), so a call's memory does not grow with the batch.
+# Upper bounds on one kernel call's samples and gain table cells (nodes x
+# columns x occupied bins), so a call's memory does not grow with the batch.
 _KERNEL_ROWS = 1024
-_KERNEL_SLOTS = 1 << 16
+_KERNEL_SLOTS = 1 << 14
+# Columns that ``build_bins`` sorts at a time.
+_BIN_BLOCK = 64
 
 
 @dataclass
@@ -229,17 +235,22 @@ def _node_features(candidate_features, params: TreeParams, rng) -> np.ndarray:
     return picked
 
 
-def _runs(sizes, slots_per_node: int, order) -> list[np.ndarray]:
+def _runs(sizes, order, cells) -> list[np.ndarray]:
     """The nodes, taken in ``order``, cut into runs of at most
-    ``_KERNEL_ROWS`` samples and ``_KERNEL_SLOTS`` histogram slots (a node
-    over either runs alone)."""
-    runs, start, rows, slots = [], 0, 0, 0
+    ``_KERNEL_ROWS`` samples whose gain table has at most ``_KERNEL_SLOTS``
+    cells (a node over either bound runs alone). ``cells(nodes, largest)``
+    is the table of a run of that many nodes whose largest node holds
+    ``largest`` samples: a node's (column, bin) table is no wider than the
+    bins its samples occupy."""
+    runs, start, rows, largest = [], 0, 0, 0
     for i, size in enumerate(sizes[order]):
-        if i > start and (rows + size > _KERNEL_ROWS or slots + slots_per_node > _KERNEL_SLOTS):
+        largest = max(largest, size)
+        if i > start and (
+            rows + size > _KERNEL_ROWS or cells(i - start + 1, largest) > _KERNEL_SLOTS
+        ):
             runs.append(order[start:i])
-            start, rows, slots = i, 0, 0
+            start, rows, largest = i, 0, size
         rows += size
-        slots += slots_per_node
     runs.append(order[start:])
     return runs
 
@@ -375,8 +386,12 @@ def fit_trees(
         starts = np.concatenate([[0], np.cumsum(sizes)])
         F = np.array([_node_features(feats, params, rng) for _ in ids])
         m = F.shape[1]
-        # nodes of like size share a run, so little of its table is padding
-        runs = _runs(sizes, m * width, np.argsort(sizes, kind="stable"))
+        # nodes of like size share a run, so little of its table is padding;
+        # ascending, so a run's last node is its largest
+        runs = _runs(
+            sizes, np.argsort(sizes, kind="stable"),
+            lambda nodes, largest: nodes * m * min(width, largest),
+        )
 
         if uniform:
             lo, hi = np.empty(F.shape), np.empty(F.shape)
@@ -408,6 +423,7 @@ def fit_trees(
             )
             col[run], r, split[run] = _best_cuts(gains)
             ltop[run], rbot[run] = _rank_bins(rank[np.arange(len(run)) * m + col[run]], r)
+            del gains, rank  # so one run's table is alive at a time, not two
         if not split.any():
             break
 
@@ -487,22 +503,38 @@ class HistogramBins:
 
 
 def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBins, np.ndarray]:
-    """Bins per feature and X binned by them, from one sort of X's columns.
+    """Bins per feature and X binned by them, from one sort of each column.
 
     A feature whose distinct values fit (at most ``max_edges + 1``, or any
     number for ``max_edges=None``, which is how the exact backend bins) is
     binned losslessly: one bin per distinct value, a cell's bin its dense
     rank. Any other feature gets quantile bins. A NaN cell holds no value:
-    it counts in no bin and its bin id is -1.
+    it counts in no bin and its bin id is -1. A column's bins depend on that
+    column alone, so the columns are sorted ``_BIN_BLOCK`` at a time and the
+    sort's temporaries stay the size of one block.
     """
     X = np.asarray(X, dtype=np.float64)
+    binned = np.empty(X.shape, dtype=np.int32)
+    mins_list, maxs_list, quantile_edges = [], [], {}
+    for lo in range(0, X.shape[1], _BIN_BLOCK):
+        cols = slice(lo, lo + _BIN_BLOCK)
+        mins, maxs, edges = _bin_block(X[:, cols], binned[:, cols], max_edges)
+        mins_list += mins
+        maxs_list += maxs
+        quantile_edges.update((lo + f, e) for f, e in edges.items())
+    return HistogramBins(mins_list, maxs_list, quantile_edges), binned
+
+
+def _bin_block(X, binned, max_edges):
+    """``build_bins`` of the columns of X, writing their bins to ``binned``:
+    the columns' bin minima and maxima, and the edges of those it binned by
+    quantiles, keyed by column within X."""
     order = np.argsort(X, axis=0, kind="stable")  # NaN sorts last
     s = np.take_along_axis(X, order, axis=0)
     first = np.zeros(s.shape, dtype=bool)  # the first cell of each distinct value
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
     first &= ~np.isnan(s)
-    binned = np.empty(X.shape, dtype=np.int32)
     np.put_along_axis(binned, order, np.cumsum(first, axis=0, dtype=np.int32) - 1, axis=0)
     binned[np.isnan(X)] = -1
     counts = first.sum(axis=0)
@@ -528,7 +560,7 @@ def build_bins(X: np.ndarray, max_edges: int | None = 255) -> tuple[HistogramBin
             np.maximum.at(maxs, idx, values)
             binned[valid, f] = idx
             quantile_edges[int(f)], mins_list[f], maxs_list[f] = edges, mins, maxs
-    return HistogramBins(mins_list, maxs_list, quantile_edges), binned
+    return mins_list, maxs_list, quantile_edges
 
 
 def fit_tree_hist(
@@ -590,7 +622,8 @@ def fit_tree_oblivious(
             break
         starts = np.concatenate([[0], np.cumsum(sizes)])
         totals = np.zeros((m, k))
-        for run in _runs(sizes, m * k, np.arange(len(sizes))):
+        # a leaf's table is the tree's k bins wide, whatever its size
+        for run in _runs(sizes, np.arange(len(sizes)), lambda nodes, _: nodes * m * k):
             a, b = starts[run[0]], starts[run[-1] + 1]
             gains, _ = _level_gains(
                 xb[order[a:b]], leaf_of[order[a:b]] - run[0], len(run), width, g[a:b], h[a:b],

@@ -448,14 +448,26 @@ def test_svc_model_bytes_and_scores_are_pinned():
         "bb7dd32474cf0f295523469293131eb344c819a7abc2a3a0f6cffbcea93b8ac6"
     )
 
-@pytest.mark.parametrize("kind", ["sk_rf", "lgb_rf", "sk_et"])
+@pytest.mark.parametrize("kind", ["sk_rf", "lgb_rf", "sk_et", "lgb_gbdt", "cat"])
 @pytest.mark.parametrize("rows, slots", [(1, 1), (70, 2000)])
 def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):
     # a level's nodes reach the split kernel in runs bounded by module
     # constants; every random draw is made per level, so the runs never
-    # change a forest: one node per call, or a few, equals the default
+    # change a forest: one node per call, or a few, equals the default. The
+    # forests and boosted trees (fit_trees) and the oblivious trees count
+    # their runs' tables each in their own way, and no table they build is
+    # over the cell bound unless it scores one node
     import shearwater.trees
 
+    tables = []
+    level_gains = shearwater.trees._level_gains
+
+    def recorded(*args, **kwargs):
+        gains, rank = level_gains(*args, **kwargs)
+        tables.append((len(gains), gains.size, shearwater.trees._KERNEL_SLOTS))
+        return gains, rank
+
+    monkeypatch.setattr(shearwater.trees, "_level_gains", recorded)
     X, y = _pinned_data()
     params = small_params(n_trees=6, max_depth=4, max_bin_edges=15, min_child_weight=1.0)
     default = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(5))
@@ -464,6 +476,8 @@ def test_forest_does_not_depend_on_kernel_runs(monkeypatch, kind, rows, slots):
     bounded = fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(5))
     assert bounded.to_dict() == default.to_dict()
     assert max(t.depth() for t in default.trees) >= 3
+    assert tables and all(nodes == 1 or cells <= bound for nodes, cells, bound in tables)
+    assert any(nodes > 1 for nodes, _, _ in tables)
 
 
 def test_hist_fit_on_its_own_quantile_bins_does_not_import_numpy_ma():

@@ -1273,6 +1273,35 @@ def _copy_run(run, tmp_path):
     return write_config(tmp_path, **FINISHED_CONFIG)
 
 
+def test_predict_holds_one_matrix_at_a_time(finished_run, tmp_path, monkeypatch):
+    # predict reads the training matrices only for the crc and their column
+    # medians, then each mode's test matrix in turn, so no matrix it parsed
+    # is alive when it parses the next: no training matrix at the first
+    # test matrix, and no test matrix of another mode at a new one
+    import weakref
+
+    from shearwater.datasets import FeatureMatrix
+
+    cfg = _copy_run(finished_run, tmp_path)
+    parsed = []
+    from_csv = FeatureMatrix.from_csv.__func__
+
+    def recorded(cls, text):
+        alive = [i for i, ref in enumerate(parsed) if ref() is not None]
+        assert not alive, f"matrices {alive} alive when matrix {len(parsed)} is parsed"
+        matrix = from_csv(cls, text)
+        parsed.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(FeatureMatrix, "from_csv", classmethod(recorded))
+    before = _files(tmp_path / "out", "predictions")
+    for path in (tmp_path / "out" / "predictions").glob("*"):
+        path.unlink()
+    assert main(["predict", "--config", str(cfg)]) == EXIT_OK
+    assert len(parsed) == 4  # two training and two test matrices
+    assert _files(tmp_path / "out", "predictions") == before
+
+
 def test_extract_without_a_test_corpus_removes_the_old_test_matrices(finished_run, tmp_path,
                                                                     capsys):
     # they were built with the previous training thresholds, from birds of

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shearwater import trees
 from shearwater.trees import (
     DecisionTree,
     TreeParams,
@@ -221,6 +222,51 @@ def test_bins_of_one_sort_equal_each_column_alone(rng):
         want = np.where(np.isnan(col), -1, np.searchsorted(distinct, col))
         np.testing.assert_array_equal(Xb[:, f], want)
     assert bins.edges[3].size == 0
+
+
+@pytest.mark.parametrize("max_edges", [None, 7])
+def test_block_binning_equals_binning_each_column_alone(rng, max_edges):
+    # a column's bins depend on that column alone, so binning the columns
+    # a block at a time gives each column the bins it gets by itself, at
+    # every column count around the block size
+    block = trees._BIN_BLOCK
+    for d in (1, block - 1, block, block + 1, 3 * block + 5):
+        X = rng.normal(size=(40, d)).round(1)  # ties; more than 8 values: quantile bins at 7
+        X[:, ::3] = rng.integers(0, 4, size=(40, len(range(0, d, 3))))  # lossless at 7
+        X[rng.random(X.shape) < 0.15] = np.nan
+        X[:, d // 2] = np.nan
+        bins, Xb = build_bins(X, max_edges)
+        assert (max_edges is not None and d > 1) == bool(bins.quantile_edges)
+        for f in range(d):
+            alone, Xf = build_bins(X[:, [f]], max_edges)
+            np.testing.assert_array_equal(bins.bin_min[f], alone.bin_min[0])
+            np.testing.assert_array_equal(bins.bin_max[f], alone.bin_max[0])
+            assert (f in bins.quantile_edges) == (0 in alone.quantile_edges)
+            if f in bins.quantile_edges:
+                np.testing.assert_array_equal(bins.quantile_edges[f], alone.quantile_edges[0])
+            np.testing.assert_array_equal(Xb[:, f], Xf[:, 0])
+
+
+def test_a_level_packs_its_nodes_by_the_bins_they_can_occupy(rng, monkeypatch):
+    # a node's gain table is no wider than its sample count, so 20 roots of
+    # 10 samples over 5 columns of 200 bins fill 20 x 5 x 10 = 1000 cells:
+    # one kernel call at a 1000-cell bound, not one per node
+    X = rng.normal(size=(200, 5))
+    bins, Xb = build_bins(X, None)
+    assert bins.n_edges.max() + 1 == 200
+    rows = [rng.choice(200, size=10, replace=False) for _ in range(20)]
+    grads = [rng.normal(size=200) for _ in rows]
+    nodes = []
+    level_gains = trees._level_gains
+
+    def recorded(*args, **kwargs):
+        nodes.append(args[2])  # the run's node count
+        return level_gains(*args, **kwargs)
+
+    monkeypatch.setattr(trees, "_level_gains", recorded)
+    monkeypatch.setattr(trees, "_KERNEL_SLOTS", 1000)
+    fit_trees(Xb, grads, [np.ones(200)] * 20, rows, TreeParams(max_depth=1), bins=bins)
+    assert nodes == [20]
 
 
 
