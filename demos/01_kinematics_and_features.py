@@ -7,7 +7,7 @@ consumes.
 
 import numpy as np
 
-from shearwater.datasets import DatasetMode, build_dataset
+from shearwater.datasets import DatasetMode, build_datasets
 from shearwater.featex import feature_names
 from shearwater.geokin import feature_series
 from shearwater.synthgen import SynthParams, generate_corpus
@@ -30,7 +30,7 @@ for name, values in feature_series(traj).items():
 # exceedance counts, first-5 coordinates, and PCA of the point matrix. The
 # exceedance thresholds are pooled over the whole corpus, so the matrix
 # build fills those counts in once every bird's speeds are known.
-matrix, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+matrix, _ = build_datasets(corpus, [DatasetMode.TOGETHER])[DatasetMode.TOGETHER]
 vector = matrix.values[matrix.bird_ids.index(bird_id)]
 names = feature_names()
 print(f"\nfeature vector width: {len(vector)}")

@@ -1,13 +1,13 @@
 """shearwater: gender classification of seabirds from GPS trip trajectories.
 
-Library layout follows the pipeline stages: trajdata (parsing), geokin
-(kinematics), featex (per-bird features), datasets (matrix assembly),
-trees/boost/linsvm (learners), evalcv (folds, metrics, voting), synthgen
-(synthetic corpora), cli (batch orchestration).
+Library layout follows the pipeline stages, one path each: trajdata (parsing,
+``CorpusReader``), geokin (kinematics), featex (per-bird features), datasets
+(``build_datasets``, ``fill_missing``), trees/boost/linsvm (learners), evalcv
+(folds, metrics, voting), synthgen (synthetic corpora), cli (batch orchestration).
 """
 
 from .boost import GbdtParams, LearnerKind, TrainedModel, fit_learner, predict_scores
-from .datasets import DatasetMode, FeatureMatrix, build_dataset, impute
+from .datasets import DatasetMode, FeatureMatrix
 from .evalcv import (
     FoldAssignment,
     ModelSetting,
@@ -21,7 +21,7 @@ from .evalcv import (
 )
 from .geokin import haversine
 from .synthgen import SynthParams, generate_corpus
-from .trajdata import Corpus, Trajectory, load_corpus, parse_trajectory
+from .trajdata import Corpus, Trajectory, parse_trajectory
 
 __version__ = "0.1.0"
 
@@ -38,14 +38,11 @@ __all__ = [
     "TrainedModel",
     "Trajectory",
     "accuracy",
-    "build_dataset",
     "cross_validate",
     "f1_score",
     "fit_learner",
     "generate_corpus",
     "haversine",
-    "impute",
-    "load_corpus",
     "majority_vote",
     "make_folds",
     "parse_trajectory",

@@ -38,7 +38,7 @@ from .datasets import (
     fill_missing,
     write_manifest,
 )
-from .errors import PipelineError, reading
+from .errors import PipelineError, naming, reading
 from .evalcv import (
     CvResult,
     FoldAssignment,
@@ -422,6 +422,12 @@ def _load_cv_inputs(cfg: RunConfig, keep=lambda matrix: matrix):
     return kept, folds, crc
 
 
+def _prepare_cv_inputs(cfg: RunConfig):
+    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
+    bins = any(kind.reads_bins for kind in cfg.learners)
+    return {mode: prepare(m, folds, bins) for mode, m in matrices.items()}, folds, inputs_crc
+
+
 def _run_name(setting: ModelSetting, seed: int) -> str:
     return f"{setting.name}#s{seed}"
 
@@ -459,10 +465,8 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
 
 
 def cmd_cv(cfg: RunConfig, jobs: int) -> None:
-    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
+    prepared, folds, inputs_crc = _prepare_cv_inputs(cfg)
     items = cfg.runs()
-    bins = any(kind.reads_bins for kind in cfg.learners)
-    prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
     results: list[CvResult] = list(_parallel_map(_cv_task, items, jobs, prepared))
     tuned = {
         _run_name(s, seed): {
@@ -475,7 +479,7 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
         zip((_run_name(s, seed) for s, seed in items), results), key=lambda kv: kv[0]
     )
 
-    first = matrices[cfg.modes[0]]
+    first = prepared[cfg.modes[0]].matrix
     tie = prevalent_label(first.labels)
     votes = majority_vote(
         [PredictionSet(r.bird_ids, r.oof_labels, source=name) for name, r in keyed], tie
@@ -497,10 +501,8 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
 
 
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
-    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
+    prepared, _, inputs_crc = _prepare_cv_inputs(cfg)
     items = _train_items(cfg, inputs_crc)
-    bins = any(kind.reads_bins for kind in cfg.learners)
-    prepared = {mode: prepare(matrix, folds, bins) for mode, matrix in matrices.items()}
     # Each model is written as it arrives and dropped before the next fit
     # starts, so memory holds one model, not settings x seeds of them (not
     # zip: its reused result tuple would keep the last model through the
@@ -531,7 +533,8 @@ def cmd_predict(cfg: RunConfig) -> None:
     for mode in cfg.modes:
         matrix = _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")[0]
         columns, fill = fills[mode]
-        check_schema(columns, matrix.columns)
+        with naming(cfg.features_path("test", mode)):
+            check_schema(columns, matrix.columns)
         fill_missing(matrix.values, fill)
         for setting, seed in runs:
             if setting.mode is not mode:
@@ -570,10 +573,11 @@ def cmd_evaluate(predictions_path: str, truth_path: str) -> None:
     truth = _load_labels(Path(truth_path), "truth file")
     missing = sorted(set(pred.bird_ids) - set(truth))
     if missing:
-        raise PipelineError(f"truth file lacks birds: {missing[:5]}")
+        raise PipelineError(f"{truth_path}: truth file lacks birds of {path}: {missing[:5]}")
     y = np.array([truth[b] for b in pred.bird_ids])
-    acc = accuracy(pred.labels, y)
-    f1 = f1_score(pred.labels, y)
+    with naming(path):  # a file that lists no birds is an empty prediction vector
+        acc = accuracy(pred.labels, y)
+        f1 = f1_score(pred.labels, y)
     print(f"accuracy={acc:.6f} f1={f1:.6f}")
 
 

@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,16 +218,6 @@ def _fill_exceedance(row: np.ndarray, speeds: np.ndarray | None, thresholds: np.
         row[EXCEEDANCE] = exceedance_counts(speeds, thresholds)
 
 
-def build_dataset(
-    corpus: Corpus, mode: DatasetMode, thresholds: Thresholds | None = None
-) -> tuple[FeatureMatrix, Thresholds]:
-    """:func:`build_datasets` of one mode, its matrix labeled when the corpus is."""
-    matrix, thresholds = build_datasets(
-        corpus, [mode], None if thresholds is None else {mode: thresholds}
-    )[mode]
-    return (matrix if corpus.labels is None else matrix.labeled(corpus.labels)), thresholds
-
-
 def column_medians(values: np.ndarray) -> np.ndarray:
     """Each column's median over its non-NaN entries, 0 for a column with
     none. A sort puts NaN last, so a column's k observed values lead it; the
@@ -243,23 +234,11 @@ def column_medians(values: np.ndarray) -> np.ndarray:
     return np.where(k > 0, medians, 0.0)
 
 
-def impute(train: FeatureMatrix, apply_to: FeatureMatrix) -> FeatureMatrix:
-    """Fill missing entries with training-column medians (0 when a training
-    column is entirely missing). Idempotent; never touches the train matrix.
-    """
-    check_schema(train.columns, apply_to.columns)
-    return FeatureMatrix(
-        bird_ids=list(apply_to.bird_ids),
-        columns=list(apply_to.columns),
-        values=fill_missing(apply_to.values.copy(), column_medians(train.values)),
-        labels=None if apply_to.labels is None else apply_to.labels.copy(),
-    )
-
-
 def check_schema(train_columns: list[str], apply_columns: list[str]) -> None:
-    """Refuse to fill a matrix from training columns of another schema."""
-    if train_columns != apply_columns:
-        raise PipelineError("imputation train/apply column schemas differ")
+    """Refuse to fill a matrix from training columns of another schema, naming the first."""
+    for i, (want, got) in enumerate(zip_longest(train_columns, apply_columns), 1):
+        if want != got:
+            raise PipelineError(f"feature column {i} is {got!r}, not the training matrix's {want!r}")
 
 
 def fill_missing(values: np.ndarray, fill: np.ndarray) -> np.ndarray:

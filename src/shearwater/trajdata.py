@@ -265,9 +265,9 @@ def load_labels(labels_path: str | Path, bird_ids: Iterable[str]) -> dict[str, i
 class Corpus:
     """Immutable collection of trajectories keyed by bird id.
 
-    Iteration order is always lexicographic in bird_id regardless of how
-    the corpus was assembled. Labels, when given, cover exactly the birds
-    with a trajectory (see :func:`_check_labels`).
+    Its ``bird_ids`` are in lexicographic order however it was assembled,
+    and it is read as a :class:`CorpusReader` is, by bird id. Labels, when
+    given, cover exactly the birds with a trajectory (see :func:`_check_labels`).
     """
 
     trajectories: dict[str, Trajectory]
@@ -285,9 +285,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories.values())
 
     def __getitem__(self, bird_id: str) -> Trajectory:
         return self.trajectories[bird_id]
@@ -331,18 +328,6 @@ class CorpusReader:
     def __getitem__(self, bird_id: str) -> Trajectory:
         with reading(self.paths[bird_id], "trajectory file") as text:
             return parse_trajectory(bird_id, text)
-
-
-def load_corpus(trajectory_dir: str | Path, labels_path: str | Path | None = None) -> Corpus:
-    """Every trajectory of a :class:`CorpusReader` held at once, in
-    lexicographic bird_id order, plus optional labels, which must cover
-    exactly the birds with a trajectory; a mismatch either way names the
-    labels file.
-    """
-    reader = CorpusReader(trajectory_dir)
-    trajectories = {bird_id: reader[bird_id] for bird_id in reader.bird_ids}
-    labels = None if labels_path is None else load_labels(labels_path, reader.bird_ids)
-    return Corpus(trajectories=trajectories, labels=labels)
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

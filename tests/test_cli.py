@@ -140,7 +140,17 @@ def test_evaluate_names_a_predicted_bird_the_truth_file_lacks(tmp_path, capsys):
     preds.write_text("bird_id,label\nb0,1\nb1,0\n")
     truth.write_text("bird_id,label\nb0,1\n")
     assert main(["evaluate", "--predictions", str(preds), "--truth", str(truth)]) == EXIT_DATA
-    assert "truth file lacks birds: ['b1']" in capsys.readouterr().err
+    assert f"{truth}: truth file lacks birds of {preds}: ['b1']" in capsys.readouterr().err
+
+
+def test_evaluate_names_a_predictions_file_with_no_birds(tmp_path, capsys):
+    # a header-only file was "empty prediction vector", naming no file
+    preds = tmp_path / "preds.csv"
+    truth = tmp_path / "truth.csv"
+    preds.write_text("bird_id,label\n")
+    truth.write_text("bird_id,label\nb0,1\n")
+    assert main(["evaluate", "--predictions", str(preds), "--truth", str(truth)]) == EXIT_DATA
+    assert f"data error: {preds}: empty prediction vector" in capsys.readouterr().err
 
 
 def test_evaluate_names_the_physical_line(tmp_path, capsys):
@@ -660,6 +670,21 @@ def test_settings_do_not_leak_into_each_other(tmp_path):
     assert _files(out, "models") == models
     for name, data in _files(out, "predictions").items():
         assert data.startswith(predictions[name]) and data != predictions[name]
+
+
+def test_predict_names_the_test_matrix_whose_columns_differ(tmp_path, capsys):
+    _run_chain(tmp_path, ["synth", "synth --role test", "extract", "folds", "cv", "train"],
+               learners=["svc"])
+    path = tmp_path / "out" / "features" / "test_together.csv"
+    header, rest = path.read_text().split("\n", 1)
+    cells = header.split(",")  # bird_id,<features>
+    cells[2], cells[3] = cells[3], cells[2]
+    path.write_text(",".join(cells) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(tmp_path / "config.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: feature column 2 is {cells[2]!r}, not the training matrix's {cells[3]!r}" in err
+    assert not (tmp_path / "out" / "predictions").exists()
 
 
 def test_predict_names_a_missing_model(tmp_path, capsys):

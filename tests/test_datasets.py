@@ -7,8 +7,10 @@ import pytest
 from shearwater.datasets import (
     DatasetMode,
     FeatureMatrix,
-    build_dataset,
-    impute,
+    build_datasets,
+    check_schema,
+    column_medians,
+    fill_missing,
     schema_columns,
 )
 from shearwater.errors import PipelineError
@@ -35,14 +37,14 @@ def small_corpus(rng, n_birds=3, n_points=10, labeled=True, daytime=None):
 def test_thresholds_stationary_corpus():
     traj = make_traj(longitude=[5.0] * 6, latitude=[5.0] * 6)
     corpus = Corpus(trajectories={"b0": traj})
-    th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
+    th = build_datasets(corpus, [DatasetMode.TOGETHER])[DatasetMode.TOGETHER][1]["all"]
     assert th[0] == 0.0  # pooled mean velocity
 
 
 def test_thresholds_match_bruteforce_pool(rng):
     corpus = small_corpus(rng, n_birds=3, n_points=7)
     pooled = np.concatenate([feature_series(corpus[b])["velocity"] for b in corpus.bird_ids])
-    th = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
+    th = build_datasets(corpus, [DatasetMode.TOGETHER])[DatasetMode.TOGETHER][1]["all"]
     # oracle: sort and interpolate by hand
     s = np.sort(pooled)
     for k, p in zip(range(1, 12), (0.05, 0.10, 0.15, 0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)):
@@ -56,28 +58,30 @@ def test_thresholds_match_bruteforce_pool(rng):
 
 def test_day_subset_of_all_day_corpus_equals_all(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    th_all = build_dataset(corpus, DatasetMode.TOGETHER)[1]["all"]
-    th_day = build_dataset(corpus, DatasetMode.SPLIT)[1]["day"]
+    built = build_datasets(corpus, [DatasetMode.TOGETHER, DatasetMode.SPLIT])
+    th_all = built[DatasetMode.TOGETHER][1]["all"]
+    th_day = built[DatasetMode.SPLIT][1]["day"]
     np.testing.assert_array_equal(th_all, th_day)
 
 
 def test_empty_pool_raises(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    assert build_dataset(corpus, DatasetMode.SPLIT)[1]["night"] is None
+    assert build_datasets(corpus, [DatasetMode.SPLIT])[DatasetMode.SPLIT][1]["night"] is None
 
 
 def test_build_together_shape(rng):
     corpus = small_corpus(rng, n_birds=3)
-    matrix, _ = build_dataset(corpus, DatasetMode.TOGETHER)
+    matrix, _ = build_datasets(corpus, [DatasetMode.TOGETHER])[DatasetMode.TOGETHER]
     assert matrix.values.shape == (3, 248)
     assert matrix.bird_ids == ["b0", "b1", "b2"]
-    assert matrix.labels is not None
+    assert matrix.labels is None
+    assert matrix.labeled(corpus.labels).labels.tolist() == [0, 1, 0]
 
 
 def test_split_doubles_columns(rng):
     corpus = small_corpus(rng)
-    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
-    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    built = build_datasets(corpus, [DatasetMode.TOGETHER, DatasetMode.SPLIT])
+    (together, _), (split, _) = built[DatasetMode.TOGETHER], built[DatasetMode.SPLIT]
     assert len(split.columns) == 2 * len(together.columns) == 496
     assert split.columns[0] == "day_" + together.columns[0]
     assert split.columns[248] == "night_" + together.columns[0]
@@ -86,62 +90,56 @@ def test_split_doubles_columns(rng):
 def test_schema_pure_function_of_mode(rng):
     c1 = small_corpus(rng, n_birds=2)
     c2 = small_corpus(rng, n_birds=4)
-    split1, _ = build_dataset(c1, DatasetMode.SPLIT)
-    split2, _ = build_dataset(c2, DatasetMode.SPLIT)
+    built = build_datasets(c1, [DatasetMode.TOGETHER, DatasetMode.SPLIT])
+    (together, _), (split1, _) = built[DatasetMode.TOGETHER], built[DatasetMode.SPLIT]
+    split2, _ = build_datasets(c2, [DatasetMode.SPLIT])[DatasetMode.SPLIT]
     assert split1.columns == split2.columns
-    together, _ = build_dataset(c1, DatasetMode.TOGETHER)
     assert schema_columns(DatasetMode.TOGETHER) == together.columns
 
 
 def test_all_day_bird_has_missing_night_columns(rng):
     corpus = small_corpus(rng, n_birds=2, daytime=np.ones(10, dtype=np.int64))
-    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix, _ = build_datasets(corpus, [DatasetMode.SPLIT])[DatasetMode.SPLIT]
     night_cols = [i for i, c in enumerate(matrix.columns) if c.startswith("night_")]
     assert np.isnan(matrix.values[:, night_cols]).all()
 
 
 def test_all_day_bird_day_features_equal_together(rng):
     corpus = small_corpus(rng, daytime=np.ones(10, dtype=np.int64))
-    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
-    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    built = build_datasets(corpus, [DatasetMode.TOGETHER, DatasetMode.SPLIT])
+    (together, _), (split, _) = built[DatasetMode.TOGETHER], built[DatasetMode.SPLIT]
     day_block = split.values[:, :248]
     np.testing.assert_array_equal(day_block, together.values)
 
 
 def test_impute_median_rule():
-    train = FeatureMatrix(
-        bird_ids=["a", "b", "c"],
-        columns=["x"],
-        values=np.array([[1.0], [3.0], [np.nan]]),
-    )
-    target = FeatureMatrix(bird_ids=["z"], columns=["x"], values=np.array([[np.nan]]))
-    out = impute(train, target)
-    assert out.values[0, 0] == 2.0
+    train = np.array([[1.0], [3.0], [np.nan]])
+    out = fill_missing(np.array([[np.nan]]), column_medians(train))
+    assert out[0, 0] == 2.0
+    assert np.isnan(train[2, 0])  # the training rows are untouched
 
 
 def test_impute_no_missing_unchanged(rng):
     values = rng.normal(size=(4, 3))
-    m = FeatureMatrix(bird_ids=list("abcd"), columns=["x", "y", "z"], values=values)
-    out = impute(m, m)
-    np.testing.assert_array_equal(out.values, values)
+    out = fill_missing(values.copy(), column_medians(values))
+    np.testing.assert_array_equal(out, values)
 
 
 def test_impute_all_missing_column_fills_zero():
-    train = FeatureMatrix(
-        bird_ids=["a", "b"], columns=["x"], values=np.array([[np.nan], [np.nan]])
-    )
-    target = FeatureMatrix(bird_ids=["z"], columns=["x"], values=np.array([[np.nan]]))
-    assert impute(train, target).values[0, 0] == 0.0
+    train = np.array([[np.nan], [np.nan]])
+    assert fill_missing(np.array([[np.nan]]), column_medians(train))[0, 0] == 0.0
 
 
 def test_impute_idempotent(rng):
     values = rng.normal(size=(5, 4))
     values[rng.random((5, 4)) < 0.3] = np.nan
-    m = FeatureMatrix(bird_ids=list("abcde"), columns=list("wxyz"), values=values)
-    once = impute(m, m)
-    twice = impute(m, once)
-    np.testing.assert_array_equal(once.values, twice.values)
-    assert not np.isnan(once.values).any()
+    before = values.copy()
+    fill = column_medians(values)
+    once = fill_missing(values.copy(), fill)
+    twice = fill_missing(once.copy(), fill)
+    np.testing.assert_array_equal(once, twice)
+    assert not np.isnan(once).any()
+    np.testing.assert_array_equal(values, before)  # the training rows are untouched
 
 
 def test_impute_fill_equals_nanmedian(rng):
@@ -151,26 +149,27 @@ def test_impute_fill_equals_nanmedian(rng):
         values = rng.choice([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 3.25], size=(n, 6))
         values[:, 0] = np.nan
         values[:, 1] = rng.normal(size=n)
-        columns = list("abcdef")
-        train = FeatureMatrix(bird_ids=[f"b{i}" for i in range(n)], columns=columns, values=values)
-        target = FeatureMatrix(bird_ids=["z"], columns=columns, values=np.full((1, 6), np.nan))
         observed = ~np.isnan(values).all(axis=0)
         expected = np.zeros(6)
         with np.errstate(invalid="ignore"):
             expected[observed] = np.nanmedian(values[:, observed], axis=0)
-        np.testing.assert_array_equal(impute(train, target).values[0], expected)
+        filled = fill_missing(np.full((1, 6), np.nan), column_medians(values))
+        np.testing.assert_array_equal(filled[0], expected)
 
 
 def test_impute_schema_mismatch():
-    a = FeatureMatrix(bird_ids=["a"], columns=["x"], values=np.zeros((1, 1)))
-    b = FeatureMatrix(bird_ids=["a"], columns=["y"], values=np.zeros((1, 1)))
-    with pytest.raises(PipelineError, match="^imputation train/apply column schemas differ$"):
-        impute(a, b)
+    check_schema(["x", "y"], ["x", "y"])
+    with pytest.raises(PipelineError, match="^feature column 1 is 'y', not the training matrix's 'x'$"):
+        check_schema(["x"], ["y"])
+    with pytest.raises(PipelineError, match="^feature column 2 is None, not the training matrix's 'y'$"):
+        check_schema(["x", "y"], ["x"])
+    with pytest.raises(PipelineError, match="^feature column 2 is 'z', not the training matrix's None$"):
+        check_schema(["x"], ["x", "z"])
 
 
 def test_matrix_csv_round_trip(rng):
     corpus = small_corpus(rng)
-    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix = build_datasets(corpus, [DatasetMode.SPLIT])[DatasetMode.SPLIT][0].labeled(corpus.labels)
     again = FeatureMatrix.from_csv(matrix.to_csv())
     assert again.bird_ids == matrix.bird_ids
     assert again.columns == matrix.columns
@@ -180,7 +179,7 @@ def test_matrix_csv_round_trip(rng):
 
 def test_matrix_csv_missing_serialized_empty(rng):
     corpus = small_corpus(rng, n_birds=2, daytime=np.ones(10, dtype=np.int64))
-    matrix, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    matrix, _ = build_datasets(corpus, [DatasetMode.SPLIT])[DatasetMode.SPLIT]
     first_row = matrix.to_csv().splitlines()[1]
     assert ",," in first_row  # consecutive empties from the night block
 

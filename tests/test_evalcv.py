@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind, fit_learner
-from shearwater.datasets import DatasetMode, FeatureMatrix, impute
+from shearwater.datasets import DatasetMode, FeatureMatrix, column_medians, fill_missing
 from shearwater.errors import PipelineError
 from shearwater.evalcv import (
     ModelSetting,
@@ -308,7 +308,7 @@ def test_fits_on_shared_bins_equal_fits_on_their_own_bins(rng, kind, max_bin_edg
     prepared = prepare(matrix, folds)
     for j in range(folds.k + 1):  # set k, every row, is the final model's
         train = fold_of != j
-        X = impute(matrix.subset(train), matrix).values[train]
+        X = fill_missing(matrix.values[train], column_medians(matrix.values[train]))
         np.testing.assert_array_equal(prepared.rows(j, train), X)
         y = matrix.labels[train]
         shared = fit_learner(
@@ -331,8 +331,8 @@ def test_final_model_fits_every_row_on_the_stream_after_the_folds(rng, kind):
     )
     model = fit_final_model(setting, prepare(matrix, folds), 7, 0.25)
     want = fit_learner(
-        kind, impute(matrix, matrix).values, matrix.labels, setting.params,
-        setting_rng(setting.name, 7, folds.k), matrix.columns,
+        kind, fill_missing(matrix.values.copy(), column_medians(matrix.values)), matrix.labels,
+        setting.params, setting_rng(setting.name, 7, folds.k), matrix.columns,
     )
     want.threshold = 0.25
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())

@@ -4,10 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from shearwater.datasets import DatasetMode, build_dataset
+from shearwater.datasets import DatasetMode, build_datasets
 from shearwater.geokin import feature_series
 from shearwater.synthgen import SynthParams, _clipped_walk, generate_corpus, null_signal_params
-from shearwater.trajdata import labels_to_csv, load_corpus, save_corpus, trajectory_to_csv
+from shearwater.trajdata import CorpusReader, labels_to_csv, load_labels, save_corpus, trajectory_to_csv
 
 
 def tiny_params(**overrides):
@@ -46,7 +46,7 @@ def test_corpus_bytes_are_pinned(params, sha256):
 
 
 def test_clipping_corpus_reaches_the_clip_bounds():
-    for traj in generate_corpus(SynthParams(n_birds=40, seed=7, **CLIPPING)):
+    for traj in generate_corpus(SynthParams(n_birds=40, seed=7, **CLIPPING)).trajectories.values():
         # every point after the unclipped start is within bounds, and some sit on one
         lat, lon = np.abs(traj.latitude[1:]), np.abs(traj.longitude[1:])
         assert lat.max() <= 85.0 and lon.max() <= 179.0
@@ -90,7 +90,7 @@ def test_different_seed_different_corpus():
 
 def test_all_points_satisfy_invariants():
     corpus = generate_corpus(tiny_params(n_birds=20))
-    for traj in corpus:
+    for traj in corpus.trajectories.values():
         traj.validate()  # raises on any violation
         assert len(traj) >= 20
 
@@ -98,11 +98,11 @@ def test_all_points_satisfy_invariants():
 def test_trajectories_survive_csv_round_trip(tmp_path):
     corpus = generate_corpus(tiny_params())
     save_corpus(corpus, tmp_path / "trips", tmp_path / "labels.csv")
-    loaded = load_corpus(tmp_path / "trips", tmp_path / "labels.csv")
-    assert loaded.bird_ids == corpus.bird_ids
-    assert loaded.labels == corpus.labels
+    reader = CorpusReader(tmp_path / "trips")
+    assert reader.bird_ids == corpus.bird_ids
+    assert load_labels(tmp_path / "labels.csv", reader.bird_ids) == corpus.labels
     for bird in corpus.bird_ids:
-        assert loaded[bird] == corpus[bird]
+        assert reader[bird] == corpus[bird]
 
 
 def test_gender_draw_roughly_balanced():
@@ -147,15 +147,15 @@ def test_null_signal_params_keep_every_other_field():
 
 def test_day_and_night_both_present():
     corpus = generate_corpus(tiny_params(n_birds=30, trip_length_min=100, trip_length_max=200))
-    day_points = sum(int(t.daytime.sum()) for t in corpus)
-    total = sum(len(t) for t in corpus)
+    day_points = sum(int(t.daytime.sum()) for t in corpus.trajectories.values())
+    total = sum(len(t) for t in corpus.trajectories.values())
     assert 0 < day_points < total
 
 
 def test_corpus_feeds_both_dataset_modes():
     corpus = generate_corpus(tiny_params(n_birds=8, trip_length_min=40, trip_length_max=60))
-    together, _ = build_dataset(corpus, DatasetMode.TOGETHER)
-    split, _ = build_dataset(corpus, DatasetMode.SPLIT)
+    built = build_datasets(corpus, [DatasetMode.TOGETHER, DatasetMode.SPLIT])
+    (together, _), (split, _) = built[DatasetMode.TOGETHER], built[DatasetMode.SPLIT]
     assert together.values.shape == (8, 248)
     assert split.values.shape == (8, 496)
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from shearwater.errors import PipelineError
 from shearwater.trajdata import (
     Corpus,
+    CorpusReader,
     atomic_write_text,
-    load_corpus,
+    load_labels,
     parse_labels,
     parse_local_time,
     parse_trajectory,
@@ -212,8 +213,7 @@ def test_writer_refuses_a_local_time_outside_the_day(seconds):
 def test_corpus_iteration_order_lexicographic(tmp_path):
     for name in ("b2", "b1", "b10"):
         (tmp_path / f"{name}.csv").write_text(TWO_ROWS)
-    corpus = load_corpus(tmp_path)
-    assert corpus.bird_ids == ["b1", "b10", "b2"]
+    assert CorpusReader(tmp_path).bird_ids == ["b1", "b10", "b2"]
 
 
 def test_corpus_order_independent_of_insertion():
@@ -222,10 +222,10 @@ def test_corpus_order_independent_of_insertion():
     assert c.bird_ids == ["b1", "b2"]
 
 
-def test_load_corpus_annotates_file(tmp_path):
+def test_corpus_reader_annotates_file(tmp_path):
     (tmp_path / "bad.csv").write_text(doc("139.0,38.5,180.0,45.0,1,0,12:00:00,1"))
     with pytest.raises(PipelineError, match=r"bad\.csv: bad: trajectory has 1 rows, need >= 2$"):
-        load_corpus(tmp_path)
+        CorpusReader(tmp_path)["bad"]
 
 
 def test_labels_unknown_bird(tmp_path):
@@ -236,7 +236,7 @@ def test_labels_unknown_bird(tmp_path):
     labels.write_text("bird_id,label\nb1,1\nghost,0\n")
     with pytest.raises(PipelineError, match=r"labels\.csv: labels reference birds with no "
                                             r"trajectory: \['ghost'\]$"):
-        load_corpus(trips, labels)
+        load_labels(labels, CorpusReader(trips).bird_ids)
 
 
 def test_corpus_refuses_an_unlabeled_trajectory():
@@ -257,10 +257,10 @@ def test_corpus_save_load_round_trip(tmp_path):
     t1 = parse_trajectory("b1", TWO_ROWS)
     corpus = Corpus(trajectories={"b1": t1}, labels={"b1": 1})
     save_corpus(corpus, tmp_path / "trips", tmp_path / "labels.csv")
-    loaded = load_corpus(tmp_path / "trips", tmp_path / "labels.csv")
-    assert loaded.bird_ids == ["b1"]
-    assert loaded["b1"] == t1
-    assert loaded.labels == {"b1": 1}
+    reader = CorpusReader(tmp_path / "trips")
+    assert reader.bird_ids == ["b1"]
+    assert reader["b1"] == t1
+    assert load_labels(tmp_path / "labels.csv", reader.bird_ids) == {"b1": 1}
 
 
 def test_atomic_write_takes_a_string_or_pieces_and_writes_utf8(tmp_path):
