@@ -134,7 +134,9 @@ class GbdtParams:
 
 @dataclass
 class TrainedModel:
-    """A fitted learner plus its feature schema and decision threshold."""
+    """A fitted learner plus its feature schema, decision threshold and fill:
+    the column medians of its training rows, which impute a scored row's
+    missing cells (``evalcv`` sets it; a bare :func:`fit_learner` has none)."""
 
     kind: LearnerKind
     params: GbdtParams
@@ -143,6 +145,7 @@ class TrainedModel:
     trees: list[DecisionTree] | None = None
     svm: SvmModel | None = None
     threshold: float | None = None
+    fill: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         doc = {
@@ -152,6 +155,8 @@ class TrainedModel:
             "f0": self.f0,
             "threshold": self.threshold,
         }
+        if self.fill is not None:
+            doc["fill"] = self.fill.tolist()
         if self.svm is not None:
             doc["svm"] = self.svm.to_dict()
         else:
@@ -161,8 +166,9 @@ class TrainedModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
         """Decode a model; ValueError unless it holds either trees or an svm,
-        as wide as the feature schema, a float f0 and a finite float
-        threshold or none (json reads ``true`` as a bool, not a number)."""
+        as wide as the feature schema, a float f0, a finite float threshold
+        or none, and a fill of one finite float per feature or none (json
+        reads ``true`` as a bool, not a number)."""
         if ("trees" in doc) == ("svm" in doc):
             raise ValueError("a model holds either trees or an svm")
         if not isinstance(doc["f0"], float):
@@ -172,6 +178,10 @@ class TrainedModel:
         if doc["threshold"] is not None and not np.isfinite(doc["threshold"]):
             raise ValueError(f"threshold {doc['threshold']} is not finite")
         width = len(doc["feature_names"])
+        fill = doc.get("fill")
+        if "fill" in doc and not (type(fill) is list and [type(v) for v in fill] == [float] * width
+                                  and np.isfinite(fill).all()):
+            raise ValueError(f"fill is not a list of {width} finite floats")
         trees = DecisionTree.from_dicts(doc["trees"], width) if "trees" in doc else None
         return cls(
             kind=LearnerKind(doc["kind"]),
@@ -181,6 +191,7 @@ class TrainedModel:
             threshold=doc["threshold"],
             trees=trees,
             svm=SvmModel.from_dict(doc["svm"], width) if "svm" in doc else None,
+            fill=None if fill is None else np.array(fill),
         )
 
 
@@ -396,7 +407,7 @@ def fit_learner(
     model = TrainedModel(kind, params, feature_names or [f"f{i}" for i in range(X().shape[1])])
     family = kind.family
     if family == "svm":
-        model.svm = fit_pegasos(X(), y, params.svm_reg, params.svm_epochs, rng)
+        model.svm = fit_pegasos(X(), y, rng, params.svm_reg, params.svm_epochs)
         return model
     pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if family == "pairwise" and (pos.size == 0 or neg.size == 0):
@@ -425,8 +436,9 @@ def fit_learner(
 
 
 def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> np.ndarray:
-    """Deterministic scores: probabilities for logistic and forest
-    learners, raw margins for rank and svc.
+    """Deterministic scores of the rows of X: probabilities for logistic and
+    forest learners, raw margins for rank and svc. Each missing cell is
+    scored as the model's fill of its column, without changing X.
     """
     if columns is not None and list(columns) != list(model.feature_names):
         raise PipelineError(f"{model.kind.value}: feature columns do not match the model schema")
@@ -435,6 +447,8 @@ def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> 
         raise PipelineError(
             f"{model.kind.value}: expected {len(model.feature_names)} features, got {X.shape[1]}"
         )
+    if model.fill is not None:
+        X = np.where(np.isnan(X), model.fill, X)
     if model.svm is not None:
         return model.svm.score(X)
     raw = np.full(X.shape[0], model.f0)

@@ -4,11 +4,12 @@ All paths and hyperparameters live in a JSON config; flags override
 scalars. Commands overwrite each output file atomically and can be re-run
 one by one, except that `train` needs the thresholds of a `cv` run on the
 same inputs (`cv_thresholds.json`) and `predict` only uses models that
-`train` fitted on the current inputs and hyperparameters. `train` writes
-each model as soon as it is fitted, so one stopped part-way leaves the
-models before the failure new and the rest stale, which `predict` refuses
-by name. A run is reproducible end to end: identical config and seed
-give byte-identical final predictions regardless of --jobs.
+`train` fitted on the current inputs and hyperparameters, each carrying
+the medians that fill the test rows it scores. `train` writes each model
+as soon as it is fitted, so one stopped part-way leaves the models before
+the failure new and the rest stale, which `predict` refuses by name. A run
+is reproducible end to end: identical config and seed give byte-identical
+final predictions regardless of --jobs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -34,8 +35,6 @@ from .datasets import (
     FeatureMatrix,
     build_datasets,
     check_schema,
-    column_medians,
-    fill_missing,
     write_manifest,
 )
 from .errors import PipelineError, naming, reading
@@ -261,15 +260,15 @@ class RunConfig:
         return self.out_dir / "ensemble.csv"
 
 
-def _load_matrix(path: Path, what: str, crc: int = 0) -> tuple[FeatureMatrix, int]:
+def _load_matrix(file: tuple[Path, str, str], crc: int = 0) -> tuple[FeatureMatrix, int]:
     """A feature matrix, and ``crc`` carried on over its text (not held after)."""
-    with reading(path, what, made_by="extract") as text:
+    with reading(*file) as text:
         crc = zlib.crc32(text.encode(), crc)
         return FeatureMatrix.from_csv(text), crc
 
 
 def _load_model(path: Path, fingerprint: str) -> TrainedModel:
-    """A model file, refused unless ``train`` fitted it under ``fingerprint``."""
+    """A model file that ``train`` fitted under ``fingerprint``, with its fill."""
     with reading(path, "model", made_by="train") as text:
         try:
             doc = json.loads(text)
@@ -280,6 +279,8 @@ def _load_model(path: Path, fingerprint: str) -> TrainedModel:
             raise PipelineError(f"not a model file: {exc!r}") from None
         if doc.get("fingerprint") != fingerprint:
             raise PipelineError("trained on other inputs or hyperparameters; re-run train")
+        if model.fill is None:
+            raise PipelineError("no fill of missing cells, as older versions wrote; re-run train")
     return model
 
 
@@ -397,35 +398,32 @@ def _parallel_map(task_fn, items, jobs, prepared):
         yield from pool.map(task_fn, items)
 
 
-def _load_cv_inputs(cfg: RunConfig, keep=lambda matrix: matrix):
-    """``keep`` of each training matrix, the folds, and the crc32 of their
-    texts (the inputs part of :func:`_cv_fingerprint`), which for a file the
-    pipeline wrote (UTF-8, no mark, ``\n``) is the crc32 of its bytes. A
-    matrix is dropped before the next is read, so with a ``keep`` that holds
-    less than the matrix, memory holds one matrix at a time.
-    """
-    crc = 0
-    kept, bird_ids = {}, []
-    for mode in cfg.modes:
-        path = cfg.features_path("train", mode)
-        matrix, crc = _load_matrix(path, f"{mode.value} feature matrix", crc)
-        kept[mode] = keep(matrix)
-        bird_ids.append(matrix.bird_ids)
-        del matrix
-    with reading(cfg.folds_path(), "fold assignment", made_by="folds") as text:
+def _cv_input_files(cfg: RunConfig) -> list[tuple[Path, str, str]]:
+    """(path, what, the command that makes it) of each mode's training
+    matrix, then of the folds: the inputs part of :func:`_cv_fingerprint`."""
+    matrices = [(cfg.features_path("train", m), f"{m.value} feature matrix", "extract")
+                for m in cfg.modes]
+    return [*matrices, (cfg.folds_path(), "fold assignment", "folds")]
+
+
+def _load_cv_inputs(cfg: RunConfig):
+    """Each mode's training matrix made ready under the folds (binned when a
+    configured learner reads bins), the folds, and the crc32 of their texts,
+    which for a file the pipeline wrote (UTF-8, no mark, ``\n``) is the
+    crc32 of its bytes; ``predict`` takes the crc alone, unparsed."""
+    *matrix_files, folds_file = _cv_input_files(cfg)
+    crc, matrices = 0, {}
+    for mode, file in zip(cfg.modes, matrix_files):
+        matrices[mode], crc = _load_matrix(file, crc)
+    with reading(*folds_file) as text:
         crc = zlib.crc32(text.encode(), crc)
         folds = folds_from_csv(text)
-        for ids in bird_ids:
-            unshared = sorted(set(ids) ^ set(folds.assignment))
+        for matrix in matrices.values():
+            unshared = sorted(set(matrix.bird_ids) ^ set(folds.assignment))
             if unshared:
                 raise PipelineError(f"birds not in both folds and features: {unshared[:5]}")
-    return kept, folds, crc
-
-
-def _prepare_cv_inputs(cfg: RunConfig):
-    matrices, folds, inputs_crc = _load_cv_inputs(cfg)
     bins = any(kind.reads_bins for kind in cfg.learners)
-    return {mode: prepare(m, folds, bins) for mode, m in matrices.items()}, folds, inputs_crc
+    return {mode: prepare(m, folds, bins) for mode, m in matrices.items()}, folds, crc
 
 
 def _run_name(setting: ModelSetting, seed: int) -> str:
@@ -465,7 +463,7 @@ def _train_items(cfg: RunConfig, inputs_crc: int) -> list[tuple[ModelSetting, in
 
 
 def cmd_cv(cfg: RunConfig, jobs: int) -> None:
-    prepared, folds, inputs_crc = _prepare_cv_inputs(cfg)
+    prepared, folds, inputs_crc = _load_cv_inputs(cfg)
     items = cfg.runs()
     results: list[CvResult] = list(_parallel_map(_cv_task, items, jobs, prepared))
     tuned = {
@@ -501,7 +499,7 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
 
 
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
-    prepared, _, inputs_crc = _prepare_cv_inputs(cfg)
+    prepared, _, inputs_crc = _load_cv_inputs(cfg)
     items = _train_items(cfg, inputs_crc)
     # Each model is written as it arrives and dropped before the next fit
     # starts, so memory holds one model, not settings x seeds of them (not
@@ -521,27 +519,26 @@ def cmd_predict(cfg: RunConfig) -> None:
     """Score every model before any prediction set is written, so that a
     missing, stale or broken model leaves the last run's predictions.
 
-    Memory holds one matrix at a time: the training matrices are read only
-    for the crc and their column medians, then each mode's test matrix is
-    read, filled in place and scored by that mode's models before the next
-    mode's is read."""
-    fills, _, inputs_crc = _load_cv_inputs(
-        cfg, lambda matrix: (matrix.columns, column_medians(matrix.values))
-    )
-    runs = cfg.runs()
-    sets = []
+    The training matrices and folds are read for their crc alone, unparsed:
+    each model carries the medians that fill its rows. Memory holds one test
+    matrix at a time, scored by its mode's models before the next is read."""
+    inputs_crc = 0
+    for file in _cv_input_files(cfg):  # the texts _load_cv_inputs parses
+        with reading(*file) as text:
+            inputs_crc = zlib.crc32(text.encode(), inputs_crc)
+        del text  # before the next is read
+    runs, sets = cfg.runs(), []
     for mode in cfg.modes:
-        matrix = _load_matrix(cfg.features_path("test", mode), f"{mode.value} test matrix")[0]
-        columns, fill = fills[mode]
-        with naming(cfg.features_path("test", mode)):
-            check_schema(columns, matrix.columns)
-        fill_missing(matrix.values, fill)
+        test_path = cfg.features_path("test", mode)
+        matrix = _load_matrix((test_path, f"{mode.value} test matrix", "extract"))[0]
         for setting, seed in runs:
             if setting.mode is not mode:
                 continue
             path = cfg.model_path(setting, seed)
             model = _load_model(path, _cv_fingerprint(inputs_crc, setting, seed))
-            scores = predict_scores(model, matrix.values, matrix.columns)
+            with naming(test_path):
+                check_schema(model.feature_names, matrix.columns)
+            scores = predict_scores(model, matrix.values)
             require_finite_scores(scores, matrix.bird_ids, str(path))
             if model.threshold is None:
                 raise PipelineError(f"model {path.name} has no tuned threshold")
@@ -559,6 +556,8 @@ def cmd_ensemble(cfg: RunConfig) -> None:
         path = cfg.predictions_path(setting, seed)
         with reading(path, "prediction set", made_by="predict") as text:
             sets.append(PredictionSet.from_csv(text, source=path.stem))
+            if not sets[-1].bird_ids:  # a vote over no bird writes a header alone
+                raise PipelineError("prediction set lists no bird")
     labels = _load_labels(cfg.train_labels, "training labels file")
     tie = prevalent_label(np.array(list(labels.values())))
     voted = majority_vote(sets, tie)
@@ -635,8 +634,6 @@ def _run(argv) -> int:
         cmd_predict(cfg)
     elif args.command == "ensemble":
         cmd_ensemble(cfg)
-    else:  # unreachable: argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
     return EXIT_OK
 
 

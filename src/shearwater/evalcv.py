@@ -180,13 +180,13 @@ class PreparedMatrix:
     every fit on it.
 
     Training set j < k is the rows outside fold j, and set k is every row,
-    the final model's. Fill j is the column medians of set j's rows; it is
-    kept only for columns with a missing cell, the only ones a fill reaches.
+    the final model's. Fill j, the column medians of set j's rows, imputes
+    them, and the model fitted on them carries it (``TrainedModel.fill``).
     ``bins`` is one lossless binning over every value set j's imputed rows
-    can hold: the observed values and every fill. ``binned`` holds each
-    observed cell's bin (-1 where missing) and ``fill_bins`` each fill's.
-    The three are None when no learner that is fitted on the matrix reads
-    bins.
+    can hold: the observed values and the fills of the columns with a
+    missing cell, the only ones a fill reaches. ``binned`` holds each
+    observed cell's bin and ``fill_bins`` each fill's, -1 where missing or
+    unreached; the three are None when no learner fitted on it reads bins.
     """
 
     matrix: FeatureMatrix
@@ -201,10 +201,8 @@ class PreparedMatrix:
         """The rows under ``mask``, imputed by fill j."""
         return fill_missing(self.matrix.values[mask], self.fills[j])
 
-    def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins] | None:
-        """The bins of ``rows(j, mask)``, and the bins; None unbinned."""
-        if self.bins is None:
-            return None
+    def binned_rows(self, j: int, mask) -> tuple[np.ndarray, HistogramBins]:
+        """The bins of ``rows(j, mask)``, and the bins."""
         binned = self.binned[mask]
         nan_rows, nan_cols = np.nonzero(binned < 0)
         binned[nan_rows, nan_cols] = self.fill_bins[j, nan_cols]
@@ -223,25 +221,28 @@ def prepare(matrix: FeatureMatrix, folds: FoldAssignment, bins: bool = True) -> 
     if outside:  # a bird in no fold would sit in every set j < k, and go unscored
         raise PipelineError(f"birds in no fold 0..{folds.k - 1}: {outside[:5]}")
     fills = np.array([column_medians(matrix.values[fold_of != j]) for j in range(folds.k + 1)])
-    fills[:, ~np.isnan(matrix.values).any(axis=0)] = np.nan
     if not bins:
         return PreparedMatrix(matrix, fold_of, folds.k, fills)
-    shared, binned = build_bins(np.concatenate([matrix.values, fills]), None)
+    reached = np.where(np.isnan(matrix.values).any(axis=0), fills, np.nan)
+    shared, binned = build_bins(np.concatenate([matrix.values, reached]), None)
     n = len(matrix.bird_ids)
     return PreparedMatrix(matrix, fold_of, folds.k, fills, binned[:n], binned[n:], shared)
 
 
 def _fit(setting: ModelSetting, prepared: PreparedMatrix, j: int, seed: int) -> TrainedModel:
     """The setting's learner fitted on training set j, imputed by fill j,
-    drawing from stream j of (setting, seed). The imputed float rows are
-    handed over unmade, so a fit that reads only the shared bins never makes
-    them (see :func:`fit_learner`)."""
+    drawing from stream j of (setting, seed); the model carries fill j to
+    impute the rows it scores. The imputed float rows are handed over
+    unmade, so a fit that reads only the shared bins never makes them (see
+    :func:`fit_learner`)."""
     train = prepared.fold_of != j
     binned = prepared.binned_rows(j, train) if setting.kind.reads_bins else None
-    return fit_learner(
+    model = fit_learner(
         setting.kind, partial(prepared.rows, j, train), prepared.matrix.labels[train],
         setting.params, setting_rng(setting.name, seed, j), prepared.matrix.columns, binned,
     )
+    model.fill = prepared.fills[j]
+    return model
 
 
 def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 0) -> CvResult:
@@ -249,9 +250,9 @@ def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 
     ``prepared``.
 
     Fold j's model is fitted on set j and scores the held-out birds of fold
-    j, imputed by fill j; the decision threshold is tuned once on the
-    pooled out-of-fold scores and the per-fold F1 values are reported at
-    that threshold.
+    j, which it imputes by its fill j; the decision threshold is tuned once
+    on the pooled out-of-fold scores and the per-fold F1 values are
+    reported at that threshold.
     """
     matrix = prepared.matrix
     fold_of, y = prepared.fold_of, matrix.labels
@@ -259,7 +260,7 @@ def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 
     for j in range(prepared.k):
         test_mask = fold_of == j
         model = _fit(setting, prepared, j, seed)
-        scores = predict_scores(model, prepared.rows(j, test_mask), matrix.columns)
+        scores = predict_scores(model, matrix.values[test_mask], matrix.columns)
         held_out = [matrix.bird_ids[i] for i in np.flatnonzero(test_mask)]
         require_finite_scores(scores, held_out, f"{setting.name} seed {seed} fold {j}")
         oof[test_mask] = scores

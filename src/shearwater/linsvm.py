@@ -66,9 +66,9 @@ def standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_pegasos(
     X: np.ndarray,
     y: np.ndarray,
+    rng: np.random.Generator,
     reg_lambda: float = 1e-2,
     epochs: int = 30,
-    rng: np.random.Generator | None = None,
 ) -> SvmModel:
     """Averaged Pegasos on standardized features.
 
@@ -79,8 +79,6 @@ def fit_pegasos(
     y = np.asarray(y)
     if y.size == 0 or y.min() == y.max():  # not np.unique, as in evalcv.tune_threshold
         raise PipelineError("pegasos needs both classes present")
-    if rng is None:
-        rng = np.random.default_rng(0)
     y_signed = np.where(y == 1, 1.0, -1.0)
     mean, std = standardize_stats(X)
     n, d = X.shape[0], X.shape[1] + 1

@@ -336,6 +336,26 @@ def test_model_json_round_trip(rng):
         assert again.kind == kind
 
 
+def test_a_model_scores_missing_cells_as_its_fill_and_keeps_the_rows(rng):
+    X = rng.normal(size=(30, 3))
+    y = np.tile([0, 1], 15)
+    gappy = X.copy()
+    gappy[::4, 0] = np.nan
+    gappy[1::3, 2] = np.nan
+    fill = np.array([0.25, -1.5, 2.0])
+    filled = np.where(np.isnan(gappy), fill, gappy)
+    for kind in LearnerKind:
+        model = fit_learner(kind, X, y, small_params(n_rounds=3, n_trees=2), np.random.default_rng(2))
+        want = predict_scores(model, filled)
+        model.fill = fill
+        again = TrainedModel.from_dict(model.to_dict())
+        for scorer in (model, again):
+            before = gappy.copy()
+            np.testing.assert_array_equal(predict_scores(scorer, gappy), want)
+            np.testing.assert_array_equal(gappy, before)  # the caller's rows are not filled
+        np.testing.assert_array_equal(again.fill, fill)
+
+
 def test_cat_bins_each_model_once(rng, monkeypatch):
     import shearwater.boost
     import shearwater.trees

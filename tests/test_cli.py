@@ -874,6 +874,12 @@ def _set_f0(value):
     return edit
 
 
+def _set_fill(value):
+    def edit(doc):  # a fill of another width, or a cell of no finite float
+        doc["fill"] = value(doc["fill"]) if callable(value) else value
+    return edit
+
+
 def _cut_svm_weights(doc):
     doc["svm"]["weights"] = doc["svm"]["weights"][:5]
 
@@ -934,11 +940,17 @@ def test_predict_refuses_a_model_in_the_nested_tree_format(tmp_path, capsys):
         ("together_svc_s11.json", _set_svm("bias", "7"), "svm bias '7' is not a float"),
         ("together_svc_s11.json", _set_svm("weights", lambda w: [True] * len(w)),
          "svm weights is not a list of"),
+        ("together_svc_s11.json", _set_fill(lambda f: f[:5]), "fill is not a list of 248 finite"),
+        ("together_sk_rf_s11.json", _set_fill(None), "fill is not a list of 248 finite"),
+        ("together_svc_s11.json", _set_fill(lambda f: [1] + f[1:]), "fill is not a list of"),
+        ("together_sk_rf_s11.json", _set_fill(lambda f: [float("nan")] + f[1:]),
+         "fill is not a list of 248 finite floats"),
     ],
     ids=["feature-too-large", "feature-negative", "svm-weights-cut", "no-trees",
          "child-cycle", "child-out-of-range", "unequal-arrays", "nan-split-threshold",
          "feature-not-a-list", "nan-threshold", "inf-threshold", "minus-inf-threshold",
-         "bool-threshold", "bool-f0", "bool-svm-bias", "string-svm-bias", "bool-svm-weights"],
+         "bool-threshold", "bool-f0", "bool-svm-bias", "string-svm-bias", "bool-svm-weights",
+         "fill-cut", "null-fill", "int-in-fill", "nan-in-fill"],
 )
 def test_predict_refuses_a_model_that_does_not_fit_its_schema(
     tmp_path, capsys, model_name, edit, named
@@ -1299,10 +1311,9 @@ def _copy_run(run, tmp_path):
 
 
 def test_predict_holds_one_matrix_at_a_time(finished_run, tmp_path, monkeypatch):
-    # predict reads the training matrices only for the crc and their column
-    # medians, then each mode's test matrix in turn, so no matrix it parsed
-    # is alive when it parses the next: no training matrix at the first
-    # test matrix, and no test matrix of another mode at a new one
+    # predict reads the training matrices only for the crc, unparsed (each
+    # model carries its fill), then parses each mode's test matrix in turn,
+    # so no test matrix of another mode is alive when it parses a new one
     import weakref
 
     from shearwater.datasets import FeatureMatrix
@@ -1323,8 +1334,68 @@ def test_predict_holds_one_matrix_at_a_time(finished_run, tmp_path, monkeypatch)
     for path in (tmp_path / "out" / "predictions").glob("*"):
         path.unlink()
     assert main(["predict", "--config", str(cfg)]) == EXIT_OK
-    assert len(parsed) == 4  # two training and two test matrices
+    assert len(parsed) == 2  # the two test matrices, and no training matrix
     assert _files(tmp_path / "out", "predictions") == before
+
+
+def test_predict_refuses_a_model_without_a_fill(finished_run, tmp_path, capsys):
+    # older versions wrote no fill, and predict took the medians from the
+    # training matrix; its fingerprint is still valid, so only the missing
+    # fill tells; re-running train writes it
+    cfg = _copy_run(finished_run, tmp_path)
+    model = tmp_path / "out" / "models" / "split_sk_et_s11.json"
+    doc = json.loads(model.read_text())
+    del doc["fill"]
+    model.write_text(json.dumps(doc, sort_keys=True))
+    before = _files(tmp_path / "out", "predictions")
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{model}: no fill of missing cells" in err
+    assert "re-run train" in err
+    assert _files(tmp_path / "out", "predictions") == before
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    assert main(["predict", "--config", str(cfg)]) == EXIT_OK
+    assert _files(tmp_path / "out", "predictions") == before
+
+
+def test_a_models_fill_is_the_column_medians_of_its_training_matrix(finished_run):
+    from shearwater.datasets import FeatureMatrix, column_medians
+
+    missing = set()
+    for model in sorted((finished_run / "out" / "models").glob("*.json")):
+        mode = model.name.split("_")[0]
+        text = (finished_run / "out" / "features" / f"train_{mode}.csv").read_text()
+        values = FeatureMatrix.from_csv(text).values
+        if np.isnan(values).any():
+            missing.add(mode)
+        assert json.loads(model.read_text())["fill"] == column_medians(values).tolist()
+    assert missing == {"split"}  # night blocks go missing, so the split fill is read
+
+
+def test_predict_refuses_a_model_without_a_tuned_threshold(finished_run, tmp_path, capsys):
+    # null is a valid threshold in a model file, and not one of the inputs
+    # of the fingerprint, so predict reaches its own check
+    cfg = _copy_run(finished_run, tmp_path)
+    model = tmp_path / "out" / "models" / "together_svc_s11.json"
+    doc = json.loads(model.read_text())
+    doc["threshold"] = None
+    model.write_text(json.dumps(doc, sort_keys=True))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg)]) == EXIT_DATA
+    assert "model together_svc_s11.json has no tuned threshold" in capsys.readouterr().err
+
+
+def test_ensemble_refuses_a_prediction_set_that_lists_no_bird(finished_run, tmp_path, capsys):
+    # a vote over a set of no bird wrote a header-only ensemble.csv and exited 0
+    cfg = _copy_run(finished_run, tmp_path)
+    empty = tmp_path / "out" / "predictions" / "split_svc_s11.csv"
+    empty.write_text("bird_id,label\n")
+    ensemble = (tmp_path / "out" / "ensemble.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["ensemble", "--config", str(cfg)]) == EXIT_DATA
+    assert f"{empty}: prediction set lists no bird" in capsys.readouterr().err
+    assert (tmp_path / "out" / "ensemble.csv").read_bytes() == ensemble
 
 
 def test_extract_without_a_test_corpus_removes_the_old_test_matrices(finished_run, tmp_path,

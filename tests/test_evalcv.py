@@ -5,7 +5,7 @@ import json
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shearwater.boost import GbdtParams, LearnerKind, fit_learner
+from shearwater.boost import GbdtParams, LearnerKind, fit_learner, predict_scores
 from shearwater.datasets import DatasetMode, FeatureMatrix, column_medians, fill_missing
 from shearwater.errors import PipelineError
 from shearwater.evalcv import (
@@ -173,6 +173,17 @@ def test_tune_threshold_single_class():
         tune_threshold([0.1, 0.9], [1, 1])
 
 
+def test_tune_threshold_refuses_a_shape_mismatch():
+    with pytest.raises(PipelineError, match=r"^scores \(3,\) vs truth \(2,\)$"):
+        tune_threshold([0.1, 0.5, 0.9], [0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tune_threshold_refuses_a_non_finite_score(bad):
+    with pytest.raises(ValueError, match="^scores must be finite$"):
+        tune_threshold([0.1, bad, 0.9], [0, 1, 1])
+
+
 def _tune_threshold_by_candidate(scores, truth) -> float:
     """The oracle: F1 of every candidate in turn, the first best kept."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -322,7 +333,8 @@ def test_fits_on_shared_bins_equal_fits_on_their_own_bins(rng, kind, max_bin_edg
 @pytest.mark.parametrize("kind", list(LearnerKind))
 def test_final_model_fits_every_row_on_the_stream_after_the_folds(rng, kind):
     # set k of prepare is every row, imputed by the medians of every row,
-    # and its fit draws from stream k, after the k fold streams
+    # which the model carries as its fill, and its fit draws from stream k,
+    # after the k fold streams
     matrix = _matrix_with_gaps(rng)
     folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=4, seed=1)
     setting = ModelSetting(
@@ -335,6 +347,7 @@ def test_final_model_fits_every_row_on_the_stream_after_the_folds(rng, kind):
         setting.params, setting_rng(setting.name, 7, folds.k), matrix.columns,
     )
     want.threshold = 0.25
+    want.fill = column_medians(matrix.values)
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
 
 
@@ -373,7 +386,39 @@ def test_fit_makes_float_rows_only_for_learners_that_read_them(rng, monkeypatch,
         setting.kind, rows(prepared, folds.k, prepared.fold_of != folds.k), matrix.labels,
         setting.params, setting_rng(setting.name, 7, folds.k), matrix.columns,
     )
+    want.fill = column_medians(matrix.values)  # set k's, which _fit gives the model
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_prepare_refuses_an_unlabeled_matrix(rng):
+    matrix = balanced_matrix(rng, n=30)
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=5, seed=1)
+    matrix.labels = None
+    with pytest.raises(PipelineError, match="^training needs a labeled matrix$"):
+        prepare(matrix, folds)
+
+
+def test_held_out_rows_are_scored_raw_and_imputed_by_the_fold_models_fill(rng, monkeypatch):
+    # cross_validate hands predict_scores the held-out rows with their
+    # missing cells, and the fold model fills them from its own fill j
+    import shearwater.evalcv as evalcv
+
+    matrix = _matrix_with_gaps(rng)
+    folds = make_folds(dict(zip(matrix.bird_ids, matrix.labels.tolist())), k=4, seed=1)
+    prepared = prepare(matrix, folds)
+    scored = []
+
+    def recorded(model, X, columns=None):
+        scored.append((model.fill, X.copy()))
+        return predict_scores(model, X, columns)
+
+    monkeypatch.setattr(evalcv, "predict_scores", recorded)
+    setting = ModelSetting(kind=LearnerKind.SVC, mode=DatasetMode.TOGETHER)
+    cross_validate(setting, prepared, seed=0)
+    for j, (fill, X) in enumerate(scored):
+        np.testing.assert_array_equal(X, matrix.values[prepared.fold_of == j])
+        np.testing.assert_array_equal(fill, column_medians(matrix.values[prepared.fold_of != j]))
+    assert any(np.isnan(X).any() for _, X in scored)
 
 
 def test_cv_raises_when_a_bird_is_left_unscored(rng):
@@ -430,6 +475,16 @@ def test_vote_permutation_invariant(rng):
 def test_vote_unanimity():
     sets = [pset([1, 0, 0, 1], source=f"s{i}") for i in range(5)]
     assert majority_vote(sets, 0).labels.tolist() == [1, 0, 0, 1]
+
+
+def test_vote_over_no_sets():
+    with pytest.raises(PipelineError, match="^no prediction sets to vote over$"):
+        majority_vote([], 1)
+
+
+def test_prediction_set_refuses_labels_of_another_length():
+    with pytest.raises(PipelineError, match="^bird_ids and labels lengths differ$"):
+        PredictionSet(bird_ids=["b0", "b1"], labels=[1])
 
 
 def test_vote_bird_set_mismatch():

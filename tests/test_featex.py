@@ -123,6 +123,11 @@ def test_velocity_thresholds_layout(rng):
     assert np.all(np.diff(th[1:]) >= 0)  # quantiles nondecreasing
 
 
+def test_velocity_thresholds_refuses_an_empty_pool():
+    with pytest.raises(PipelineError, match="^cannot compute thresholds from an empty pool$"):
+        velocity_thresholds(np.empty(0))
+
+
 def test_exceedance_strict_inequality():
     th = np.full(12, 2.0)
     counts = exceedance_counts(np.array([1.0, 2.0, 3.0]), th)
