@@ -16,10 +16,11 @@ when its own bins would be lossless too, which always holds at <= 256 rows)
 or bins made from the model's rows; uniform draws its thresholds from the
 raw matrix and scores them with the same split kernel.
 Both boosting families run one loop, ``_boost``, over a loss's
-gradient/hessian and fit one tree a round on a binned backend
-(no learner boosts on uniform); the forests grow all their trees together
-through ``trees.fit_trees`` and average class-mean leaves instead of
-boosting.
+gradient/hessian and fit one tree a round on a binned backend (no learner
+boosts on uniform); the tree draws nothing, so a round draws only its row
+and column subsamples (and xgb_rank its pairs). The forests grow all their
+trees together through ``trees.fit_trees`` and average class-mean leaves
+instead of boosting.
 
 A model file holds each tree's node arrays; ``TrainedModel.from_dict``
 checks every tree against the schema's width (ValueError otherwise).
@@ -325,10 +326,8 @@ def _boost(kind, X, data, bins, params: GbdtParams, rng, f0, grad_hess) -> list[
         grad, hess = grad_hess(margins)
         rows = _subsample(n, params.subsample, rng)
         feats = _subsample(d, params.colsample, rng)
-        tree = fitter(
-            data, grad, hess, bins=bins, params=tree_params, rng=rng, rows=rows,
-            candidate_features=feats,
-        )
+        tree = fitter(data, grad, hess, bins=bins, params=tree_params, rows=rows,
+                      candidate_features=feats)
         tree.scale_leaves(params.learning_rate)
         margins += tree.predict(X)
         trees.append(tree)
@@ -435,13 +434,12 @@ def fit_learner(
     return model
 
 
-def predict_scores(model: TrainedModel, X, columns: list[str] | None = None) -> np.ndarray:
-    """Deterministic scores of the rows of X: probabilities for logistic and
-    forest learners, raw margins for rank and svc. Each missing cell is
-    scored as the model's fill of its column, without changing X.
+def predict_scores(model: TrainedModel, X) -> np.ndarray:
+    """Deterministic scores of the rows of X, in the model's columns:
+    probabilities for logistic and forest learners, raw margins for rank and
+    svc. Each missing cell is scored as the model's fill of its column,
+    without changing X.
     """
-    if columns is not None and list(columns) != list(model.feature_names):
-        raise PipelineError(f"{model.kind.value}: feature columns do not match the model schema")
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(model.feature_names):
         raise PipelineError(

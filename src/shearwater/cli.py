@@ -40,7 +40,6 @@ from .datasets import (
 from .errors import PipelineError, naming, reading
 from .evalcv import (
     CvResult,
-    FoldAssignment,
     ModelSetting,
     PredictionSet,
     cross_validate,
@@ -52,6 +51,7 @@ from .evalcv import (
     hard_labels,
     majority_vote,
     make_folds,
+    per_fold_f1,
     prepare,
     prevalent_label,
     require_finite_scores,
@@ -154,14 +154,15 @@ _PATHS = ["train_dir", "train_labels", "out_dir", "test_dir", "test_labels"]
 
 @dataclass
 class RunConfig:
-    """A config file's settings; :meth:`from_file` holds their defaults."""
+    """A config file's settings; :meth:`from_file` holds their defaults and
+    parses ``params`` once, to one per learner enabled or given a block."""
 
     train_dir: Path
     train_labels: Path
     out_dir: Path
     modes: list[DatasetMode]
     learners: list[LearnerKind]
-    params: dict  # the "default" block and one block per learner
+    params: dict[LearnerKind, GbdtParams]
     n_seeds: int
     base_seed: int
     k_folds: int
@@ -180,13 +181,13 @@ class RunConfig:
             raise UsageError(f"config is not valid JSON: {exc}") from None
         _read_fields(doc, _TOP_LEVEL, "", required=["paths"])
         paths = _read_fields(doc["paths"], dict.fromkeys(_PATHS, str), "paths.", _PATHS[:3])
-        params = doc.get("params", {})
-        _read_fields(params, dict.fromkeys(["default", *ALL_LEARNERS], dict), "params.")
+        blocks = doc.get("params", {})
+        _read_fields(blocks, dict.fromkeys(["default", *ALL_LEARNERS], dict), "params.")
         cfg = cls(
             **{name: Path(value) for name, value in paths.items()},
             modes=_choices(doc, "modes", DatasetMode, ["together", "split"]),
             learners=_choices(doc, "learners", LearnerKind, ALL_LEARNERS),
-            params=params,
+            params={},
             n_seeds=doc.get("n_seeds", 10),
             base_seed=doc.get("base_seed", 2018),
             k_folds=doc.get("k_folds", 5),
@@ -202,20 +203,14 @@ class RunConfig:
         if not cfg.learners or not cfg.modes:
             raise UsageError("config enables no settings")
         for kind in LearnerKind:  # every block present, enabled or not, in a fixed order
-            if kind in cfg.learners or kind.value in params:
-                cfg.params_for(kind)
+            if kind in cfg.learners or kind.value in blocks:
+                merged = {**blocks.get("default", {}), **blocks.get(kind.value, {})}
+                cfg.params[kind] = _read_block(GbdtParams, merged, f"params.{kind.value}.")
         return cfg
 
-    def params_for(self, kind: LearnerKind) -> GbdtParams:
-        merged = {**self.params.get("default", {}), **self.params.get(kind.value, {})}
-        return _read_block(GbdtParams, merged, f"params.{kind.value}.")
-
     def settings(self) -> list[ModelSetting]:
-        return [
-            ModelSetting(kind=kind, mode=mode, params=self.params_for(kind))
-            for mode in self.modes
-            for kind in self.learners
-        ]
+        return [ModelSetting(kind, mode, self.params[kind])
+                for mode in self.modes for kind in self.learners]
 
     def seeds(self) -> list[int]:
         return [self.base_seed + r for r in range(self.n_seeds)]
@@ -481,15 +476,11 @@ def cmd_cv(cfg: RunConfig, jobs: int) -> None:
     tie = prevalent_label(first.labels)
     votes = majority_vote(
         [PredictionSet(r.bird_ids, r.oof_labels, source=name) for name, r in keyed], tie
-    ).sorted()
-    truth = dict(zip(first.bird_ids, first.labels))
-    fold_of = folds.fold_vector(votes.bird_ids)
-    y = np.array([truth[b] for b in votes.bird_ids])
-    ensemble_f1 = float(
-        np.mean(
-            [f1_score(votes.labels[fold_of == k], y[fold_of == k]) for k in range(folds.k)]
-        )
     )
+    truth = dict(zip(first.bird_ids, first.labels))
+    y = np.array([truth[b] for b in votes.bird_ids])
+    fold_f1 = per_fold_f1(votes.labels, y, folds.fold_vector(votes.bird_ids), folds.k)
+    ensemble_f1 = float(np.mean(fold_f1))
     atomic_write_text(cfg.out_dir / "cv_report.csv", evalcv.cv_report_csv(keyed))
     atomic_write_text(cfg.out_dir / "cv_summary.csv", evalcv.cv_summary_csv(keyed, ensemble_f1))
     atomic_write_text(cfg.cv_thresholds_path(), json.dumps(tuned, indent=1, sort_keys=True) + "\n")

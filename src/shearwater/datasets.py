@@ -33,7 +33,8 @@ from .featex import (
     feature_names,
     velocity_thresholds,
 )
-from .trajdata import Corpus, CorpusReader, Trajectory, atomic_write_text
+from .trajdata import Corpus, CorpusReader, atomic_write_text
+from .trees import midpoint
 
 
 class DatasetMode(str, Enum):
@@ -48,10 +49,6 @@ class DatasetMode(str, Enum):
         if self is DatasetMode.TOGETHER:
             return (("all", None, ""),)
         return (("day", 1, "day_"), ("night", 0, "night_"))
-
-
-def _track(traj: Trajectory, daytime: int | None) -> Trajectory:
-    return traj if daytime is None else traj.filter_daytime(daytime)
 
 
 def schema_columns(mode: DatasetMode) -> list[str]:
@@ -187,7 +184,8 @@ def build_datasets(
         with naming(directory) if directory is not None else nullcontext():
             for mode in modes:
                 for j, (name, daytime, _) in enumerate(mode.subsets):
-                    values[mode][i, j], track_speeds = bird_features(_track(traj, daytime))
+                    track = traj if daytime is None else traj.filter_daytime(daytime)
+                    values[mode][i, j], track_speeds = bird_features(track)
                     if thresholds is None:
                         speeds[mode][j].append(track_speeds)
                     else:
@@ -221,17 +219,15 @@ def _fill_exceedance(row: np.ndarray, speeds: np.ndarray | None, thresholds: np.
 def column_medians(values: np.ndarray) -> np.ndarray:
     """Each column's median over its non-NaN entries, 0 for a column with
     none. A sort puts NaN last, so a column's k observed values lead it; the
-    median is (s[(k-1)//2] + s[k//2]) / 2, the sum-then-halve np.nanmedian
-    takes below 600 rows (an odd count's middle value is added to itself).
-    Only a tie of 0.0 and -0.0 can differ from it, in the zero's sign."""
+    median is the ``midpoint`` of s[(k-1)//2] and s[k//2], the sum-then-halve
+    np.nanmedian takes below 600 rows, but finite where that sum overflows.
+    Only a tie of 0.0 and -0.0 can differ from it otherwise, in its sign."""
     if values.shape[0] == 0:
         return np.zeros(values.shape[1])
     s = np.sort(values, axis=0)
     k = (~np.isnan(values)).sum(axis=0)
     cols = np.arange(values.shape[1])
-    with np.errstate(invalid="ignore", over="ignore"):  # as np.nanmedian: inf - inf, huge sums
-        medians = (s[(k - 1) // 2, cols] + s[k // 2, cols]) / 2
-    return np.where(k > 0, medians, 0.0)
+    return np.where(k > 0, midpoint(s[(k - 1) // 2, cols], s[k // 2, cols]), 0.0)
 
 
 def check_schema(train_columns: list[str], apply_columns: list[str]) -> None:

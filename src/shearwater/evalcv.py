@@ -17,12 +17,7 @@ import numpy as np
 from .boost import GbdtParams, LearnerKind, TrainedModel, fit_learner, predict_scores
 from .datasets import DatasetMode, FeatureMatrix, column_medians, fill_missing
 from .errors import PipelineError, csv_document, read_bird_table
-from .trees import HistogramBins, build_bins
-
-
-def stable_seed(text: str) -> int:
-    """Platform-stable integer from a string, for seeding rng streams."""
-    return zlib.crc32(text.encode("utf-8"))
+from .trees import HistogramBins, build_bins, midpoint
 
 
 @dataclass(frozen=True)
@@ -41,11 +36,12 @@ class ModelSetting:
 def setting_rng(setting_name: str, seed: int, stage: int) -> np.random.Generator:
     """Private random stream per (setting, replicate seed, fold/stage).
 
-    Deriving the stream from the setting name keeps settings that share an
-    algorithm (e.g. sk_rf and lgb_rf where every column's distinct values
-    fit the histogram bins) from training bit-identical ensemble members.
+    Deriving the stream from the setting name (its crc32, the same on every
+    platform) keeps settings that share an algorithm (e.g. sk_rf and lgb_rf
+    where every column's distinct values fit the histogram bins) from
+    training bit-identical ensemble members.
     """
-    return np.random.default_rng([seed, stable_seed(setting_name), stage])
+    return np.random.default_rng([seed, zlib.crc32(setting_name.encode("utf-8")), stage])
 
 
 @dataclass
@@ -129,15 +125,11 @@ def tune_threshold(scores, truth) -> float:
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     distinct = ranked[np.concatenate([[True], ranked[1:] != ranked[:-1]])]
-    lo, hi = distinct[:-1], distinct[1:]
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
-    # where lo + hi overflows, halving first is exact
-    mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
     lowest = distinct[0] - 1.0
     if lowest == distinct[0] and lowest != -np.finfo(np.float64).max:
         lowest = np.nextafter(lowest, -np.inf)
-    candidates = np.concatenate([[lowest], mid, [distinct[-1] + 1.0]])
+    candidates = np.concatenate([[lowest], midpoint(distinct[:-1], distinct[1:]),
+                                 [distinct[-1] + 1.0]])
     below = np.searchsorted(ranked, candidates, side="right")  # scores <= each candidate
 
     def above(cls):  # how many of class ``cls`` score above each candidate
@@ -154,6 +146,11 @@ def tune_threshold(scores, truth) -> float:
 
 def hard_labels(scores, tau: float) -> np.ndarray:
     return (np.asarray(scores) > tau).astype(np.int64)
+
+
+def per_fold_f1(labels, truth, fold_of, k: int) -> list[float]:
+    """F1 of the hard labels of each fold 0..k-1 against its truth."""
+    return [f1_score(labels[fold_of == j], truth[fold_of == j]) for j in range(k)]
 
 
 def require_finite_scores(scores, bird_ids: list[str], where: str) -> None:
@@ -260,13 +257,13 @@ def cross_validate(setting: ModelSetting, prepared: PreparedMatrix, seed: int = 
     for j in range(prepared.k):
         test_mask = fold_of == j
         model = _fit(setting, prepared, j, seed)
-        scores = predict_scores(model, matrix.values[test_mask], matrix.columns)
+        scores = predict_scores(model, matrix.values[test_mask])
         held_out = [matrix.bird_ids[i] for i in np.flatnonzero(test_mask)]
         require_finite_scores(scores, held_out, f"{setting.name} seed {seed} fold {j}")
         oof[test_mask] = scores
     tau = tune_threshold(oof, y)
     labels = hard_labels(oof, tau)
-    fold_f1 = [float(f1_score(labels[fold_of == j], y[fold_of == j])) for j in range(prepared.k)]
+    fold_f1 = per_fold_f1(labels, y, fold_of, prepared.k)
     return CvResult(
         fold_f1=fold_f1,
         mean_f1=float(np.mean(fold_f1)),
@@ -379,14 +376,11 @@ def cv_report_csv(results: list[tuple[str, CvResult]]) -> str:
     return csv_document(rows)
 
 
-def cv_summary_csv(
-    results: list[tuple[str, CvResult]],
-    ensemble_f1: float | None = None,
-) -> str:
-    """Summary rows: setting,mean_f1,threshold, plus an ensemble row."""
+def cv_summary_csv(results: list[tuple[str, CvResult]], ensemble_f1: float) -> str:
+    """Summary rows: setting,mean_f1,threshold per result, then the ensemble
+    row, whose mean_f1 is ``ensemble_f1`` and whose threshold is empty."""
     rows = [("setting", "mean_f1", "threshold")]
     for name, result in results:
         rows.append((name, repr(float(result.mean_f1)), repr(float(result.threshold))))
-    if ensemble_f1 is not None:
-        rows.append(("ensemble", repr(float(ensemble_f1)), ""))
+    rows.append(("ensemble", repr(float(ensemble_f1)), ""))
     return csv_document(rows)

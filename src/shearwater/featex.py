@@ -96,9 +96,8 @@ def exceedance_counts(velocity: np.ndarray, thresholds: np.ndarray) -> np.ndarra
 
 
 def first_k_coords(traj: Trajectory, k: int = FIRST_K) -> np.ndarray:
-    """First k longitudes then first k latitudes (last point repeated to pad)."""
-    if len(traj) == 0:
-        return np.full(2 * k, MISSING)
+    """First k longitudes then first k latitudes of a nonempty track (last
+    point repeated to pad)."""
     idx = np.minimum(np.arange(k), len(traj) - 1)
     return np.concatenate([traj.longitude[idx], traj.latitude[idx]])
 

@@ -41,7 +41,8 @@ histogram bins whenever they are lossless, that is when no feature has
 more than ``max_edges + 1`` distinct values.
 
 ``fit_trees`` grows a batch of trees together (a forest); ``fit_tree_hist``
-grows a batch of one on bins (a boosting round). A level's nodes go to the
+grows a batch of one on bins (a boosting round, which draws nothing, so it
+and ``fit_tree_oblivious`` take no generator). A level's nodes go to the
 kernel in runs of at most ``_KERNEL_ROWS`` samples and a gain table of at
 most ``_KERNEL_SLOTS`` cells, so memory does not grow with the batch. A
 run's table is its nodes x columns x the bins its largest node can occupy,
@@ -332,20 +333,31 @@ def _rank_bins(rank_rows, r):
     return (rank_rows < r[:, None]).sum(axis=1), (rank_rows <= r[:, None]).sum(axis=1)
 
 
-def _threshold(bins: "HistogramBins", feature: int, ltop, rbot) -> float:
-    """The recorded threshold of a cut between occupied bins ``ltop`` and
-    ``rbot``: the midpoint between their training value bounds, so training
-    rows route identically to the bin split; with lossless bins it is the
-    midpoint between the rows' neighbouring distinct values."""
-    return float(0.5 * (bins.bin_max[feature][ltop] + bins.bin_min[feature][rbot]))
+def midpoint(lo, hi) -> np.ndarray:
+    """(lo + hi) / 2 of float arrays, halving first where the sum overflows,
+    which is then exact: the midpoint of two finite values is finite, and bit
+    for bit the halved sum wherever that sum is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (lo + hi)
+        return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+
+
+def _thresholds(bins: "HistogramBins", features, ltop, rbot) -> np.ndarray:
+    """The recorded thresholds of cuts of ``features`` between occupied bins
+    ``ltop`` and ``rbot``: the midpoints between their training value bounds,
+    so training rows route identically to the bin splits; with lossless bins
+    each is the midpoint between the rows' neighbouring distinct values."""
+    lo = np.array([bins.bin_max[f][b] for f, b in zip(features, ltop)])
+    return midpoint(lo, np.array([bins.bin_min[f][b] for f, b in zip(features, rbot)]))
 
 
 def fit_trees(
     X, grads, hesses, rows, params: TreeParams, rng=None, bins=None, candidate_features=None
 ) -> list[DecisionTree]:
-    """Grow a batch of trees together, one level at a time: tree t fits
-    ``grads[t]`` and ``hesses[t]`` on ``rows[t]`` (None for every row;
-    repeats allowed). Each node picks its features with ``_node_features``.
+    """Grow a nonempty batch of trees together, one level at a time: tree t
+    fits ``grads[t]`` and ``hesses[t]`` on ``rows[t]`` (None for every row;
+    repeats allowed). Each node picks its features with ``_node_features``;
+    only a forest draws them, from ``rng`` (``params.features_per_node``).
 
     With ``bins``, X is the binned matrix and a node cuts at a bin edge
     (exact and histogram backends). Without, X is the raw matrix and each
@@ -353,14 +365,10 @@ def fit_trees(
     (extra trees; Geurts, Ernst & Wehenkel 2006), each drawn cut scored as
     two bins.
     """
-    if not rows:
-        return []
     uniform = bins is None
     X = np.asarray(X, dtype=np.float64 if uniform else None)
     n, d = X.shape
     feats = _candidates(d, candidate_features)
-    if rng is None:
-        rng = np.random.default_rng(0)
     lam, mcw = params.reg_lambda, params.min_child_weight
     width = 2 if uniform else int(bins.n_edges[feats].max(initial=0)) + 1
     tree_rows = [np.arange(n) if r is None else np.asarray(r) for r in rows]
@@ -441,8 +449,7 @@ def fit_trees(
         if uniform:
             threshold[parent] = thresholds[k, col[k]]
         else:
-            cuts = zip(feature[parent], ltop[k], rbot[k])
-            threshold[parent] = [_threshold(bins, *cut) for cut in cuts]
+            threshold[parent] = _thresholds(bins, feature[parent], ltop[k], rbot[k])
         ids = len(value) + np.arange(2 * k.size)
         child[parent] = ids[::2]
         tree_of = np.concatenate([tree_of, np.repeat(tree_of[parent], 2)])
@@ -492,7 +499,7 @@ class HistogramBins:
         if f in self.quantile_edges:
             return self.quantile_edges[f]
         values = self.bin_min[f]
-        return 0.5 * (values[1:] + values[:-1])
+        return midpoint(values[:-1], values[1:])
 
     def bin_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -569,12 +576,11 @@ def fit_tree_hist(
     hess,
     bins: HistogramBins,
     params: TreeParams,
-    rng=None,
     rows=None,
     candidate_features=None,
 ) -> DecisionTree:
     """Depth-wise tree with candidate thresholds restricted to bin edges."""
-    return fit_trees(X_binned, [grad], [hess], [rows], params, rng, bins, candidate_features)[0]
+    return fit_trees(X_binned, [grad], [hess], [rows], params, None, bins, candidate_features)[0]
 
 
 def fit_tree_oblivious(
@@ -583,7 +589,6 @@ def fit_tree_oblivious(
     hess,
     bins: HistogramBins,
     params: TreeParams,
-    rng=None,
     rows=None,
     candidate_features=None,
 ) -> DecisionTree:
@@ -637,7 +642,7 @@ def fit_tree_oblivious(
         col = int(col[0])
         (ltop,), (rbot,) = _rank_bins(rank[col][None], r)
         feature = int(feats[col])
-        levels.append((feature, _threshold(bins, feature, ltop, rbot)))
+        levels.append((feature, float(_thresholds(bins, [feature], [ltop], [rbot])[0])))
         leaf_of = 2 * leaf_of + (xb[:, col] > ltop)
 
     # a complete tree, numbered level by level: node i's children are 2i + 1 and 2i + 2

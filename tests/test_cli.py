@@ -497,7 +497,7 @@ def test_synth_float_field_takes_an_int(tmp_path):
 
 def test_hyperparameter_float_field_takes_an_int(tmp_path):
     cfg = RunConfig.from_file(write_config(tmp_path, params={"default": {"learning_rate": 1}}))
-    assert cfg.params_for(LearnerKind.SVC).learning_rate == 1
+    assert cfg.params[LearnerKind.SVC].learning_rate == 1
 
 
 def test_truncated_model_is_data_error(tmp_path, capsys):

@@ -119,6 +119,12 @@ def test_impute_median_rule():
     assert np.isnan(train[2, 0])  # the training rows are untouched
 
 
+def test_impute_median_of_huge_values_is_finite():
+    # 1e308 + 1.5e308 overflows; a fill of inf made a model predict refuses
+    fill = column_medians(np.array([[1e308], [1.5e308], [np.nan]]))
+    assert fill[0] == 0.5 * 1e308 + 0.5 * 1.5e308
+
+
 def test_impute_no_missing_unchanged(rng):
     values = rng.normal(size=(4, 3))
     out = fill_missing(values.copy(), column_medians(values))
@@ -128,6 +134,7 @@ def test_impute_no_missing_unchanged(rng):
 def test_impute_all_missing_column_fills_zero():
     train = np.array([[np.nan], [np.nan]])
     assert fill_missing(np.array([[np.nan]]), column_medians(train))[0, 0] == 0.0
+    assert column_medians(np.empty((0, 2))).tolist() == [0.0, 0.0]  # no rows at all
 
 
 def test_impute_idempotent(rng):

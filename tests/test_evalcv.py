@@ -408,9 +408,9 @@ def test_held_out_rows_are_scored_raw_and_imputed_by_the_fold_models_fill(rng, m
     prepared = prepare(matrix, folds)
     scored = []
 
-    def recorded(model, X, columns=None):
+    def recorded(model, X):
         scored.append((model.fill, X.copy()))
-        return predict_scores(model, X, columns)
+        return predict_scores(model, X)
 
     monkeypatch.setattr(evalcv, "predict_scores", recorded)
     setting = ModelSetting(kind=LearnerKind.SVC, mode=DatasetMode.TOGETHER)

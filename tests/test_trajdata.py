@@ -124,6 +124,7 @@ def test_round_trip_identity():
     traj = parse_trajectory("b1", TWO_ROWS)
     again = parse_trajectory("b1", trajectory_to_csv(traj))
     assert again == traj
+    assert traj != TWO_ROWS  # a trajectory equals only a trajectory
 
 
 @settings(max_examples=50, deadline=None)

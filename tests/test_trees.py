@@ -125,13 +125,26 @@ def test_exact_root_matches_bruteforce_oracle(rng):
 
 
 def test_exact_deterministic(rng):
+    # feature subsampling draws, and only forests draw: they fit through
+    # fit_trees on lossless bins
     X = rng.normal(size=(40, 6))
     grad = rng.normal(size=40)
     hess = rng.uniform(0.1, 1.0, 40)
+    bins, Xb = build_bins(X, max_edges=None)
     params = TreeParams(max_depth=4, reg_lambda=0.5, features_per_node=3)
-    t1 = fit_exact(X, grad, hess, params, rng=np.random.default_rng(5))
-    t2 = fit_exact(X, grad, hess, params, rng=np.random.default_rng(5))
+    t1, t2 = (fit_trees(Xb, [grad], [hess], [None], params, np.random.default_rng(5), bins)[0]
+              for _ in range(2))
     assert t1.to_dict() == t2.to_dict()
+
+
+def test_a_cut_between_huge_values_is_their_finite_midpoint():
+    # 1.1e308 + 1.6e308 overflows; a threshold of inf sent every row left
+    X = np.array([[1.0e308], [1.1e308], [1.6e308], [1.7e308]])
+    grad = np.array([-1.0, -1.0, 1.0, 1.0])
+    tree = fit_exact(X, grad, np.ones(4), TreeParams(max_depth=1, reg_lambda=0.0))
+    assert tree.threshold[0] == 0.5 * 1.1e308 + 0.5 * 1.6e308
+    np.testing.assert_array_equal(tree.predict(X), [1.0, 1.0, -1.0, -1.0])
+    assert np.isfinite(build_bins(X, max_edges=None)[0].edges[0]).all()
 
 
 def test_exact_finite_leaves_with_degenerate_hessian():
@@ -750,6 +763,7 @@ def test_from_dicts_checks_each_tree_of_a_model():
     # end of its own tree must not pass for a node of the next tree
     docs = [_stump().to_dict(), _stump().to_dict()]
     assert [t.to_dict() for t in DecisionTree.from_dicts(docs, 3)] == docs
+    assert DecisionTree.from_dicts([], 3) == []
     docs[0]["child"] = [3, -1, -1]
     with pytest.raises(ValueError, match="out of range"):
         DecisionTree.from_dicts(docs, 3)
