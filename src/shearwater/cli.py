@@ -30,13 +30,7 @@ import numpy as np
 
 from . import evalcv
 from .boost import GbdtParams, LearnerKind, TrainedModel, predict_scores
-from .datasets import (
-    DatasetMode,
-    FeatureMatrix,
-    build_datasets,
-    check_schema,
-    write_manifest,
-)
+from .datasets import DatasetMode, FeatureMatrix, build_datasets, check_schema
 from .errors import PipelineError, naming, reading
 from .evalcv import (
     CvResult,
@@ -155,7 +149,9 @@ _PATHS = ["train_dir", "train_labels", "out_dir", "test_dir", "test_labels"]
 @dataclass
 class RunConfig:
     """A config file's settings; :meth:`from_file` holds their defaults and
-    parses ``params`` once, to one per learner enabled or given a block."""
+    parses each block once: ``params`` to one per learner enabled or given a
+    block, and ``synth`` to the corpus parameters, so that no command takes
+    a config whose ``synth`` block ``synth`` would refuse."""
 
     train_dir: Path
     train_labels: Path
@@ -166,7 +162,7 @@ class RunConfig:
     n_seeds: int
     base_seed: int
     k_folds: int
-    synth: dict
+    synth: SynthParams
     test_dir: Path | None = None
     test_labels: Path | None = None
 
@@ -191,7 +187,7 @@ class RunConfig:
             n_seeds=doc.get("n_seeds", 10),
             base_seed=doc.get("base_seed", 2018),
             k_folds=doc.get("k_folds", 5),
-            synth=doc.get("synth", {}),
+            synth=SynthParams(),  # read below, after params
         )
         for name, domain, ok in (
             ("n_seeds", ">= 1", cfg.n_seeds >= 1),
@@ -206,6 +202,7 @@ class RunConfig:
             if kind in cfg.learners or kind.value in blocks:
                 merged = {**blocks.get("default", {}), **blocks.get(kind.value, {})}
                 cfg.params[kind] = _read_block(GbdtParams, merged, f"params.{kind.value}.")
+        cfg.synth = _read_block(SynthParams, doc.get("synth", {}), "synth.")
         return cfg
 
     def settings(self) -> list[ModelSetting]:
@@ -219,16 +216,9 @@ class RunConfig:
         """Every (setting, replicate seed) pair, in output order."""
         return [(s, seed) for s in self.settings() for seed in self.seeds()]
 
-    def synth_params(self, seed: int | None = None) -> SynthParams:
-        flag = {} if seed is None else {"seed": seed}
-        return _read_block(SynthParams, {**self.synth, **flag}, "synth.")
-
     # fixed output locations under out_dir
     def features_path(self, role: str, mode: DatasetMode) -> Path:
         return self.out_dir / "features" / f"{role}_{mode.value}.csv"
-
-    def manifest_path(self, mode: DatasetMode) -> Path:
-        return self.out_dir / "features" / f"manifest_{mode.value}.txt"
 
     def thresholds_path(self, mode: DatasetMode) -> Path:
         return self.out_dir / "features" / f"thresholds_{mode.value}.json"
@@ -287,11 +277,9 @@ def _load_labels(path: Path, what: str) -> dict[str, int]:
 # --- commands --------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig, role: str, seed: int | None, out: str | None) -> None:
-    params = cfg.synth_params(seed)
-    if role == "test":
-        # a held-out corpus must not repeat the training draw
-        params = replace(params, seed=params.seed + 1)
-    corpus = generate_corpus(params)
+    seed = cfg.synth.seed if seed is None else seed
+    # a held-out corpus must not repeat the training draw
+    corpus = generate_corpus(replace(cfg.synth, seed=seed + (role == "test")))
     if out is not None:
         traj_dir = Path(out)
         labels_path = traj_dir.parent / f"{traj_dir.name}_labels.csv"
@@ -340,7 +328,6 @@ def cmd_extract(cfg: RunConfig) -> None:
             remove_file(cfg.features_path("test", mode))
     for mode, (train_matrix, thresholds) in train.items():
         atomic_write_text(cfg.features_path("train", mode), train_matrix.csv_lines())
-        write_manifest(train_matrix.columns, cfg.manifest_path(mode))
         atomic_write_text(cfg.thresholds_path(mode), _thresholds_json(thresholds))
         rows = [f"train {mode.value}: {len(train_matrix.bird_ids)}x{len(train_matrix.columns)}"]
         if mode in test:
@@ -606,8 +593,8 @@ def _run(argv) -> int:
         return EXIT_OK
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
+        if not 0 <= args.seed < 2**63:  # the range of the config's seeds
+            raise UsageError(f"--seed must be in [0, 2**63 - 1], got {args.seed}")
         cfg.base_seed = args.seed
     if getattr(args, "jobs", 1) < 1:
         raise UsageError("--jobs must be >= 1")

@@ -20,7 +20,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import zip_longest
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .featex import (
     feature_names,
     velocity_thresholds,
 )
-from .trajdata import Corpus, CorpusReader, atomic_write_text
+from .trajdata import Corpus, CorpusReader
 from .trees import midpoint
 
 
@@ -242,8 +241,3 @@ def fill_missing(values: np.ndarray, fill: np.ndarray) -> np.ndarray:
     nan_rows, nan_cols = np.nonzero(np.isnan(values))
     values[nan_rows, nan_cols] = fill[nan_cols]
     return values
-
-
-def write_manifest(columns: list[str], path: str | Path) -> None:
-    """Persist the ordered column schema, one name per line."""
-    atomic_write_text(path, "\n".join(columns) + "\n")

@@ -7,7 +7,8 @@ the track's kinematic series once, reads its velocity array by name for the
 PCA and returns it with the vector, whose exceedance counts need thresholds
 pooled over a whole corpus (``datasets.build_datasets`` fills them in). Every
 function here takes and returns plain arrays; the thresholds are a 12-vector
-aligned with :data:`THRESHOLD_NAMES`.
+aligned with :data:`THRESHOLD_NAMES`. Summaries and thresholds interpolate
+their quantiles by ``trees._quantiles``, the rule quantile bins cut by.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import PipelineError
 from .geokin import SERIES_NAMES, feature_series
 from .trajdata import Trajectory
+from .trees import _quantiles
 
 # Quantile levels of every series summary, plus mean/min/max.
 SUMMARY_PROBS = (
@@ -51,16 +53,6 @@ def quantile(values: np.ndarray, p: float) -> float:
     if values.size == 0:
         raise PipelineError("quantile of empty series")
     return float(_quantiles(np.sort(values), np.array([p]))[0])
-
-
-def _quantiles(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Quantiles of an already-sorted sample at several probabilities."""
-    n = sorted_values.size
-    h = (n - 1) * np.asarray(probs, dtype=np.float64)
-    lo = np.floor(h).astype(np.intp)
-    hi = np.minimum(lo + 1, n - 1)
-    frac = h - lo
-    return sorted_values[lo] + frac * (sorted_values[hi] - sorted_values[lo])
 
 
 def summarize(values: np.ndarray) -> np.ndarray:

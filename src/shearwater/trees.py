@@ -70,6 +70,7 @@ leaves'. Fitting assumes finite inputs; prediction tolerates NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -342,6 +343,17 @@ def midpoint(lo, hi) -> np.ndarray:
         return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
+def _quantiles(sorted_values: np.ndarray, probs) -> np.ndarray:
+    """Quantiles of a nonempty sorted sample at several probabilities, each
+    interpolated linearly at fractional rank h = (n-1)p: the rule of the
+    feature summaries (``featex``) and of quantile bin edges."""
+    n = sorted_values.size
+    h = (n - 1) * np.asarray(probs, dtype=np.float64)
+    lo = np.floor(h).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    return sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo])
+
+
 def _thresholds(bins: "HistogramBins", features, ltop, rbot) -> np.ndarray:
     """The recorded thresholds of cuts of ``features`` between occupied bins
     ``ltop`` and ``rbot``: the midpoints between their training value bounds,
@@ -478,14 +490,16 @@ class HistogramBins:
     value and the edges are exactly the midpoints between consecutive
     distinct values; they are not stored but derived on demand, so the
     values are held once. ``quantile_edges`` holds the edges of the other,
-    quantile-binned, columns.
+    quantile-binned, columns. Nothing changes a bins object once
+    ``build_bins`` returns it, so ``n_edges`` is counted at its first read
+    and kept.
     """
 
     bin_min: list[np.ndarray]
     bin_max: list[np.ndarray]
     quantile_edges: dict[int, np.ndarray]
 
-    @property
+    @cached_property
     def n_edges(self) -> np.ndarray:
         """Each feature's edge count: its bins less one (0 for no bins)."""
         sizes = np.fromiter(map(len, self.bin_min), np.int64, len(self.bin_min))
@@ -552,12 +566,9 @@ def _bin_block(X, binned, max_edges):
         for f in np.flatnonzero(counts - 1 > max_edges):
             valid = ~np.isnan(X[:, f])
             values, ranked = X[valid, f], s[: valid.sum(), f]
-            h = (ranked.size - 1) * probs
-            lo = np.floor(h).astype(np.intp)
-            hi = np.minimum(lo + 1, ranked.size - 1)
             # sorted, first of each run: np.unique's result, without its
             # import of numpy.ma
-            edges = np.sort(ranked[lo] + (h - lo) * (ranked[hi] - ranked[lo]))
+            edges = np.sort(_quantiles(ranked, probs))
             edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
             edges = edges[(edges > ranked[0]) & (edges <= ranked[-1])]
             idx = np.searchsorted(edges, values, side="right")

@@ -540,3 +540,65 @@ def test_hist_fit_on_its_own_quantile_bins_does_not_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# --- metamorphic relations ----------------------------------------------------
+#
+# A relation between two fits says whether a score is wrong without pinning
+# its bytes: a change that keeps every learner's meaning keeps each one.
+
+def _relation_data():
+    """150 x 12 rows with a tied column and missing cells filled by their
+    column medians, as evalcv fills a training set, and labels that depend
+    on three columns."""
+    from shearwater.datasets import column_medians, fill_missing
+
+    rng = np.random.default_rng(2011)
+    X = rng.normal(size=(150, 12))
+    X[:, 3] = X[:, 3].round(1)  # ties: about 40 distinct values
+    X[rng.random(X.shape) < 0.05] = np.nan
+    X = fill_missing(X, column_medians(X))
+    y = (X[:, 0] + 0.5 * X[:, 3] - 0.5 * X[:, 7] + rng.normal(0, 0.5, 150) > 0).astype(float)
+    return X, y
+
+
+def _relation_scores(kind, X, y, params):
+    """The scores on X of ``kind`` fitted on X with a generator of seed 3."""
+    return predict_scores(fit_learner(LearnerKind(kind), X, y, params, np.random.default_rng(3)), X)
+
+
+@pytest.mark.parametrize("max_bin_edges", [255, 7], ids=["lossless", "quantile_bins"])
+@pytest.mark.parametrize("kind", [kind.value for kind in LearnerKind])
+def test_scaling_by_a_power_of_two_changes_no_score(kind, max_bin_edges):
+    # 2x and 0.25x are exact in binary floating point, and every step of
+    # every learner commutes with them: midpoint cuts, medians, quantile
+    # interpolation, sk_et's uniform draws between a node's bounds and svc's
+    # standardization; so at default sampling (subsample and colsample 0.8,
+    # the same draws) each score on cX equals, bit for bit, the one on X.
+    # At max_bin_edges 7 every column of 150 rows is binned by quantiles
+    X, y = _relation_data()
+    params = GbdtParams(n_rounds=20, max_depth=3, n_trees=30, max_bin_edges=max_bin_edges)
+    base = _relation_scores(kind, X, y, params)
+    assert np.unique(base).size > 2  # the fit used the features
+    for c in (2.0, 0.25):
+        assert _relation_scores(kind, c * X, y, params).tobytes() == base.tobytes(), c
+
+
+@pytest.mark.parametrize("max_bin_edges", [255, 7], ids=["lossless", "quantile_bins"])
+@pytest.mark.parametrize("kind", ["xgb_binary", "xgb_rank", "lgb_gbdt", "cat"])
+def test_a_monotone_transform_changes_no_booster(kind, max_bin_edges):
+    # without sampling a booster's trees depend on each column's ranks
+    # alone: which rows share a bin, which cut wins, and on which side each
+    # training row falls, also where a quantile edge falls between two
+    # values; so g(x) = x**3 + x, strictly increasing, changes no score on
+    # the training rows. The other learners are left out, for they need not
+    # agree, and on these rows each does not in at least one bin setting: a
+    # bootstrap cut falls midway between in-bag values, so an out-of-bag
+    # value between them can change sides under g (lgb_rf, sk_rf); sk_et
+    # draws its thresholds on the raw scale; svc is linear
+    X, y = _relation_data()
+    params = GbdtParams(n_rounds=20, max_depth=3, subsample=1.0, colsample=1.0,
+                        max_bin_edges=max_bin_edges)
+    base = _relation_scores(kind, X, y, params)
+    assert np.unique(base).size > 2
+    assert _relation_scores(kind, X**3 + X, y, params).tobytes() == base.tobytes()

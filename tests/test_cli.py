@@ -177,7 +177,6 @@ def test_full_pipeline_end_to_end(tmp_path):
     out = tmp_path / "out"
     assert (out / "features" / "train_together.csv").exists()
     assert (out / "features" / "test_together.csv").exists()
-    assert (out / "features" / "manifest_together.txt").exists()
     assert (out / "cv_report.csv").exists()
     summary = (out / "cv_summary.csv").read_text().splitlines()
     assert summary[0] == "setting,mean_f1,threshold"
@@ -490,9 +489,33 @@ def test_predict_refuses_non_finite_scores(tmp_path, capsys):
     assert not (tmp_path / "out" / "predictions" / "together_svc_s11.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, flags, named",
+    [
+        ({"synth": {**SYNTH, "n_bird": 3}}, [], "bad config: synth.n_bird is not a parameter"),
+        ({"synth": {**SYNTH, "trip_length_min": 5}}, [],
+         "bad config: synth.trip_length_min must be >= 10, got 5"),
+        # the config's seeds are int64; synth refused this seed, every other command took it
+        ({}, ["--seed", str(2**63)], "--seed must be in [0, 2**63 - 1], got 9223372036854775808"),
+    ],
+    ids=["unknown_field", "out_of_domain", "seed_past_int64"],
+)
+@pytest.mark.parametrize("command", ["synth", "extract", "folds", "cv", "train", "predict",
+                                     "ensemble"])
+def test_every_command_reads_the_whole_config_before_any_write(tmp_path, capsys, command,
+                                                               overrides, flags, named):
+    # only synth read the synth block, so every other command took a bad one
+    # and went on to its inputs, which here are missing (exit 2)
+    cfg = write_config(tmp_path, **overrides)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *flags]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_synth_float_field_takes_an_int(tmp_path):
     cfg = RunConfig.from_file(write_config(tmp_path, synth={**SYNTH, "male_speed": 12}))
-    assert cfg.synth_params().male_speed == 12
+    assert cfg.synth.male_speed == 12
 
 
 def test_hyperparameter_float_field_takes_an_int(tmp_path):
@@ -995,8 +1018,6 @@ EXTRACT_SYNTH = {"n_birds": 12, "seed": 8, "trip_length_min": 40, "trip_length_m
 # sha256 of every file extract writes on the corpora of EXTRACT_SYNTH, in
 # both modes; a change to how features are derived must keep each byte
 EXTRACT_DIGESTS = {
-    "manifest_split.txt": "e81b740dfec7e07b9f4fd4e21678385ad52ce322c77492ff2437e63e82b9d0d8",
-    "manifest_together.txt": "883be27b292488d597fa86aacf2bf932b52cf6fd4eccae688716ae94077dcc4d",
     "test_split.csv": "4cbef9e20502c732af6b7c6fe5566dbd27ded16bddbc15e013a2d7c0d77e6561",
     "test_together.csv": "3c4b0b9b69c3c4504015e083cb63594fb6c8ff1295ecbe8e4326b95c7b049e18",
     "thresholds_split.json": "fd354788261c4a48d873e88477220b3080523a26a0ab29c3ef58988355605b09",
@@ -1591,7 +1612,7 @@ def _extract_is_refused_before_any_write(finished_run, tmp_path, capsys, paths, 
     capsys.readouterr()
     assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
     assert f"{tmp_path / named}: {message}" in capsys.readouterr().err
-    assert len(list(features.iterdir())) == 8
+    assert len(list(features.iterdir())) == 6
     assert {path.read_text(encoding="utf-8") for path in features.iterdir()} == {"stale\n"}
 
 
@@ -1632,7 +1653,7 @@ def test_a_stale_test_matrix_that_cannot_be_removed_is_refused_before_any_write(
     assert f"{features / 'test_together.csv'}: cannot remove" in err
     assert "Traceback" not in err
     kept = [path for path in features.iterdir() if not path.name.startswith("test_")]
-    assert len(kept) == 6
+    assert len(kept) == 4
     assert {path.read_text(encoding="utf-8") for path in kept} == {"stale\n"}
 
 

@@ -316,6 +316,14 @@ def test_lossless_bins_hold_each_distinct_value_once(rng, max_edges):
     np.testing.assert_array_equal(bins.edges[0], 0.5 * (distinct[:-1] + distinct[1:]))
 
 
+def test_bins_count_their_edges_once(rng):
+    # nothing changes a bins object once build_bins returns it, so every fit
+    # and lossless check after the first read takes the same counts
+    bins, _ = build_bins(rng.normal(size=(30, 3)), 7)
+    assert bins.n_edges is bins.n_edges
+    assert bins.n_edges.tolist() == [len(bins.bin_min[f]) - 1 for f in range(3)]
+
+
 # --- oblivious fitter -------------------------------------------------------
 
 def fit_oblivious_lossless(X, grad, hess, params, **kwargs):
