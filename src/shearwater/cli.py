@@ -1,15 +1,15 @@
 """Multi-command batch interface orchestrating the full pipeline.
 
-All paths and hyperparameters live in a JSON config; flags override
-scalars. Commands overwrite each output file atomically and can be re-run
+All paths, seeds and hyperparameters live in a JSON config, which no flag
+overrides. Commands overwrite each output file atomically and can be re-run
 one by one, except that `train` needs the thresholds of a `cv` run on the
 same inputs (`cv_thresholds.json`) and `predict` only uses models that
 `train` fitted on the current inputs and hyperparameters, each carrying
 the medians that fill the test rows it scores. `train` writes each model
 as soon as it is fitted, so one stopped part-way leaves the models before
 the failure new and the rest stale, which `predict` refuses by name. A run
-is reproducible end to end: identical config and seed give byte-identical
-final predictions regardless of --jobs.
+is reproducible end to end: an identical config gives byte-identical final
+predictions regardless of --jobs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -276,14 +276,10 @@ def _load_labels(path: Path, what: str) -> dict[str, int]:
 
 # --- commands --------------------------------------------------------------
 
-def cmd_synth(cfg: RunConfig, role: str, seed: int | None, out: str | None) -> None:
-    seed = cfg.synth.seed if seed is None else seed
+def cmd_synth(cfg: RunConfig, role: str) -> None:
     # a held-out corpus must not repeat the training draw
-    corpus = generate_corpus(replace(cfg.synth, seed=seed + (role == "test")))
-    if out is not None:
-        traj_dir = Path(out)
-        labels_path = traj_dir.parent / f"{traj_dir.name}_labels.csv"
-    elif role == "train":
+    corpus = generate_corpus(replace(cfg.synth, seed=cfg.synth.seed + (role == "test")))
+    if role == "train":
         traj_dir, labels_path = cfg.train_dir, cfg.train_labels
     else:
         if cfg.test_dir is None:
@@ -392,7 +388,10 @@ def _load_cv_inputs(cfg: RunConfig):
     """Each mode's training matrix made ready under the folds (binned when a
     configured learner reads bins), the folds, and the crc32 of their texts,
     which for a file the pipeline wrote (UTF-8, no mark, ``\n``) is the
-    crc32 of its bytes; ``predict`` takes the crc alone, unparsed."""
+    crc32 of its bytes; ``predict`` takes the crc alone, unparsed. Folds
+    that list other birds than a matrix, or leave a fold's training set
+    (every bird outside it) without both classes, are refused before any
+    fit."""
     *matrix_files, folds_file = _cv_input_files(cfg)
     crc, matrices = 0, {}
     for mode, file in zip(cfg.modes, matrix_files):
@@ -405,7 +404,14 @@ def _load_cv_inputs(cfg: RunConfig):
             if unshared:
                 raise PipelineError(f"birds not in both folds and features: {unshared[:5]}")
     bins = any(kind.reads_bins for kind in cfg.learners)
-    return {mode: prepare(m, folds, bins) for mode, m in matrices.items()}, folds, crc
+    prepared = {mode: prepare(m, folds, bins) for mode, m in matrices.items()}
+    with naming(folds_file[0]):
+        for ready in prepared.values():
+            for j in range(folds.k):
+                rest = ready.matrix.labels[ready.fold_of != j]
+                if rest.size == 0 or rest.min() == rest.max():  # not np.unique: numpy.ma
+                    raise PipelineError(f"the birds outside fold {j} are not of both classes")
+    return prepared, folds, crc
 
 
 def _run_name(setting: ModelSetting, seed: int) -> str:
@@ -566,12 +572,10 @@ def build_parser() -> _Parser:
 
     def with_config(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override base_seed")
         return p
 
     p = with_config(sub.add_parser("synth", help="generate a synthetic corpus"))
     p.add_argument("--role", choices=["train", "test"], default="train")
-    p.add_argument("--out", default=None, help="override the output trajectory dir")
     with_config(sub.add_parser("extract", help="build feature matrices"))
     with_config(sub.add_parser("folds", help="write the shared fold assignment"))
     p = with_config(sub.add_parser("cv", help="cross-validate every setting"))
@@ -592,14 +596,10 @@ def _run(argv) -> int:
         cmd_evaluate(args.predictions, args.truth)
         return EXIT_OK
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**63:  # the range of the config's seeds
-            raise UsageError(f"--seed must be in [0, 2**63 - 1], got {args.seed}")
-        cfg.base_seed = args.seed
     if getattr(args, "jobs", 1) < 1:
         raise UsageError("--jobs must be >= 1")
     if args.command == "synth":
-        cmd_synth(cfg, args.role, args.seed, args.out)
+        cmd_synth(cfg, args.role)
     elif args.command == "extract":
         cmd_extract(cfg)
     elif args.command == "folds":

@@ -45,16 +45,6 @@ FIRST_K = 5
 MISSING = np.nan
 
 
-def quantile(values: np.ndarray, p: float) -> float:
-    """Linear-interpolation quantile at fractional rank h = (n-1)p.
-
-    A data error on empty input.
-    """
-    if values.size == 0:
-        raise PipelineError("quantile of empty series")
-    return float(_quantiles(np.sort(values), np.array([p]))[0])
-
-
 def summarize(values: np.ndarray) -> np.ndarray:
     """18 summary statistics: the 15 SUMMARY_PROBS quantiles, mean, min, max.
 

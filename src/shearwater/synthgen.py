@@ -12,7 +12,7 @@ is irrelevant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,13 +139,3 @@ def generate_corpus(params: SynthParams) -> Corpus:
         trajectories[traj.bird_id] = traj
         labels[traj.bird_id] = gender
     return Corpus(trajectories=trajectories, labels=labels)
-
-
-def null_signal_params(base: SynthParams | None = None) -> SynthParams:
-    """Copy of the params with both genders statistically identical."""
-    base = base or SynthParams()
-    return replace(
-        base,
-        male_speed=base.female_speed,
-        male_turn_concentration=base.female_turn_concentration,
-    )

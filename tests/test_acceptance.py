@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from shearwater.boost import (
     GbdtParams,
@@ -25,9 +24,8 @@ from shearwater.boost import (
     predict_scores,
 )
 from shearwater.cli import EXIT_OK, main
-from shearwater.errors import PipelineError
 from shearwater.evalcv import f1_score, make_folds
-from shearwater.featex import SUMMARY_PROBS, quantile
+from shearwater.featex import SUMMARY_PROBS, summarize
 from shearwater.geokin import EARTH_RADIUS_M, haversine
 from shearwater.synthgen import SynthParams, generate_corpus
 from shearwater.trees import TreeParams, build_bins, fit_tree_hist
@@ -83,16 +81,15 @@ def test_criterion_02_quantile_oracle():
     for _ in range(500):
         n = int(rng.integers(1, 80))
         values = rng.normal(scale=rng.uniform(0.1, 100.0), size=n)
-        for p in SUMMARY_PROBS:
-            got = quantile(values, p)
+        # the quantiles the pipeline's feature summaries hold
+        for p, got in zip(SUMMARY_PROBS, summarize(values)[:len(SUMMARY_PROBS)]):
             s = sorted(values.tolist())
             h = (n - 1) * p
             lo = math.floor(h)
             want = s[-1] if lo >= n - 1 else s[lo] + (h - lo) * (s[lo + 1] - s[lo])
             assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    with pytest.raises(PipelineError, match="^quantile of empty series$"):
-        quantile(np.empty(0), 0.5)
-    log("criterion 2: quantile matches sort-and-interpolate oracle on 500 series x 15 levels")
+    assert np.isnan(summarize(np.empty(0))).all()
+    log("criterion 2: summary quantiles match sort-and-interpolate oracle on 500 series x 15 levels")
 
 
 # --- criterion 3: tree split oracle ----------------------------------------------

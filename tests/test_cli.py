@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from shearwater.boost import GbdtParams, LearnerKind
 from shearwater.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from shearwater.datasets import FeatureMatrix
 from shearwater.errors import PipelineError
 
 
@@ -248,6 +249,37 @@ def test_folds_missing_a_bird_is_data_error(tmp_path, capsys, command):
     assert "folds.csv" in capsys.readouterr().err
 
 
+def _positives_in_fold_0(fold, label):
+    return 0 if label == "1" else max(fold, 1)
+
+
+def _one_fold(fold, label):
+    return 0
+
+
+@pytest.mark.parametrize("learner", ["sk_rf", "svc"])
+@pytest.mark.parametrize("refold", [_positives_in_fold_0, _one_fold])
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_folds_that_leave_a_training_set_one_class_are_refused(tmp_path, capsys, command, refold,
+                                                               learner):
+    # every positive in fold 0: cv with sk_rf exited 0 with fold F1s of 1, 0 and 0, and
+    # with svc exited 2 naming neither the file nor the fold; one fold failed the same way
+    cfg = prepare_folds(tmp_path, learners=[learner])
+    out = tmp_path / "out"
+    if command == "train":
+        assert main(["cv", "--config", str(cfg)]) == EXIT_OK
+    labels = dict(line.split(",") for line in (tmp_path / "train_labels.csv").read_text().split())
+    header, *rows = (out / "folds.csv").read_text().split()
+    folds = [(bird, refold(int(fold), labels[bird])) for bird, fold in (r.split(",") for r in rows)]
+    (out / "folds.csv").write_text("".join(f"{line}\n" for line in
+                                           [header, *(f"{b},{f}" for b, f in folds)]))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == EXIT_DATA
+    assert "folds.csv: the birds outside fold 0 are not of both classes" in capsys.readouterr().err
+    assert not (out / "models").exists()
+    assert (out / "cv_report.csv").exists() == (command == "train")
+
+
 def _set_field(path, line, field, value):
     lines = path.read_text().splitlines()
     cells = lines[line].split(",")
@@ -291,17 +323,17 @@ def test_malformed_internal_csv_is_data_error(tmp_path, capsys, command, relpath
     assert "line 3" in err
 
 
-def test_synth_seed_flag_keeps_test_role_distinct(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["synth", "--config", str(cfg), "--seed", "7"]) == EXIT_OK
-    assert main(["synth", "--config", str(cfg), "--seed", "7", "--role", "test"]) == EXIT_OK
-    assert main(["synth", "--config", str(cfg), "--seed", "8", "--out", str(tmp_path / "s8")]) == EXIT_OK
+def test_synth_test_role_draws_from_the_next_seed(tmp_path):
+    def corpus(run, seed, role):
+        run.mkdir(exist_ok=True)
+        cfg = write_config(run, synth={**SYNTH, "seed": seed})
+        assert main(["synth", "--config", str(cfg), "--role", role]) == EXIT_OK
+        files = sorted([*(run / role).glob("*.csv"), run / f"{role}_labels.csv"])
+        return [(path.name.removeprefix(f"{role}_"), path.read_bytes()) for path in files]
 
-    def corpus(directory):
-        return {p.name: p.read_bytes() for p in sorted(directory.glob("*.csv"))}
-
-    assert corpus(tmp_path / "test") != corpus(tmp_path / "train")
-    assert corpus(tmp_path / "test") == corpus(tmp_path / "s8")
+    test = corpus(tmp_path / "s7", 7, "test")
+    assert test != corpus(tmp_path / "s7", 7, "train")
+    assert test == corpus(tmp_path / "s8", 8, "train")
 
 
 SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
@@ -315,9 +347,10 @@ SYNTH = {"n_birds": 24, "seed": 5, "trip_length_min": 20, "trip_length_max": 30}
         ("folds", {"k_folds": 1}, [], "k_folds"),  # passed, then cv saw one class
         ("synth", {"synth": {**SYNTH, "n_birds": 0}}, [], "n_birds"),
         ("synth", {"synth": {**SYNTH, "seed": -4}}, [], "seed"),
-        ("synth", {}, ["--seed", "-1"], "--seed"),
-        ("folds", {}, ["--seed", "-1"], "--seed"),
-        ("cv", {}, ["--seed", "-1"], "--seed"),
+        # the config holds the only seeds, and every command reads them all
+        ("synth", {"synth": {**SYNTH, "seed": 2**63}}, [], "synth.seed: expected a 64-bit"),
+        ("folds", {"synth": {**SYNTH, "seed": -1}}, [], "synth.seed must be >= 0"),
+        ("cv", {"synth": {**SYNTH, "seed": -1}}, [], "synth.seed must be >= 0"),
         ("synth", {"synth": {**SYNTH, "n_birds": "many"}}, [], "synth.n_birds"),  # was exit 3
         ("synth", {"synth": {**SYNTH, "n_birds": True}}, [], "synth.n_birds"),
         ("synth", {"synth": {**SYNTH, "trip_length_min": 20.5}}, [], "synth.trip_length_min"),
@@ -495,10 +528,14 @@ def test_predict_refuses_non_finite_scores(tmp_path, capsys):
         ({"synth": {**SYNTH, "n_bird": 3}}, [], "bad config: synth.n_bird is not a parameter"),
         ({"synth": {**SYNTH, "trip_length_min": 5}}, [],
          "bad config: synth.trip_length_min must be >= 10, got 5"),
-        # the config's seeds are int64; synth refused this seed, every other command took it
-        ({}, ["--seed", str(2**63)], "--seed must be in [0, 2**63 - 1], got 9223372036854775808"),
+        # the config's seeds are int64, and every command reads base_seed before any write
+        ({"base_seed": 2**63}, [],
+         "bad config: base_seed: expected a 64-bit integer, got 9223372036854775808"),
+        # every seed and path comes from the config, which no flag overrides
+        ({}, ["--seed", "7"], "unrecognized arguments: --seed 7"),
+        ({}, ["--out", "x"], "unrecognized arguments: --out x"),
     ],
-    ids=["unknown_field", "out_of_domain", "seed_past_int64"],
+    ids=["unknown_field", "out_of_domain", "seed_past_int64", "seed_flag", "out_flag"],
 )
 @pytest.mark.parametrize("command", ["synth", "extract", "folds", "cv", "train", "predict",
                                      "ensemble"])
@@ -578,11 +615,16 @@ def _change_hyperparameter(tmp_path, cfg):
     write_config(tmp_path, learners=["svc"], n_seeds=2, params=params)
 
 
-def _refold_with_other_seed(tmp_path, cfg):
-    folds = tmp_path / "out" / "folds.csv"
-    before = folds.read_bytes()
-    assert main(["folds", "--config", str(cfg), "--seed", "12"]) == EXIT_OK
-    assert folds.read_bytes() != before
+def _swap_the_folds_of_two_birds(tmp_path, cfg):
+    # two birds of one class trade folds, as a fold draw of another seed might
+    labels = dict(line.split(",") for line in (tmp_path / "train_labels.csv").read_text().split())
+    path = tmp_path / "out" / "folds.csv"
+    header, *rows = path.read_text().split()
+    fold = dict(row.split(",") for row in rows)
+    a, b = next((a, b) for a in fold for b in fold
+                if labels[a] == labels[b] and fold[a] != fold[b])
+    fold[a], fold[b] = fold[b], fold[a]
+    path.write_text("".join(f"{line}\n" for line in [header, *(f"{k},{v}" for k, v in fold.items())]))
 
 
 def _nan_threshold(tmp_path, cfg):
@@ -605,11 +647,11 @@ def _delete_entry(tmp_path, cfg):
         (_drop_thresholds, "run cv first"),
         (_truncate_thresholds, "not a thresholds file"),
         (_change_hyperparameter, "together_svc#s11 is stale"),
-        (_refold_with_other_seed, "together_svc#s11 is stale"),
+        (_swap_the_folds_of_two_birds, "together_svc#s11 is stale"),
         (_delete_entry, "together_svc#s12"),
         (_nan_threshold, "threshold of together_svc#s11 is nan"),  # was accepted
     ],
-    ids=["missing", "truncated", "hyperparameter", "folds-seed", "entry-deleted", "nan"],
+    ids=["missing", "truncated", "hyperparameter", "folds-edited", "entry-deleted", "nan"],
 )
 def test_train_needs_current_cv_thresholds(tmp_path, capsys, edit, named):
     cfg = prepare_folds(tmp_path, learners=["svc"], n_seeds=2)
@@ -663,6 +705,42 @@ def test_predict_and_ensemble_read_only_the_configured_runs(tmp_path):
 
 def _files(out, directory):
     return {path.name: path.read_bytes() for path in sorted((out / directory).glob("*"))}
+
+
+def test_scaling_every_feature_by_a_power_of_two_changes_no_chain_output(tmp_path):
+    # test_boost's scaling relation through the whole CLI chain (Xie et al., J. Systems and
+    # Software 84(4), 2011): midpoint cuts, medians, quantiles, sk_et's draws and svc's
+    # standardization commute with an exact scaling of every feature, train and test, so no
+    # CV score, tuned threshold, prediction or vote moves; only the fingerprints differ
+    config = {"modes": ["together", "split"], "learners": [k.value for k in LearnerKind],
+              "n_seeds": 2, "k_folds": 3, "params": {"default": {"n_rounds": 8, "n_trees": 8}},
+              "synth": {**SYNTH, "n_birds": 36}}
+
+    def chain(scale):
+        run = tmp_path / str(scale)
+        run.mkdir()
+        cfg = write_config(run, **config)
+        for command in ["synth", "synth --role test", "extract"]:
+            assert main([*command.split(), "--config", str(cfg)]) == EXIT_OK
+        for path in (run / "out" / "features").glob("*.csv"):
+            matrix = FeatureMatrix.from_csv(path.read_text())
+            path.write_text(replace(matrix, values=matrix.values * scale).to_csv())
+        for command in ["folds", "cv", "train", "predict", "ensemble"]:
+            assert main([command, "--config", str(cfg)]) == EXIT_OK
+        out = run / "out"
+        files = {name: (out / name).read_bytes()
+                 for name in ["cv_report.csv", "cv_summary.csv", "ensemble.csv"]}
+        files.update(_files(out, "predictions"))
+        tuned = json.loads((out / "cv_thresholds.json").read_text())
+        return files, {name: entry["threshold"] for name, entry in tuned.items()}
+
+    files, taus = chain(1)
+    assert (len(files), len(taus)) == (35, 32)
+    for scale in (2, 0.25):
+        scaled, scaled_taus = chain(scale)
+        assert scaled.keys() == files.keys()
+        assert [name for name in files if scaled[name] != files[name]] == [], scale
+        assert scaled_taus == taus, scale
 
 
 def test_settings_do_not_leak_into_each_other(tmp_path):

@@ -1,12 +1,12 @@
 import hashlib
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shearwater.datasets import DatasetMode, build_datasets
 from shearwater.geokin import feature_series
-from shearwater.synthgen import SynthParams, _clipped_walk, generate_corpus, null_signal_params
+from shearwater.synthgen import SynthParams, _clipped_walk, generate_corpus
 from shearwater.trajdata import CorpusReader, labels_to_csv, load_labels, save_corpus, trajectory_to_csv
 
 
@@ -120,29 +120,14 @@ def test_planted_velocity_signal_is_measurable():
 
 
 def test_null_signal_params_equalize_genders():
-    params = null_signal_params(tiny_params())
-    assert params.male_speed == params.female_speed
-    assert params.male_turn_concentration == params.female_turn_concentration
+    base = tiny_params()
+    params = replace(base, male_speed=base.female_speed,
+                     male_turn_concentration=base.female_turn_concentration)
     corpus = generate_corpus(params)
     means = {0: [], 1: []}
     for bird in corpus.bird_ids:
         means[corpus.labels[bird]].append(feature_series(corpus[bird])["velocity"].mean())
     assert abs(np.mean(means[1]) - np.mean(means[0])) < 1.0
-
-
-def test_null_signal_params_keep_every_other_field():
-    @dataclass
-    class WithExtraField(SynthParams):
-        extra: int = 0
-
-    base = WithExtraField(**vars(tiny_params(cadence_s=90.0, start_lat=40.25)), extra=3)
-    params = null_signal_params(base)
-    assert (params.cadence_s, params.start_lat, params.extra) == (90.0, 40.25, 3)
-    assert vars(params) == {
-        **vars(base),
-        "male_speed": base.female_speed,
-        "male_turn_concentration": base.female_turn_concentration,
-    }
 
 
 def test_day_and_night_both_present():
